@@ -42,13 +42,6 @@ from .model import (
     matricize,
     vectorize,
 )
-from .oracle import (
-    OracleReport,
-    nnls_kkt_residual,
-    oracle_prox_nuclear,
-    oracle_scalar_prox_grid,
-    oracle_weighted_nnls,
-)
 from .prox import SvdFactors, project_nonneg, shrink_weighted, soft_threshold, svd_factors, svt
 from .solver import (
     METHODS,
@@ -61,7 +54,6 @@ from .solver import (
     coding_step,
     dual_update,
     e_update,
-    gram_factorization_count,
     method_config,
     objective_value,
     precompute_gram,

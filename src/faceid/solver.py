@@ -37,14 +37,6 @@ METHODS = {
     "LR3": ("l2", True, "constant", None),
 }
 
-_gram_factorizations = 0
-
-
-def gram_factorization_count() -> int:
-    """How many Gram factorizations have run since import (instrumentation)."""
-    return _gram_factorizations
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Engine knobs; the defaults give the robust nonnegative low-rank solver.
@@ -117,8 +109,6 @@ def precompute_gram(T, ratio: float) -> GramCache:
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
     gram = A.T @ A + ratio * np.eye(A.shape[1])
-    global _gram_factorizations
-    _gram_factorizations += 1
     try:
         factor = cho_factor(gram, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -310,7 +300,7 @@ def objective_value(
     y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     a = np.asarray(a, dtype=float).ravel()
     r = y - A @ a
-    total = float(sum(phi_value(x, wf) for x in r))
+    total = float(phi_value(r, wf).sum())
     if config.low_rank and config.lambda_star > 0.0:
         if not isinstance(T, Dictionary):
             raise ConfigError("nuclear term needs a Dictionary carrying image geometry")

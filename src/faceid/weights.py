@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .errors import ConfigError, NumericError
@@ -17,8 +16,6 @@ WEIGHT_FLOOR = float(np.finfo(float).tiny)
 
 # Floor for the logistic inflection parameter eta before mu = zeta / eta.
 ETA_FLOOR = 1e-12
-
-ETA_SOURCES = ("squared", "absolute")
 
 
 @dataclass(frozen=True)
@@ -45,21 +42,18 @@ class WeightFunction:
 
     kind "logistic" follows w(x) = expit(mu * (eta - x^2)); adaptive instances
     re-estimate (mu, eta) from each residual, frozen ones keep them fixed.
-    kind "constant" is w = 1 everywhere (plain least squares). kind "custom"
-    delegates to a user callable mapping a residual array to weights.
+    kind "constant" is w = 1 everywhere (plain least squares).
     """
 
     kind: str
     adaptive: bool
     gamma: float = 0.6
     zeta: float = 8.0
-    eta_source: str = "squared"
     mu: Optional[float] = None
     eta: Optional[float] = None
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "constant", "custom"):
+        if self.kind not in ("logistic", "constant"):
             raise ConfigError(f"unknown weight kind {self.kind!r}")
         if self.kind == "logistic":
             if self.adaptive:
@@ -67,20 +61,16 @@ class WeightFunction:
                     raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
                 if self.zeta <= 0.0:
                     raise ConfigError(f"zeta must be positive, got {self.zeta}")
-                if self.eta_source not in ETA_SOURCES:
-                    raise ConfigError(f"eta_source must be one of {ETA_SOURCES}")
             else:
                 if self.mu is None or self.eta is None:
                     raise ConfigError("frozen logistic weights need explicit (mu, eta)")
                 if self.mu <= 0.0 or self.eta < 0.0:
                     raise ConfigError(f"need mu > 0 and eta >= 0, got ({self.mu}, {self.eta})")
-        if self.kind == "custom" and not callable(self.fn):
-            raise ConfigError("custom weight kind needs a callable fn")
 
     @classmethod
-    def logistic(cls, gamma: float = 0.6, zeta: float = 8.0, eta_source: str = "squared"):
+    def logistic(cls, gamma: float = 0.6, zeta: float = 8.0):
         """Adaptive logistic weights re-estimated from every residual."""
-        return cls(kind="logistic", adaptive=True, gamma=gamma, zeta=zeta, eta_source=eta_source)
+        return cls(kind="logistic", adaptive=True, gamma=gamma, zeta=zeta)
 
     @classmethod
     def logistic_frozen(cls, mu: float, eta: float):
@@ -92,19 +82,14 @@ class WeightFunction:
         """Unit weights; turns the coding step into ordinary least squares."""
         return cls(kind="constant", adaptive=False)
 
-    @classmethod
-    def custom(cls, fn, adaptive: bool = True):
-        return cls(kind="custom", adaptive=adaptive, fn=fn)
 
-
-def logistic_params(residual, gamma: float = 0.6, zeta: float = 8.0, eta_source: str = "squared"):
+def logistic_params(residual, gamma: float = 0.6, zeta: float = 8.0):
     """Estimate the logistic pair (mu, eta) from a residual vector.
 
     eta is the l-th largest entry (l = floor(gamma * d), at least 1) of the
-    squared residuals, or of the absolute residuals when eta_source is
-    "absolute". Ties resolve by descending sort position, so the value at
-    1-based index l is taken either way. mu = zeta / eta with eta floored at
-    ETA_FLOOR to survive all-zero residuals.
+    squared residuals. Ties resolve by descending sort position, so the value
+    at 1-based index l is taken either way. mu = zeta / eta with eta floored
+    at ETA_FLOOR to survive all-zero residuals.
 
     Returns:
         (mu, eta) as floats.
@@ -114,11 +99,8 @@ def logistic_params(residual, gamma: float = 0.6, zeta: float = 8.0, eta_source:
         raise ConfigError("empty residual")
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
-    if eta_source not in ETA_SOURCES:
-        raise ConfigError(f"eta_source must be one of {ETA_SOURCES}")
-    vals = x * x if eta_source == "squared" else np.abs(x)
     ell = max(1, int(math.floor(gamma * x.size)))
-    eta = float(np.sort(vals)[::-1][ell - 1])
+    eta = float(np.sort(x * x)[::-1][ell - 1])
     eta = max(eta, ETA_FLOOR)
     return zeta / eta, eta
 
@@ -130,45 +112,37 @@ def weight_update(residual, wf: WeightFunction) -> WeightVector:
         raise NumericError("residual contains non-finite entries")
     if wf.kind == "constant":
         w = np.ones_like(x)
-    elif wf.kind == "custom":
-        w = np.asarray(wf.fn(x), dtype=float)
-        if w.shape != x.shape:
-            raise ConfigError(f"custom weight fn returned shape {w.shape} for input {x.shape}")
     else:
         if wf.adaptive:
-            mu, eta = logistic_params(x, wf.gamma, wf.zeta, wf.eta_source)
+            mu, eta = logistic_params(x, wf.gamma, wf.zeta)
         else:
             mu, eta = wf.mu, wf.eta
         w = expit(mu * (eta - x * x))
     return WeightVector(np.maximum(w, WEIGHT_FLOOR))
 
 
-def _pointwise(wf: WeightFunction) -> Callable[[float], float]:
-    if wf.kind == "constant":
-        return lambda s: 1.0
-    if wf.kind == "logistic":
-        mu, eta = wf.mu, wf.eta
-        return lambda s: float(expit(mu * (eta - s * s)))
-    fn = wf.fn
-    return lambda s: float(np.asarray(fn(np.array([s])), dtype=float)[0])
+def phi_value(x, wf: WeightFunction):
+    """Penalty phi(x) = integral of s * w(s) over s in [0, |x|], elementwise.
 
+    With a = mu * eta and d = mu * x^2 the logistic penalty has the closed form
+    (softplus(a) - softplus(a - d)) / (2 mu). For d < 1 the difference is taken
+    as log1p(expit(a - d) * expm1(d)), which keeps full relative precision as
+    x -> 0; the constant kind gives x^2 / 2. Adaptive weight functions have no
+    fixed phi and are rejected.
 
-def phi_value(x: float, wf: WeightFunction, tol: float = 1e-12) -> float:
-    """Penalty value phi(x) = integral of s * w(s) over s in [0, |x|].
-
-    Evaluated by adaptive quadrature on the frozen weight function; adaptive
-    weight functions have no fixed phi and are rejected.
+    Returns:
+        a float for scalar x, else an array of x's shape.
     """
     if wf.adaptive:
         raise ConfigError("phi is only defined for a frozen weight function")
-    xa = abs(float(x))
-    if xa == 0.0:
-        return 0.0
-    w = _pointwise(wf)
-    points = None
-    if wf.kind == "logistic" and wf.eta > 0.0:
-        knee = math.sqrt(wf.eta)
-        if knee < xa:
-            points = [knee]
-    val, _ = quad(lambda s: s * w(s), 0.0, xa, epsabs=tol, epsrel=tol, limit=200, points=points)
-    return float(val)
+    x = np.asarray(x, dtype=float)
+    if wf.kind == "constant":
+        phi = 0.5 * x * x
+    else:
+        a = wf.mu * wf.eta
+        d = wf.mu * x * x
+        # np.where evaluates both forms; the clamp keeps the unused one finite
+        near = np.log1p(expit(a - d) * np.expm1(np.minimum(d, 1.0)))
+        far = np.logaddexp(0.0, a) - np.logaddexp(0.0, a - d)
+        phi = np.where(d < 1.0, near, far) / (2.0 * wf.mu)
+    return float(phi) if phi.ndim == 0 else phi

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from faceid.errors import ConfigError
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from faceid.errors import ConfigError
-from faceid.oracle import (
+from faceid.prox import project_nonneg, soft_threshold, svt
+from helpers import orthonormal_dictionary, random_dictionary
+from oracle import (
     nnls_kkt_residual,
     oracle_prox_nuclear,
     oracle_scalar_prox_grid,
     oracle_weighted_nnls,
 )
-from faceid.prox import project_nonneg, soft_threshold, svt
-from helpers import orthonormal_dictionary, random_dictionary
 
 
 def test_nnls_orthonormal_unweighted_closed_form():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from faceid.errors import ConfigError, NumericError
-from faceid.oracle import oracle_prox_nuclear, oracle_scalar_prox_grid
 from faceid.prox import (
     project_nonneg,
     shrink_weighted,
@@ -13,6 +12,7 @@ from faceid.prox import (
     svt,
 )
 from faceid.weights import WeightVector
+from oracle import oracle_prox_nuclear, oracle_scalar_prox_grid
 
 
 def test_svt_diagonal_matrix():

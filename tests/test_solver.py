@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import expit
 
 from faceid.corruptions import occlude_block, textured_patch
@@ -15,7 +16,6 @@ from faceid.solver import (
     coding_step,
     dual_update,
     e_update,
-    gram_factorization_count,
     method_config,
     objective_value,
     precompute_gram,
@@ -67,10 +67,9 @@ def test_precompute_gram_rejects_nonpositive_ratio():
         precompute_gram(np.eye(3), 0.0)
 
 
-def test_precompute_gram_counts_factorizations():
-    before = gram_factorization_count()
+def test_precompute_gram_counts_factorizations(gram_factorizations):
     precompute_gram(np.eye(4), 0.5)
-    assert gram_factorization_count() == before + 1
+    assert len(gram_factorizations) == 1
 
 
 def test_e_update_low_rank_off_equals_zero_threshold():
@@ -337,7 +336,7 @@ def test_objective_matches_quadrature_and_svd_oracle():
     ref = 0.0
     for x in r:
         s = np.linspace(0.0, abs(x), 200_001)
-        ref += float(np.trapezoid(s * expit(mu * (eta - s * s)), s))
+        ref += float(trapezoid(s * expit(mu * (eta - s * s)), s))
     ref += 0.07 * float(np.linalg.svd(r.reshape(4, 5, order="F"), compute_uv=False).sum())
     got = objective_value(a, y, T, config)
     assert got == pytest.approx(ref, rel=1e-6)
@@ -446,15 +445,15 @@ def test_solve_checks_observation_length():
         solve(np.zeros(7), T, SolverConfig(low_rank=False))
 
 
-def test_solve_reuses_supplied_gram_cache():
+def test_solve_reuses_supplied_gram_cache(gram_factorizations):
     rng = np.random.default_rng(29)
     T = random_dictionary(rng, 6, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
     config = method_config("F-IRNNLS")
     cache = precompute_gram(T, config.gram_ratio)
-    before = gram_factorization_count()
+    before = len(gram_factorizations)
     solve(y, T, config, cache=cache)
-    assert gram_factorization_count() == before
+    assert len(gram_factorizations) == before
 
 
 def test_method_presets_map_to_engine_settings():

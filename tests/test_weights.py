@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import expit
 
 from faceid.errors import ConfigError, NumericError
@@ -34,12 +35,6 @@ def test_logistic_params_sign_blind():
     assert logistic_params(x) == logistic_params(-x)
 
 
-def test_logistic_params_absolute_source():
-    mu, eta = logistic_params([1.0, 2.0, 3.0, 4.0, 5.0], gamma=0.6, eta_source="absolute")
-    assert eta == 3.0
-    assert mu == pytest.approx(8.0 / 3.0, rel=1e-15)
-
-
 def test_logistic_params_zero_residual_floored():
     mu, eta = logistic_params(np.zeros(5))
     assert eta == ETA_FLOOR
@@ -57,8 +52,6 @@ def test_logistic_params_bad_inputs():
         logistic_params(np.array([]))
     with pytest.raises(ConfigError):
         logistic_params(np.ones(4), gamma=0.0)
-    with pytest.raises(ConfigError):
-        logistic_params(np.ones(4), eta_source="cubed")
 
 
 def test_weight_update_half_at_eta():
@@ -86,12 +79,6 @@ def test_weight_update_adaptive_matches_frozen_at_same_params():
     adaptive = weight_update(x, WeightFunction.logistic())
     frozen = weight_update(x, WeightFunction.logistic_frozen(mu, eta))
     assert np.array_equal(adaptive.values, frozen.values)
-
-
-def test_weight_update_custom_kind():
-    wf = WeightFunction.custom(lambda x: np.full_like(x, 0.25))
-    w = weight_update(np.arange(1.0, 5.0), wf)
-    assert np.array_equal(w.values, np.full(4, 0.25))
 
 
 def test_weight_update_rejects_non_finite():
@@ -144,7 +131,7 @@ def test_weight_function_validation():
     with pytest.raises(ConfigError):
         WeightFunction(kind="logistic", adaptive=False)  # frozen needs (mu, eta)
     with pytest.raises(ConfigError):
-        WeightFunction.custom(fn=None)
+        WeightFunction(kind="huber", adaptive=True)
 
 
 def test_phi_zero():
@@ -164,8 +151,38 @@ def test_phi_logistic_matches_trapezoid_oracle():
     # frozen from a 2e6-point trapezoid evaluation of the same integrand
     assert phi_value(1.0, wf) == pytest.approx(0.3100572534791233, abs=1e-8)
     s = np.linspace(0.0, 2.3, 400_001)
-    ref = np.trapezoid(s * expit(1.0 * (1.0 - s * s)), s)
+    ref = trapezoid(s * expit(1.0 * (1.0 - s * s)), s)
     assert phi_value(2.3, wf) == pytest.approx(float(ref), abs=1e-8)
+
+
+def test_phi_steep_weights_monotone_and_saturating():
+    # knee at sqrt(eta) = 1e-3: phi climbs over a tiny interval, then stays flat
+    mu, eta = 8e6, 1e-6
+    wf = WeightFunction.logistic_frozen(mu, eta)
+    xs = np.concatenate([np.geomspace(1e-5, 1e-2, 301), np.linspace(1e-2, 1.0, 100)])
+    vals = np.array([phi_value(x, wf) for x in np.concatenate([[0.0], xs])])
+    assert (np.diff(vals) >= 0.0).all()
+    ceiling = np.logaddexp(0.0, mu * eta) / (2.0 * mu)
+    assert phi_value(1.0, wf) == pytest.approx(ceiling, rel=1e-9)
+
+
+def test_phi_small_residual_limit():
+    # phi(x) -> w(0) * x^2 / 2 as x -> 0, with relative error O(mu * x^2)
+    mu, eta = 2.3, 0.7
+    wf = WeightFunction.logistic_frozen(mu, eta)
+    for x in np.geomspace(1e-8, 1e-4, 9):
+        assert phi_value(x, wf) == pytest.approx(expit(mu * eta) * x * x / 2.0, rel=1e-7)
+
+
+def test_phi_array_matches_scalar_calls():
+    rng = np.random.default_rng(6)
+    x = rng.normal(scale=2.0, size=(5, 7))
+    for wf in (WeightFunction.logistic_frozen(mu=8e6, eta=1e-6),
+               WeightFunction.logistic_frozen(mu=2.3, eta=0.7),
+               WeightFunction.constant_one()):
+        got = phi_value(x, wf)
+        assert got.shape == x.shape
+        assert np.array_equal(got, [[phi_value(v, wf) for v in row] for row in x])
 
 
 def test_phi_is_even():
