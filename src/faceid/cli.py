@@ -36,18 +36,25 @@ def _synthetic(text: str) -> experiment.SyntheticSpec:
         ) from exc
 
 
+# (SolverConfig field, type, help) behind each --field-name override flag.
+_SOLVER_FLAGS = (
+    ("lambda_star", float, "nuclear norm weight"),
+    ("lambda_reg", float, "l1/l2 coefficient weight"),
+    ("rho1", float, None),
+    ("rho2", float, None),
+    ("eps1", float, "inner fit tolerance"),
+    ("eps2", float, "inner split tolerance"),
+    ("eps3", float, "outer weight-change tolerance"),
+    ("t_max", int, "outer iteration cap"),
+    ("s_max", int, "inner iteration cap"),
+)
+
+
 def _add_solver_flags(p):
     g = p.add_argument_group("solver")
     g.add_argument("--method", default="F-LR-IRNNLS", choices=sorted(solver.METHODS))
-    g.add_argument("--lambda-star", type=float, default=None, help="nuclear norm weight")
-    g.add_argument("--lambda-reg", type=float, default=None, help="l1/l2 coefficient weight")
-    g.add_argument("--rho1", type=float, default=None)
-    g.add_argument("--rho2", type=float, default=None)
-    g.add_argument("--eps1", type=float, default=None, help="inner fit tolerance")
-    g.add_argument("--eps2", type=float, default=None, help="inner split tolerance")
-    g.add_argument("--eps3", type=float, default=None, help="outer weight-change tolerance")
-    g.add_argument("--t-max", type=int, default=None, help="outer iteration cap")
-    g.add_argument("--s-max", type=int, default=None, help="inner iteration cap")
+    for name, kind, text in _SOLVER_FLAGS:
+        g.add_argument("--" + name.replace("_", "-"), type=kind, default=None, help=text)
     g.add_argument(
         "--gamma",
         type=float,
@@ -57,18 +64,8 @@ def _add_solver_flags(p):
 
 
 def _solver_kwargs(args) -> dict:
-    keys = {
-        "lambda_star": args.lambda_star,
-        "lambda_reg": args.lambda_reg,
-        "rho1": args.rho1,
-        "rho2": args.rho2,
-        "eps1": args.eps1,
-        "eps2": args.eps2,
-        "eps3": args.eps3,
-        "t_max": args.t_max,
-        "s_max": args.s_max,
-    }
-    return {k: v for k, v in keys.items() if v is not None}
+    values = {name: getattr(args, name) for name, _, _ in _SOLVER_FLAGS}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _add_corruption_flags(p):
@@ -154,16 +151,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    manifest = dataio.load_manifest(args.manifest)
-    geometry = args.resize
-    train, labels = [], []
-    for rec in manifest.split("train"):
-        face = dataio.load_face(rec.path, geometry)
-        if geometry is None:
-            geometry = face.geometry
-        train.append(face)
-        labels.append(rec.label)
-    T = build_dictionary(train, labels, geometry)
+    train = dataio.load_manifest(args.manifest).split("train")
+    faces, geometry = dataio.load_faces(train, args.resize)
+    T = build_dictionary(faces, [rec.label for rec in train], geometry)
     gamma = args.gamma if args.gamma is not None else 0.8
     config = solver.method_config(args.method, gamma=gamma, **_solver_kwargs(args))
     y = dataio.load_face(args.image, geometry).normalized()

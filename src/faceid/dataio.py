@@ -135,6 +135,21 @@ def load_face(path, geometry: ImageGeometry | None = None) -> FaceVector:
     return vectorize(grid)
 
 
+def load_faces(records, geometry: ImageGeometry | None = None):
+    """Load manifest records as face vectors that share one geometry.
+
+    Without a geometry the first image fixes it and later images are resized
+    to it. Returns (faces, geometry).
+    """
+    faces = []
+    for rec in records:
+        face = load_face(rec.path, geometry)
+        if geometry is None:
+            geometry = face.geometry
+        faces.append(face)
+    return faces, geometry
+
+
 def export_weight_map(w, geometry: ImageGeometry, path) -> int:
     """Write pixel weights as a grayscale image (dark = small weight).
 
@@ -157,18 +172,12 @@ class ManifestRecord:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Parsed dataset manifest: one record per image plus the label table."""
+    """Parsed dataset manifest: one record per image, in file order."""
 
     records: tuple
-    base_dir: Path
-    label_map: dict
 
     def split(self, name: str):
         return [r for r in self.records if r.split == name]
-
-    @property
-    def class_names(self) -> tuple:
-        return tuple(sorted(self.label_map, key=self.label_map.get))
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -177,7 +186,7 @@ def load_manifest(path) -> DatasetManifest:
     Blank lines and lines starting with '#' are skipped. The split must be
     train or test, paths resolve relative to the manifest's directory and
     must exist and be unique, and every test label needs at least one train
-    record. Raw labels are remapped to dense ids by sorted order.
+    record.
     """
     path = Path(path)
     base = path.parent
@@ -213,5 +222,4 @@ def load_manifest(path) -> DatasetManifest:
     orphan = sorted({r.label for r in records if r.split == "test"} - train_labels)
     if orphan:
         raise ParseError(f"{path}: test label(s) with no train records: {', '.join(orphan)}")
-    label_map = {name: i for i, name in enumerate(sorted({r.label for r in records}))}
-    return DatasetManifest(records=tuple(records), base_dir=base, label_map=label_map)
+    return DatasetManifest(records=tuple(records))

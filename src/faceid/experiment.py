@@ -178,6 +178,8 @@ class ExperimentConfig:
             raise ConfigError(f"pixel fraction must be in [0, 1], got {self.pixel_fraction}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        if self.export_weights and self.out_dir is None:
+            raise ConfigError("exporting weight maps needs an output directory")
 
     @property
     def corrupted(self) -> bool:
@@ -272,7 +274,7 @@ def _solve_one(unit, idx, config, solver_config, patch):
         result = solver.solve(y, unit.dictionary, solver_config, cache=unit.cache)
         outcome = classify.identify(y, unit.dictionary, result)
         predicted = unit.names[outcome.predicted]
-        if config.export_weights and config.out_dir is not None:
+        if config.export_weights:
             dataio.export_weight_map(
                 result.w, unit.dictionary.geometry, Path(config.out_dir) / f"{image_id}_w.pgm"
             )
@@ -305,28 +307,18 @@ def _solve_one(unit, idx, config, solver_config, patch):
 
 
 def _manifest_unit(config, solver_config, seed):
-    manifest = dataio.load_manifest(config.manifest)
-    geometry = config.geometry
-    train, train_labels = [], []
-    tests, test_labels = [], []
-    for rec in manifest.records:
-        face = dataio.load_face(rec.path, geometry)
-        if geometry is None:
-            geometry = face.geometry
-        if rec.split == "train":
-            train.append(face)
-            train_labels.append(rec.label)
-        else:
-            tests.append(face)
-            test_labels.append(rec.label)
-    T = build_dictionary(train, train_labels, geometry)
+    records = dataio.load_manifest(config.manifest).records
+    faces, geometry = dataio.load_faces(records, config.geometry)
+    train = [i for i, rec in enumerate(records) if rec.split == "train"]
+    tests = [i for i, rec in enumerate(records) if rec.split == "test"]
+    T = build_dictionary([faces[i] for i in train], [records[i].label for i in train], geometry)
     cache = solver.precompute_gram(T, solver_config.gram_ratio)
     return _Unit(
         seed=seed,
         dictionary=T,
         cache=cache,
-        tests=tuple(tests),
-        labels=tuple(test_labels),
+        tests=tuple(faces[i] for i in tests),
+        labels=tuple(records[i].label for i in tests),
         names=T.class_names,
     )
 

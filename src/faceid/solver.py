@@ -46,6 +46,11 @@ class SolverConfig:
     default is a working convention, not a published value. eps1/eps2 bound
     the inner primal residuals ||y - Ta - e|| and ||a - z||, eps3 the relative
     change of consecutive weight vectors that stops the outer loop.
+
+    The penalties are in units of the engine's data term sum(w * e^2), twice
+    the x^2 / 2 that phi charges at unit weight. So the ridge fixed point is
+    (T'T + lambda_reg I)^-1 T'y, and a coefficient penalty stated in phi units
+    is doubled before it goes into lambda_reg.
     """
 
     lambda_star: float = 0.05
@@ -214,7 +219,8 @@ def coding_step(
         w: pixel weights (WeightVector or array of length d).
         cache: Gram factorization matching config.gram_ratio.
         a0: warm-start coefficients; defaults to the flat vector 1/n.
-        duals: optional (u1, u2) warm start; both default to zero.
+        duals: optional (u1, u2) warm start of lengths d and n; both default
+            to zero.
         t: outer-iteration tag recorded on the state.
         on_iterate: called with the live AdmmState after every iteration
             (arrays are reused by the caller; copy anything you keep).
@@ -249,6 +255,8 @@ def coding_step(
     if duals is not None:
         state.u1 = np.array(duals[0], dtype=float).ravel()
         state.u2 = np.array(duals[1], dtype=float).ravel()
+        if state.u1.size != d or state.u2.size != n:
+            raise GeometryError(f"duals must have lengths d={d} and n={n}")
     converged = False
     fit = split = float("inf")
     for s in range(1, config.s_max + 1):
@@ -300,6 +308,8 @@ def objective_value(
     y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     a = np.asarray(a, dtype=float).ravel()
     r = y - A @ a
+    if not np.isfinite(r).all():
+        raise NumericError("residual contains non-finite entries")
     total = float(phi_value(r, wf).sum())
     if config.low_rank and config.lambda_star > 0.0:
         if not isinstance(T, Dictionary):
@@ -439,25 +449,3 @@ def method_config(name: str, gamma: Optional[float] = None, **overrides) -> Solv
         config = replace(config, **overrides)
     return config
 
-
-def solve_baseline(
-    kind: str,
-    y,
-    T,
-    lambda_reg: float = 1e-3,
-    lambda_star: float = 0.05,
-    cache: Optional[GramCache] = None,
-    **overrides,
-) -> SolveResult:
-    """Classic unweighted baselines as configurations of the same engine.
-
-    kind "SRC" is l1 coding, "CR-RLS" one ridge solve, "LR3" ridge coding
-    with the low-rank residual treatment. lambda_reg weighs the coefficient
-    penalty of the traced objective (phi units, where least squares is
-    x^2 / 2); the engine's split threshold works in doubled units, so the
-    ridge fixed point is (T'T + 2 lambda_reg I)^-1 T'y.
-    """
-    if kind not in ("SRC", "CR-RLS", "LR3"):
-        raise ConfigError(f"unknown baseline {kind!r}")
-    config = method_config(kind, lambda_reg=2.0 * lambda_reg, lambda_star=lambda_star, **overrides)
-    return solve(y, T, config, cache=cache)

@@ -14,7 +14,11 @@ from .errors import ConfigError, NumericError
 # Weights are kept strictly positive so sqrt(W) stays invertible.
 WEIGHT_FLOOR = float(np.finfo(float).tiny)
 
-# Floor for the logistic inflection parameter eta before mu = zeta / eta.
+# Slope of the adaptive logistic weights, mu = ZETA / eta, so a zero residual
+# gets weight expit(ZETA).
+ZETA = 8.0
+
+# Floor for the logistic inflection parameter eta before mu = ZETA / eta.
 ETA_FLOOR = 1e-12
 
 
@@ -48,7 +52,6 @@ class WeightFunction:
     kind: str
     adaptive: bool
     gamma: float = 0.6
-    zeta: float = 8.0
     mu: Optional[float] = None
     eta: Optional[float] = None
 
@@ -59,8 +62,6 @@ class WeightFunction:
             if self.adaptive:
                 if not 0.0 < self.gamma <= 1.0:
                     raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-                if self.zeta <= 0.0:
-                    raise ConfigError(f"zeta must be positive, got {self.zeta}")
             else:
                 if self.mu is None or self.eta is None:
                     raise ConfigError("frozen logistic weights need explicit (mu, eta)")
@@ -68,9 +69,9 @@ class WeightFunction:
                     raise ConfigError(f"need mu > 0 and eta >= 0, got ({self.mu}, {self.eta})")
 
     @classmethod
-    def logistic(cls, gamma: float = 0.6, zeta: float = 8.0):
+    def logistic(cls, gamma: float = 0.6):
         """Adaptive logistic weights re-estimated from every residual."""
-        return cls(kind="logistic", adaptive=True, gamma=gamma, zeta=zeta)
+        return cls(kind="logistic", adaptive=True, gamma=gamma)
 
     @classmethod
     def logistic_frozen(cls, mu: float, eta: float):
@@ -83,12 +84,12 @@ class WeightFunction:
         return cls(kind="constant", adaptive=False)
 
 
-def logistic_params(residual, gamma: float = 0.6, zeta: float = 8.0):
+def logistic_params(residual, gamma: float = 0.6):
     """Estimate the logistic pair (mu, eta) from a residual vector.
 
     eta is the l-th largest entry (l = floor(gamma * d), at least 1) of the
     squared residuals. Ties resolve by descending sort position, so the value
-    at 1-based index l is taken either way. mu = zeta / eta with eta floored
+    at 1-based index l is taken either way. mu = ZETA / eta with eta floored
     at ETA_FLOOR to survive all-zero residuals.
 
     Returns:
@@ -102,7 +103,7 @@ def logistic_params(residual, gamma: float = 0.6, zeta: float = 8.0):
     ell = max(1, int(math.floor(gamma * x.size)))
     eta = float(np.sort(x * x)[::-1][ell - 1])
     eta = max(eta, ETA_FLOOR)
-    return zeta / eta, eta
+    return ZETA / eta, eta
 
 
 def weight_update(residual, wf: WeightFunction) -> WeightVector:
@@ -114,7 +115,7 @@ def weight_update(residual, wf: WeightFunction) -> WeightVector:
         w = np.ones_like(x)
     else:
         if wf.adaptive:
-            mu, eta = logistic_params(x, wf.gamma, wf.zeta)
+            mu, eta = logistic_params(x, wf.gamma)
         else:
             mu, eta = wf.mu, wf.eta
         w = expit(mu * (eta - x * x))

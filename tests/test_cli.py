@@ -62,6 +62,14 @@ def test_export_weights_command(tmp_path):
     assert load_pgm(maps[0]).shape == (12, 10)
 
 
+def test_bench_export_weights_without_out_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["bench", "--synthetic", "3,3,12x10", "--occlusion", "0.3", "--export-weights"])
+    assert code == 2
+    assert "output directory" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.pgm"))
+
+
 def test_solve_single_image(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--synthetic", "3,3,12x10", "--seed", "0", "--out", str(data)])

@@ -96,6 +96,11 @@ def test_experiment_config_validation(tmp_path):
     assert ExperimentConfig(synthetic=SyntheticSpec(), occlusion=0.3).corrupted
 
 
+def test_export_weights_needs_out_dir():
+    with pytest.raises(ConfigError, match="output directory"):
+        ExperimentConfig(synthetic=SyntheticSpec(), export_weights=True)
+
+
 def _small_config(**kw):
     base = dict(method="F-LR-IRNNLS", synthetic=SyntheticSpec(**SMALL), seeds=(0, 1))
     base.update(kw)

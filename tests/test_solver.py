@@ -6,7 +6,7 @@ from scipy.integrate import trapezoid
 from scipy.special import expit
 
 from faceid.corruptions import occlude_block, textured_patch
-from faceid.errors import ConfigError, GeometryError
+from faceid.errors import ConfigError, GeometryError, NumericError
 from faceid.model import FaceVector, ImageGeometry
 from faceid.solver import (
     METHODS,
@@ -20,7 +20,6 @@ from faceid.solver import (
     objective_value,
     precompute_gram,
     solve,
-    solve_baseline,
     z_update,
 )
 from faceid.weights import WeightFunction, logistic_params, weight_update
@@ -258,6 +257,9 @@ def test_coding_step_dimension_checks():
         coding_step(np.zeros(7), T, np.ones(7), cache, config)
     with pytest.raises(GeometryError):
         coding_step(np.zeros(20), T, np.ones(20), cache, config, a0=np.zeros(3))
+    for duals in [(0.0, 0.0), (np.zeros(3), np.zeros(6)), (np.zeros(20), np.zeros(3))]:
+        with pytest.raises(GeometryError, match="duals"):
+            coding_step(np.zeros(20), T, np.ones(20), cache, config, duals=duals)
 
 
 def test_coding_step_reports_nonconvergence():
@@ -348,6 +350,18 @@ def test_objective_rejects_adaptive_weights():
     config = SolverConfig(weights=WeightFunction.logistic())
     with pytest.raises(ConfigError):
         objective_value(np.zeros(6), np.zeros(20), T, config)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("low_rank", [True, False])
+def test_objective_rejects_non_finite_coefficients(low_rank, bad):
+    rng = np.random.default_rng(21)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    config = SolverConfig(low_rank=low_rank, weights=WeightFunction.logistic_frozen(2.0, 0.3))
+    a = rng.uniform(0.0, 0.5, 6)
+    a[2] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        objective_value(a, rng.uniform(0.0, 1.0, 20), T, config)
 
 
 def test_solve_single_ridge_step_is_regularized_least_squares():
@@ -503,7 +517,7 @@ def test_baseline_ridge_closed_form_on_orthonormal_dictionary():
     rng = np.random.default_rng(30)
     T = orthonormal_dictionary(rng, 6, 4, 8)
     y = FaceVector(rng.normal(size=24), T.geometry).normalized()
-    res = solve_baseline("CR-RLS", y, T, lambda_reg=1e-3, eps1=1e-10, s_max=5000)
+    res = solve(y, T, method_config("CR-RLS", lambda_reg=2e-3, eps1=1e-10, s_max=5000))
     expect = T.columns.T @ y.values / (1.0 + 2e-3)
     assert np.abs(res.a - expect).max() <= 1e-6
 
@@ -512,7 +526,7 @@ def test_baseline_sparse_coder_overpenalized_to_zero():
     rng = np.random.default_rng(31)
     T = random_dictionary(rng, 5, 5, 8, classes=2)
     y = FaceVector(rng.uniform(0.0, 1.0, 25), T.geometry).normalized()
-    res = solve_baseline("SRC", y, T, lambda_reg=1e6, eps1=1e-8, eps2=1e-8, s_max=5000)
+    res = solve(y, T, method_config("SRC", lambda_reg=2e6, eps1=1e-8, eps2=1e-8, s_max=5000))
     assert np.abs(res.a).max() <= 1e-6
 
 
@@ -520,12 +534,7 @@ def test_baseline_low_rank_ridge_reduces_to_plain_ridge():
     rng = np.random.default_rng(32)
     T = random_dictionary(rng, 5, 5, 8, classes=2)
     y = FaceVector(rng.uniform(0.0, 1.0, 25), T.geometry).normalized()
-    kw = dict(lambda_reg=1e-3, eps1=1e-10, s_max=5000)
-    lr3 = solve_baseline("LR3", y, T, lambda_star=0.0, **kw)
-    ridge = solve_baseline("CR-RLS", y, T, **kw)
+    kw = dict(lambda_reg=2e-3, eps1=1e-10, s_max=5000)
+    lr3 = solve(y, T, method_config("LR3", lambda_star=0.0, **kw))
+    ridge = solve(y, T, method_config("CR-RLS", **kw))
     assert np.abs(lr3.a - ridge.a).max() <= 1e-6
-
-
-def test_baseline_unknown_kind():
-    with pytest.raises(ConfigError):
-        solve_baseline("RRC", np.zeros(4), np.eye(4))

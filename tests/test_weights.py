@@ -61,7 +61,7 @@ def test_weight_update_half_at_eta():
 
 
 def test_weight_update_ceiling_at_zero_residual():
-    # mu * eta = zeta = 8 puts the zero-residual weight at expit(8)
+    # mu * eta = ZETA = 8 puts the zero-residual weight at expit(8)
     wf = WeightFunction.logistic_frozen(mu=8.0, eta=1.0)
     w = weight_update(np.array([0.0]), wf)
     assert w.values[0] == pytest.approx(0.9996646498695336, abs=1e-12)
@@ -124,8 +124,6 @@ def test_weight_vector_validation():
 def test_weight_function_validation():
     with pytest.raises(ConfigError):
         WeightFunction.logistic(gamma=1.5)
-    with pytest.raises(ConfigError):
-        WeightFunction.logistic(zeta=-1.0)
     with pytest.raises(ConfigError):
         WeightFunction.logistic_frozen(mu=-1.0, eta=1.0)
     with pytest.raises(ConfigError):
