@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DictionaryError
-from .model import Dictionary, FaceVector
+from .model import Dictionary
 from .solver import SolveResult
 
 
@@ -25,8 +25,6 @@ def class_residuals(y, T: Dictionary, result: SolveResult) -> np.ndarray:
 
     Residual i is ||sqrt(W) (y - T_i a_i)|| where W holds the final solver
     weights and (T_i, a_i) are the columns and coefficients of class i alone.
-    When the dictionary carries a variation block, its response is subtracted
-    from y first so every class is judged on the identity part only.
     """
     a = np.asarray(result.a, dtype=float).ravel()
     if a.size != T.n:
@@ -36,13 +34,10 @@ def class_residuals(y, T: Dictionary, result: SolveResult) -> np.ndarray:
         raise DictionaryError(f"weight length {w.size} does not match dictionary d={T.d}")
     y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     sw = np.sqrt(w)
-    base = y
-    if T.has_variation:
-        base = y - T.variation_columns @ a[T.variation_start :]
     out = np.empty(T.n_classes)
     for i in range(T.n_classes):
         lo, hi = T.class_range(i)
-        out[i] = np.linalg.norm(sw * (base - T.columns[:, lo:hi] @ a[lo:hi]))
+        out[i] = np.linalg.norm(sw * (y - T.columns[:, lo:hi] @ a[lo:hi]))
     return out
 
 

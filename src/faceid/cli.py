@@ -77,7 +77,7 @@ def _add_corruption_flags(p):
     )
 
 
-def _add_experiment_flags(p, out_required=False):
+def _add_experiment_flags(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--manifest", type=Path, help="dataset manifest (split,label,path lines)")
     src.add_argument(
@@ -88,9 +88,7 @@ def _add_experiment_flags(p, out_required=False):
     _add_corruption_flags(p)
     p.add_argument("--seed", type=int, action="append", default=None, help="repeatable run seed")
     p.add_argument("--jobs", type=int, default=1, help="worker threads")
-    p.add_argument(
-        "--out", type=Path, required=out_required, default=None, help="output directory"
-    )
+    p.add_argument("--out", type=Path, default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a batch identification experiment")
     _add_experiment_flags(bench)
     bench.add_argument("--export-weights", action="store_true", help="write per-image weight maps")
-
-    export = sub.add_parser(
-        "export-weights", help="run an experiment and write every final weight map as PGM"
-    )
-    _add_experiment_flags(export, out_required=True)
-    export.set_defaults(export_weights=True)
 
     one = sub.add_parser("solve", help="identify a single PGM against a manifest dictionary")
     one.add_argument("--manifest", type=Path, required=True)
@@ -201,7 +193,7 @@ def _cmd_synth(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("bench", "export-weights"):
+        if args.command == "bench":
             return _cmd_bench(args)
         if args.command == "solve":
             return _cmd_solve(args)

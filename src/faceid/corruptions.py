@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,33 +24,11 @@ def philox_stream(*entropy) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """What was corrupted: parameters, placement, and the exact pixel mask."""
+    """Where the corruption landed: the boolean pixel mask grid and, for a
+    block occlusion, its (top, left, side)."""
 
-    kind: str
-    seed: int
     mask: np.ndarray
-    coverage: Optional[float] = None
-    pixel_fraction: Optional[float] = None
     block: Optional[tuple] = None
-
-    @property
-    def actual_coverage(self) -> float:
-        return float(self.mask.mean())
-
-    def to_record(self) -> str:
-        """JSON summary (mask omitted; placement and counts identify it)."""
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "seed": self.seed,
-                "coverage": self.coverage,
-                "pixel_fraction": self.pixel_fraction,
-                "block": list(self.block) if self.block else None,
-                "masked_pixels": int(self.mask.sum()),
-                "actual_coverage": self.actual_coverage,
-            },
-            sort_keys=True,
-        )
 
 
 def _occlude(img: FaceVector, patch, coverage: float, rng: np.random.Generator):
@@ -100,7 +77,7 @@ def occlude_block(img: FaceVector, patch, coverage: float, seed: int):
     """
     rng = philox_stream(seed)
     out, mask, block = _occlude(img, patch, coverage, rng)
-    return out, CorruptionSpec(kind="block", seed=int(seed), mask=mask, coverage=coverage, block=block)
+    return out, CorruptionSpec(mask=mask, block=block)
 
 
 def corrupt_pixels(img: FaceVector, fraction: float, seed: int):
@@ -111,7 +88,7 @@ def corrupt_pixels(img: FaceVector, fraction: float, seed: int):
     """
     rng = philox_stream(seed)
     out, mask = _corrupt_pixels(img, fraction, rng)
-    return out, CorruptionSpec(kind="pixels", seed=int(seed), mask=mask, pixel_fraction=fraction)
+    return out, CorruptionSpec(mask=mask)
 
 
 def mixture_noise(img: FaceVector, pixel_fraction: float, coverage: float, patch, seed: int):
@@ -124,14 +101,7 @@ def mixture_noise(img: FaceVector, pixel_fraction: float, coverage: float, patch
     rng = philox_stream(seed)
     speckled, pixel_mask = _corrupt_pixels(img, pixel_fraction, rng)
     out, block_mask, block = _occlude(speckled, patch, coverage, rng)
-    return out, CorruptionSpec(
-        kind="mixture",
-        seed=int(seed),
-        mask=pixel_mask | block_mask,
-        coverage=coverage,
-        pixel_fraction=pixel_fraction,
-        block=block,
-    )
+    return out, CorruptionSpec(mask=pixel_mask | block_mask, block=block)
 
 
 def textured_patch(rows: int = 64, cols: int = 64, seed: int = 1234) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -170,10 +170,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}; choose from {sorted(solver.METHODS)}")
         if (self.manifest is None) == (self.synthetic is None):
             raise ConfigError("give exactly one of manifest or synthetic")
+        if self.synthetic is not None and self.geometry is not None:
+            raise ConfigError("resize applies only to manifest images, not to synthetic ones")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {tuple(self.seeds)}")
         if self.occlusion is not None and not 0.0 < self.occlusion < 1.0:
             raise ConfigError(f"occlusion must be in (0, 1), got {self.occlusion}")
+        if self.patch is not None and self.occlusion is None:
+            raise ConfigError("an occluder patch needs an occlusion fraction")
         if self.pixel_fraction is not None and not 0.0 <= self.pixel_fraction <= 1.0:
             raise ConfigError(f"pixel fraction must be in [0, 1], got {self.pixel_fraction}")
         if self.jobs < 1:
@@ -254,7 +260,6 @@ class _Unit:
     cache: solver.GramCache
     tests: tuple
     labels: tuple
-    names: tuple
 
 
 def _solve_one(unit, idx, config, solver_config, patch):
@@ -273,7 +278,7 @@ def _solve_one(unit, idx, config, solver_config, patch):
         y = img.normalized()
         result = solver.solve(y, unit.dictionary, solver_config, cache=unit.cache)
         outcome = classify.identify(y, unit.dictionary, result)
-        predicted = unit.names[outcome.predicted]
+        predicted = unit.dictionary.class_names[outcome.predicted]
         if config.export_weights:
             dataio.export_weight_map(
                 result.w, unit.dictionary.geometry, Path(config.out_dir) / f"{image_id}_w.pgm"
@@ -319,7 +324,6 @@ def _manifest_unit(config, solver_config, seed):
         cache=cache,
         tests=tuple(faces[i] for i in tests),
         labels=tuple(records[i].label for i in tests),
-        names=T.class_names,
     )
 
 
@@ -342,22 +346,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.occlusion is not None:
         patch = dataio.load_pgm(config.patch) if config.patch else corruptions.textured_patch()
 
-    units = []
     if config.manifest is not None:
         first = _manifest_unit(config, solver_config, config.seeds[0])
-        units.append(first)
-        for seed in config.seeds[1:]:
-            units.append(
-                _Unit(
-                    seed=seed,
-                    dictionary=first.dictionary,
-                    cache=first.cache,
-                    tests=first.tests,
-                    labels=first.labels,
-                    names=first.names,
-                )
-            )
+        units = [first] + [replace(first, seed=seed) for seed in config.seeds[1:]]
     else:
+        units = []
         for seed in config.seeds:
             ds = make_synthetic_benchmark(
                 classes=config.synthetic.classes,
@@ -368,16 +361,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
             T = build_dictionary(ds.train, ds.train_labels)
             cache = solver.precompute_gram(T, solver_config.gram_ratio)
-            units.append(
-                _Unit(
-                    seed=seed,
-                    dictionary=T,
-                    cache=cache,
-                    tests=ds.test,
-                    labels=ds.test_labels,
-                    names=T.class_names,
-                )
-            )
+            units.append(_Unit(seed, T, cache, ds.test, ds.test_labels))
 
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)

@@ -94,8 +94,9 @@ def vectorize(image) -> FaceVector:
 class Dictionary:
     """Training faces as unit l2 columns, grouped contiguously by class.
 
-    Columns at index >= variation_start form an optional appended block of
-    intra-class variation atoms that belongs to no class (label -1).
+    variation_start must equal the column count. It is kept only so that
+    callers passing it positionally still construct the same dictionary;
+    no appended block of non-class atoms is supported.
     """
 
     columns: np.ndarray
@@ -115,8 +116,11 @@ class Dictionary:
         labels = np.asarray(self.labels, dtype=int)
         if labels.shape != (cols.shape[1],):
             raise DictionaryError("need one label per column")
-        if not 0 <= self.variation_start <= cols.shape[1]:
-            raise DictionaryError("variation_start out of range")
+        if self.variation_start != cols.shape[1]:
+            raise DictionaryError(
+                f"variation_start must equal the column count {cols.shape[1]}, "
+                f"got {self.variation_start}"
+            )
         norms = np.linalg.norm(cols, axis=0)
         bad = np.abs(norms - 1.0) > NORM_TOL
         if bad.any():
@@ -124,15 +128,12 @@ class Dictionary:
                 f"{int(bad.sum())} column(s) are not unit norm (max deviation "
                 f"{float(np.abs(norms - 1.0).max()):.3e})"
             )
-        # Class columns must be contiguous runs 0,1,...,c-1; variation block is -1.
-        class_part = labels[: self.variation_start]
-        if (labels[self.variation_start :] != -1).any():
-            raise DictionaryError("variation columns must carry label -1")
+        # Class columns must be contiguous runs 0,1,...,c-1.
         n_classes = len(self.class_names)
-        if class_part.size == 0:
+        if labels.size == 0:
             raise DictionaryError("dictionary needs at least one class column")
-        boundaries = np.flatnonzero(np.diff(class_part) != 0)
-        runs = class_part[np.concatenate(([0], boundaries + 1))]
+        boundaries = np.flatnonzero(np.diff(labels) != 0)
+        runs = labels[np.concatenate(([0], boundaries + 1))]
         if not np.array_equal(runs, np.arange(n_classes)):
             raise DictionaryError("class labels must form contiguous runs 0..c-1")
         object.__setattr__(self, "columns", cols)
@@ -150,31 +151,12 @@ class Dictionary:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def has_variation(self) -> bool:
-        return self.variation_start < self.n
-
-    @property
-    def variation_columns(self) -> np.ndarray:
-        return self.columns[:, self.variation_start :]
-
     def class_range(self, class_id: int) -> tuple[int, int]:
         """Half-open column range [lo, hi) occupied by a dense class id."""
-        idx = np.flatnonzero(self.labels[: self.variation_start] == class_id)
+        idx = np.flatnonzero(self.labels == class_id)
         if idx.size == 0:
             raise DictionaryError(f"unknown class id {class_id}")
         return int(idx[0]), int(idx[-1]) + 1
-
-    def class_columns(self, class_id: int) -> np.ndarray:
-        lo, hi = self.class_range(class_id)
-        return self.columns[:, lo:hi]
-
-
-def _normalize_columns(cols: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(cols, axis=0)
-    if (norms == 0.0).any():
-        raise DictionaryError(f"{int((norms == 0.0).sum())} all-zero column(s) cannot be normalized")
-    return cols / norms
 
 
 def _stack(images, geometry):
@@ -219,7 +201,11 @@ def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> D
     names = sorted(set(labels))
     dense = {name: i for i, name in enumerate(names)}
     order = np.argsort([dense[lab] for lab in labels], kind="stable")
-    cols = _normalize_columns(cols[:, order])
+    cols = cols[:, order]
+    norms = np.linalg.norm(cols, axis=0)
+    if (norms == 0.0).any():
+        raise DictionaryError(f"{int((norms == 0.0).sum())} all-zero column(s) cannot be normalized")
+    cols = cols / norms
     dense_labels = np.array([dense[labels[i]] for i in order], dtype=int)
     return Dictionary(
         columns=cols,
@@ -227,27 +213,4 @@ def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> D
         geometry=geometry,
         class_names=tuple(names),
         variation_start=cols.shape[1],
-    )
-
-
-def build_extended_dictionary(
-    images, labels, variation_images, geometry: ImageGeometry | None = None
-) -> Dictionary:
-    """Class dictionary with an appended intra-class variation block.
-
-    The variation images (for example difference faces) are normalized and
-    appended after the class columns; the coding stage fits them jointly but
-    classification charges them to no class.
-    """
-    base = build_dictionary(images, labels, geometry)
-    var_cols, _ = _stack(variation_images, base.geometry)
-    var_cols = _normalize_columns(var_cols)
-    cols = np.hstack([base.columns, var_cols])
-    lab = np.concatenate([base.labels, -np.ones(var_cols.shape[1], dtype=int)])
-    return Dictionary(
-        columns=cols,
-        labels=lab,
-        geometry=base.geometry,
-        class_names=base.class_names,
-        variation_start=base.n,
     )

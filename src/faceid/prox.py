@@ -2,27 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD of a matrix: u @ diag(sigma) @ vt with sigma descending."""
+def svt(matrix, tau: float) -> np.ndarray:
+    """Singular value thresholding: U max(S - tau, 0) V'.
 
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-    def compose(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vt
-
-
-def svd_factors(matrix) -> SvdFactors:
-    """Thin SVD wrapper that reports shape and scale when LAPACK fails."""
+    The proximal operator of tau * nuclear norm; tau = 0 reproduces the input
+    up to SVD roundoff and tau >= sigma_1 collapses it to zero. LAPACK
+    failures are reported with the matrix shape and scale.
+    """
+    if tau < 0.0:
+        raise ConfigError(f"svt threshold must be nonnegative, got {tau}")
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise NumericError(f"svd needs a 2-d matrix, got shape {arr.shape}")
@@ -34,19 +27,7 @@ def svd_factors(matrix) -> SvdFactors:
         raise NumericError(
             f"svd did not converge on {arr.shape} matrix (|M|_F={np.linalg.norm(arr):.3e})"
         ) from exc
-    return SvdFactors(u=u, sigma=s, vt=vt)
-
-
-def svt(matrix, tau: float) -> np.ndarray:
-    """Singular value thresholding: U max(S - tau, 0) V'.
-
-    The proximal operator of tau * nuclear norm; tau = 0 reproduces the input
-    up to SVD roundoff and tau >= sigma_1 collapses it to zero.
-    """
-    if tau < 0.0:
-        raise ConfigError(f"svt threshold must be nonnegative, got {tau}")
-    f = svd_factors(matrix)
-    return (f.u * np.maximum(f.sigma - tau, 0.0)) @ f.vt
+    return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
 def soft_threshold(v, tau: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from faceid.classify import class_residuals, identify
 from faceid.errors import DictionaryError
-from faceid.model import FaceVector, ImageGeometry, build_dictionary, build_extended_dictionary
+from faceid.model import ImageGeometry, build_dictionary
 from faceid.solver import SolveResult
 from faceid.weights import WeightVector
 from helpers import random_dictionary, random_faces
@@ -104,22 +104,6 @@ def test_relabeling_permutes_residuals():
     perm = identify(y, swapped, _result(a_perm, w))
     assert np.allclose(perm.residuals, base.residuals[::-1], atol=1e-12)
     assert perm.predicted == 2 - base.predicted
-
-
-def test_variation_block_is_removed_before_scoring():
-    rng = np.random.default_rng(5)
-    geometry = ImageGeometry(4, 4)
-    faces = random_faces(rng, geometry, 4)
-    variation = random_faces(rng, geometry, 2)
-    T = build_extended_dictionary(faces, [0, 0, 1, 1], variation)
-    a = np.zeros(6)
-    a[0], a[1] = 0.7, 0.3
-    a[4], a[5] = 0.4, 0.9
-    y = T.columns @ a
-    res = identify(y, T, _result(a, np.ones(16)))
-    assert res.predicted == 0
-    assert res.residuals[0] <= 1e-10
-    assert res.residuals[1] > 1e-3
 
 
 def test_rejects_mismatched_code_or_weight_lengths():

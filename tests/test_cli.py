@@ -48,10 +48,10 @@ def test_bench_synthetic_writes_report(tmp_path, capsys):
     assert header.startswith("# faceid report v1 method=CR-RLS seeds=0,1")
 
 
-def test_export_weights_command(tmp_path):
+def test_bench_export_weights_writes_maps(tmp_path):
     code = main(
         [
-            "export-weights", "--synthetic", "3,3,12x10", "--method", "F-LR-IRNNLS",
+            "bench", "--export-weights", "--synthetic", "3,3,12x10", "--method", "F-LR-IRNNLS",
             "--occlusion", "0.3", "--seed", "0", "--out", str(tmp_path),
         ]
     )
@@ -106,6 +106,17 @@ def test_bad_occlusion_exits_2(capsys):
     assert "occlusion" in capsys.readouterr().err
 
 
+def test_contradictory_bench_flags_exit_2(capsys):
+    base = ["bench", "--synthetic", "3,3,12x10", "--method", "CR-RLS"]
+    for extra, message in (
+        (["--resize", "6x5"], "resize"),
+        (["--patch", "/nonexistent.pgm"], "patch"),
+        (["--seed", "1", "--seed", "1"], "distinct"),
+    ):
+        assert main(base + extra) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(monkeypatch, capsys):
     def broken(config):
         raise NumericError("all 12 solves failed")
@@ -128,15 +139,12 @@ def test_argparse_rejections():
     with pytest.raises(SystemExit) as exc:
         main(["bench"])  # no dataset source
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["export-weights", "--synthetic", "3,3,12x10"])  # --out required
-    assert exc.value.code == 2
 
 
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()
-    for name in ("bench", "export-weights", "solve", "synth"):
+    for name in ("bench", "solve", "synth"):
         assert name in text
 
 

@@ -92,6 +92,12 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(synthetic=SyntheticSpec(), pixel_fraction=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(synthetic=SyntheticSpec(), jobs=0)
+    with pytest.raises(ConfigError, match="resize"):
+        ExperimentConfig(synthetic=SyntheticSpec(), geometry=ImageGeometry(6, 5))
+    with pytest.raises(ConfigError, match="patch"):
+        ExperimentConfig(synthetic=SyntheticSpec(), patch=tmp_path / "missing.pgm")
+    with pytest.raises(ConfigError, match="distinct"):
+        ExperimentConfig(synthetic=SyntheticSpec(), seeds=(1, 1))
     assert not ExperimentConfig(synthetic=SyntheticSpec()).corrupted
     assert ExperimentConfig(synthetic=SyntheticSpec(), occlusion=0.3).corrupted
 

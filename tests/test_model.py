@@ -10,7 +10,6 @@ from faceid.model import (
     FaceVector,
     ImageGeometry,
     build_dictionary,
-    build_extended_dictionary,
     matricize,
     vectorize,
 )
@@ -148,7 +147,6 @@ def test_dictionary_norms_and_class_partition():
     total = 0
     for i in range(T.n_classes):
         lo, hi = T.class_range(i)
-        assert T.class_columns(i).shape == (T.d, hi - lo)
         total += hi - lo
     assert total == T.n
 
@@ -209,23 +207,10 @@ def test_dictionary_unknown_class_id():
         T.class_range(5)
 
 
-def test_extended_dictionary_variation_block():
-    rng = np.random.default_rng(4)
-    geometry = ImageGeometry(3, 3)
-    faces = random_faces(rng, geometry, 4)
-    variation = random_faces(rng, geometry, 2)
-    E = build_extended_dictionary(faces, [0, 0, 1, 1], variation)
-    assert E.n == 6
-    assert E.variation_start == 4
-    assert E.has_variation
-    assert np.array_equal(E.labels[4:], [-1, -1])
-    assert E.variation_columns.shape == (9, 2)
-    assert np.abs(np.linalg.norm(E.columns, axis=0) - 1.0).max() <= NORM_TOL
-    assert E.class_range(1) == (2, 4)
 
-
-def test_plain_dictionary_has_no_variation():
-    rng = np.random.default_rng(6)
+def test_dictionary_requires_variation_start_at_column_count():
+    rng = np.random.default_rng(7)
     T = random_dictionary(rng, 3, 3, 4, classes=2)
-    assert not T.has_variation
-    assert T.variation_columns.shape == (9, 0)
+    for start in (T.n - 1, T.n + 1):
+        with pytest.raises(DictionaryError, match="variation_start"):
+            Dictionary(T.columns, T.labels, T.geometry, T.class_names, start)
