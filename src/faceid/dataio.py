@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,50 +14,9 @@ from .model import FaceVector, ImageGeometry, vectorize
 
 log = logging.getLogger(__name__)
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-class _Tokens:
-    """Header tokenizer for binary PGM: whitespace-separated fields with
-    '#' comments running to end of line; tracks byte offsets for errors."""
-
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def fail(self, message, offset=None):
-        offset = self.pos if offset is None else offset
-        raise ParseError(f"{self.path}: {message} at byte {offset}")
-
-    def skip_separators(self):
-        data = self.data
-        while self.pos < len(data):
-            b = data[self.pos : self.pos + 1]
-            if b == b"#":
-                nl = data.find(b"\n", self.pos)
-                self.pos = len(data) if nl < 0 else nl + 1
-            elif b in (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"):
-                self.pos += 1
-            else:
-                return
-
-    def next_int(self, name):
-        self.skip_separators()
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1] not in (
-            b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#",
-        ):
-            self.pos += 1
-        token = data[start : self.pos]
-        if not token:
-            self.fail(f"missing {name}", start)
-        try:
-            value = int(token)
-        except ValueError:
-            self.fail(f"invalid {name} {token!r}", start)
-        return value, start
+# Separators and '#' comments (each to the end of its line) before a header
+# field, then the field itself.
+_HEADER_FIELD = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
 
 
 def load_pgm(path) -> np.ndarray:
@@ -69,20 +29,25 @@ def load_pgm(path) -> np.ndarray:
     data = path.read_bytes()
     if data[:2] != b"P5":
         raise ParseError(f"{path}: bad magic {data[:2]!r}, want b'P5' at byte 0")
-    tok = _Tokens(data, path)
-    tok.pos = 2
-    width, _ = tok.next_int("width")
-    height, _ = tok.next_int("height")
-    maxval, at = tok.next_int("maxval")
+    pos = 2
+    fields = []
+    for name in ("width", "height", "maxval"):
+        m = _HEADER_FIELD.match(data, pos)
+        token, at, pos = m.group(1), m.start(1), m.end()
+        if not token:
+            raise ParseError(f"{path}: missing {name} at byte {at}")
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise ParseError(f"{path}: invalid {name} {token!r} at byte {at}") from None
+    width, height, maxval = fields
     if width < 1 or height < 1:
         raise ParseError(f"{path}: bad dimensions {width}x{height} at byte {at}")
     if maxval != 255:
         raise ParseError(f"{path}: unsupported maxval {maxval} (want 255) at byte {at}")
-    if tok.pos >= len(data) or data[tok.pos : tok.pos + 1] not in (
-        b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c",
-    ):
-        tok.fail("missing whitespace after maxval")
-    start = tok.pos + 1  # exactly one separator byte before the raster
+    if not data[pos : pos + 1].isspace():
+        raise ParseError(f"{path}: missing whitespace after maxval at byte {pos}")
+    start = pos + 1  # exactly one separator byte before the raster
     need = width * height
     raster = data[start : start + need]
     if len(raster) < need:

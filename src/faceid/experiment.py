@@ -373,7 +373,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
     else:
         rows = [_solve_one(unit, idx, config, solver_config, patch) for unit, idx in tasks]
-    rows.sort(key=lambda r: (r.seed, r.image_id))
+    rows.sort(key=lambda r: r.seed)  # stable: tasks are already in test-index order
     failed = sum(1 for r in rows if r.error)
     if rows and failed == len(rows):
         raise NumericError(f"all {failed} solves failed; first: {rows[0].error}")

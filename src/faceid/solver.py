@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -22,6 +22,9 @@ from .prox import project_nonneg, shrink_weighted, soft_threshold, svt
 from .weights import WeightFunction, WeightVector, phi_value, weight_update
 
 REGULARIZERS = ("nonneg", "l1", "l2")
+
+# Slack below zero that the nonneg indicator in objective_value still accepts.
+FEAS_TOL = 1e-8
 
 # Engine configurations behind the published method names. Entries are
 # (regularizer kind, low-rank flag, weight scheme, outer cap override).
@@ -65,7 +68,6 @@ class SolverConfig:
     regularizer: str = "nonneg"
     low_rank: bool = True
     weights: WeightFunction = field(default_factory=WeightFunction.logistic)
-    trace_objective: bool = False
     warm_start_duals: bool = False
 
     def __post_init__(self):
@@ -131,21 +133,16 @@ class AdmmState:
     u1: np.ndarray
     u2: np.ndarray
     w: np.ndarray
-    s: int = 0
-    t: int = 0
 
 
 def e_update(state: AdmmState, y, T, config: SolverConfig) -> np.ndarray:
     """Residual-variable update: weighted shrink, then SVT on the grid when
-    the low-rank path is on."""
+    the low-rank path is on (T must then be a Dictionary; coding_step checks)."""
     A = _columns(T)
     r = y - A @ state.a + state.u1 / config.rho1
     e = shrink_weighted(r, state.w, config.rho1)
     if config.low_rank:
-        if not isinstance(T, Dictionary):
-            raise ConfigError("low-rank path needs a Dictionary carrying image geometry")
-        shape = T.geometry.shape
-        E = svt(e.reshape(shape, order="F"), config.lambda_star / config.rho1)
+        E = svt(e.reshape(T.geometry.shape, order="F"), config.lambda_star / config.rho1)
         e = E.reshape(-1, order="F")
     return e
 
@@ -161,14 +158,9 @@ def z_update(state: AdmmState, config: SolverConfig) -> np.ndarray:
 
 
 def a_update(state: AdmmState, y, T, cache: GramCache, config: SolverConfig) -> np.ndarray:
-    """Coefficient update through the cached Gram factorization."""
+    """Coefficient update through the cached Gram factorization, which must
+    match T and config.gram_ratio (coding_step checks)."""
     A = _columns(T)
-    expected = config.gram_ratio
-    if cache.n != A.shape[1] or abs(cache.ratio - expected) > 1e-12 * max(1.0, expected):
-        raise ConfigError(
-            f"gram cache (n={cache.n}, ratio={cache.ratio}) does not match the "
-            f"configuration (n={A.shape[1]}, ratio={expected})"
-        )
     rhs = A.T @ (y - state.e + state.u1 / config.rho1)
     if config.regularizer != "l2":
         rhs = rhs + (config.rho2 / config.rho1) * state.z - state.u2 / config.rho1
@@ -209,8 +201,6 @@ def coding_step(
     config: SolverConfig,
     a0=None,
     duals=None,
-    t: int = 0,
-    on_iterate: Optional[Callable[[AdmmState], None]] = None,
 ) -> CodingResult:
     """Code y against T under fixed weights w by inner ADMM.
 
@@ -221,16 +211,25 @@ def coding_step(
         a0: warm-start coefficients; defaults to the flat vector 1/n.
         duals: optional (u1, u2) warm start of lengths d and n; both default
             to zero.
-        t: outer-iteration tag recorded on the state.
-        on_iterate: called with the live AdmmState after every iteration
-            (arrays are reused by the caller; copy anything you keep).
 
     Returns:
         CodingResult; convergence means ||y - Ta - e|| <= eps1 and, unless the
         l2 kind dropped the split, ||a - z|| <= eps2.
+
+    Raises:
+        ConfigError: the cache does not match T and config.gram_ratio, or the
+            low-rank path is on and T carries no image geometry.
     """
     A = _columns(T)
     d, n = A.shape
+    expected = config.gram_ratio
+    if cache.n != n or abs(cache.ratio - expected) > 1e-12 * max(1.0, expected):
+        raise ConfigError(
+            f"gram cache (n={cache.n}, ratio={cache.ratio}) does not match the "
+            f"configuration (n={n}, ratio={expected})"
+        )
+    if config.low_rank and not isinstance(T, Dictionary):
+        raise ConfigError("low-rank path needs a Dictionary carrying image geometry")
     y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     w = np.asarray(getattr(w, "values", w), dtype=float).ravel()
     if y.size != d or w.size != d:
@@ -249,8 +248,6 @@ def coding_step(
         u1=np.zeros(d),
         u2=np.zeros(n),
         w=w,
-        s=0,
-        t=t,
     )
     if duals is not None:
         state.u1 = np.array(duals[0], dtype=float).ravel()
@@ -260,7 +257,6 @@ def coding_step(
     converged = False
     fit = split = float("inf")
     for s in range(1, config.s_max + 1):
-        state.s = s
         state.e = e_update(state, y, T, config)
         if not drop_split:
             state.z = z_update(state, config)
@@ -270,8 +266,6 @@ def coding_step(
         fit = float(np.linalg.norm(u1 - state.u1)) / config.rho1
         split = 0.0 if drop_split else float(np.linalg.norm(u2 - state.u2)) / config.rho2
         state.u1, state.u2 = u1, u2
-        if on_iterate is not None:
-            on_iterate(state)
         if fit <= config.eps1 and (drop_split or split <= config.eps2):
             converged = True
             break
@@ -281,43 +275,35 @@ def coding_step(
         z=state.z,
         u1=state.u1,
         u2=state.u2,
-        iterations=state.s,
+        iterations=s,
         converged=converged,
         fit_residual=fit,
         split_residual=split,
     )
 
 
-def objective_value(
-    a,
-    y,
-    T,
-    config: SolverConfig,
-    wf: Optional[WeightFunction] = None,
-    feas_tol: float = 1e-8,
-) -> float:
+def objective_value(a, y, T, config: SolverConfig) -> float:
     """Objective sum(phi(r_i)) + lambda_star ||grid(r)||_* + theta(a) at a.
 
-    wf defaults to config.weights and must be frozen (phi is undefined while
-    the weights still move). The nuclear term is only charged on the low-rank
-    path. For the nonneg kind theta is an indicator: entries below -feas_tol
-    make the value infinite.
+    config.weights must be frozen (phi is undefined while the weights still
+    move). The nuclear term is only charged on the low-rank path. For the
+    nonneg kind theta is an indicator: entries below -FEAS_TOL make the value
+    infinite.
     """
-    wf = config.weights if wf is None else wf
     A = _columns(T)
     y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     a = np.asarray(a, dtype=float).ravel()
     r = y - A @ a
     if not np.isfinite(r).all():
         raise NumericError("residual contains non-finite entries")
-    total = float(phi_value(r, wf).sum())
+    total = float(phi_value(r, config.weights).sum())
     if config.low_rank and config.lambda_star > 0.0:
         if not isinstance(T, Dictionary):
             raise ConfigError("nuclear term needs a Dictionary carrying image geometry")
         sigma = np.linalg.svd(r.reshape(T.geometry.shape, order="F"), compute_uv=False)
         total += config.lambda_star * float(sigma.sum())
     if config.regularizer == "nonneg":
-        if (a < -feas_tol).any():
+        if (a < -FEAS_TOL).any():
             return float("inf")
     elif config.regularizer == "l1":
         total += config.lambda_reg * float(np.abs(a).sum())
@@ -337,7 +323,6 @@ class SolveResult:
     inner_iterations: list
     inner_converged: list
     converged: bool
-    objective_trace: Optional[list]
     wall_seconds: float
 
     @property
@@ -350,7 +335,6 @@ def solve(
     T,
     config: Optional[SolverConfig] = None,
     cache: Optional[GramCache] = None,
-    on_inner_iterate: Optional[Callable[[AdmmState], None]] = None,
 ) -> SolveResult:
     """Full reweighted solve of one observation against a dictionary.
 
@@ -364,7 +348,6 @@ def solve(
         y: observation (FaceVector or length-d array), typically unit l2.
         T: Dictionary of training faces.
         cache: optional precomputed Gram factorization; built here when absent.
-        on_inner_iterate: forwarded to every coding step.
 
     Returns:
         SolveResult with final a, e, w and the iteration bookkeeping.
@@ -378,14 +361,7 @@ def solve(
     if cache is None:
         cache = precompute_gram(T, config.gram_ratio)
     n = A.shape[1]
-    trace = None
-    if config.trace_objective:
-        if config.weights.adaptive:
-            raise ConfigError("objective tracing needs a frozen weight function")
-        trace = []
     a = np.full(n, 1.0 / n)
-    if trace is not None:
-        trace.append(objective_value(a, yv, T, config))
     prev_w = None
     duals = None
     wv = None
@@ -396,14 +372,12 @@ def solve(
     for t in range(1, config.t_max + 1):
         wv = weight_update(yv - A @ a, config.weights)
         w = wv.values
-        step = coding_step(yv, T, w, cache, config, a0=a, duals=duals, t=t, on_iterate=on_inner_iterate)
+        step = coding_step(yv, T, w, cache, config, a0=a, duals=duals)
         a = step.a
         if config.warm_start_duals:
             duals = (step.u1, step.u2)
         inner_iterations.append(step.iterations)
         inner_converged.append(step.converged)
-        if trace is not None:
-            trace.append(objective_value(a, yv, T, config))
         if prev_w is not None:
             if np.linalg.norm(w - prev_w) / np.linalg.norm(prev_w) < config.eps3:
                 converged = True
@@ -418,7 +392,6 @@ def solve(
         inner_iterations=inner_iterations,
         inner_converged=inner_converged,
         converged=converged,
-        objective_trace=trace,
         wall_seconds=time.perf_counter() - t0,
     )
 

@@ -6,14 +6,24 @@ import faceid.solver
 
 
 @pytest.fixture
-def gram_factorizations(monkeypatch):
-    """List that grows by one for every Gram factorization faceid.solver runs."""
-    calls = []
-    real = faceid.solver.cho_factor
+def spy(monkeypatch):
+    """spy(name) wraps faceid.solver.<name> for the test and returns the list
+    of that function's return values, one entry per call, in call order.
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    The solver looks its step functions up as module attributes, so this sees
+    the calls it makes; it is how perfbench's tracer instruments them too.
+    """
 
-    monkeypatch.setattr(faceid.solver, "cho_factor", counting)
-    return calls
+    def install(name):
+        returns = []
+        real = getattr(faceid.solver, name)
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            returns.append(out)
+            return out
+
+        monkeypatch.setattr(faceid.solver, name, recording)
+        return returns
+
+    return install

@@ -29,6 +29,7 @@ from faceid.solver import (
     a_update,
     coding_step,
     method_config,
+    objective_value,
     precompute_gram,
     solve,
 )
@@ -44,7 +45,8 @@ def _verdict(capsys, num, ok, detail):
     assert ok, line
 
 
-def test_acceptance_1_zero_nuclear_weight_reduction(capsys):
+def test_acceptance_1_zero_nuclear_weight_reduction(capsys, spy):
+    iterates = spy("a_update")
     start = time.perf_counter()
     worst = 0.0
     lengths_match = True
@@ -54,9 +56,9 @@ def test_acceptance_1_zero_nuclear_weight_reduction(capsys):
         y = FaceVector(rng.uniform(0.0, 1.0, 100), T.geometry).normalized()
         runs = []
         for config in (method_config("F-LR-IRNNLS", lambda_star=0.0), method_config("F-IRNNLS")):
-            iterates = []
-            solve(y, T, config, on_inner_iterate=lambda st: iterates.append(st.a.copy()))
-            runs.append(iterates)
+            iterates.clear()
+            solve(y, T, config)
+            runs.append(list(iterates))
         if len(runs[0]) != len(runs[1]):
             lengths_match = False
             break
@@ -130,21 +132,23 @@ def test_acceptance_3_svt_certified_by_prox_oracle(capsys):
     )
 
 
-def test_acceptance_4_frozen_weight_objective_monotone(capsys):
+def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy):
+    steps = spy("coding_step")
     worst_rise = -np.inf
     for seed in range(50):
         rng = np.random.default_rng(4000 + seed)
         T = random_dictionary(rng, 5, 4, 8, classes=4)
         y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-        r0 = y.values - T.columns @ np.full(8, 1.0 / 8.0)
-        wf = WeightFunction.logistic_frozen(*logistic_params(r0, 0.6))
+        a0 = np.full(8, 1.0 / 8.0)
+        wf = WeightFunction.logistic_frozen(*logistic_params(y.values - T.columns @ a0, 0.6))
         config = SolverConfig(
             regularizer="nonneg", low_rank=True, lambda_star=0.0, weights=wf,
             eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=12, s_max=5000,
-            trace_objective=True,
         )
-        res = solve(y, T, config)
-        worst_rise = max(worst_rise, float(np.diff(res.objective_trace).max()))
+        steps.clear()
+        solve(y, T, config)
+        trace = [objective_value(a, y, T, config) for a in [a0] + [s.a for s in steps]]
+        worst_rise = max(worst_rise, float(np.diff(trace).max()))
     ok = worst_rise <= 1e-9
     _verdict(
         capsys, 4, ok,
@@ -153,7 +157,8 @@ def test_acceptance_4_frozen_weight_objective_monotone(capsys):
     )
 
 
-def test_acceptance_5_inner_convergence_discipline(capsys):
+def test_acceptance_5_inner_convergence_discipline(capsys, spy):
+    a_updates, z_updates = spy("a_update"), spy("z_update")
     loops = converged_loops = 0
     z_ok = split_ok = True
     worst_split = 0.0
@@ -162,18 +167,15 @@ def test_acceptance_5_inner_convergence_discipline(capsys):
         T = random_dictionary(rng, 6, 4, 10, classes=5)
         y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
         config = method_config("F-IRNNLS" if k % 2 else "F-LR-IRNNLS")
-        last = {}
-
-        def grab(st, _last=last):
-            _last["a"] = st.a.copy()
-            _last["z"] = st.z.copy()
-
-        res = solve(y, T, config, on_inner_iterate=grab)
+        a_updates.clear()
+        z_updates.clear()
+        res = solve(y, T, config)
         loops += len(res.inner_converged)
         converged_loops += sum(res.inner_converged)
         if res.inner_converged[-1]:
-            z_ok &= bool(last["z"].min() >= 0.0)
-            gap = float(np.linalg.norm(last["a"] - last["z"]))
+            a, z = a_updates[-1], z_updates[-1]
+            z_ok &= bool(z.min() >= 0.0)
+            gap = float(np.linalg.norm(a - z))
             worst_split = max(worst_split, gap)
             split_ok &= gap <= config.eps2
     fraction = converged_loops / loops
@@ -272,13 +274,13 @@ def test_acceptance_8_licensed_dataset_golden_accuracy(capsys):
     )
 
 
-def test_acceptance_9_code_update_scales_linearly(capsys, gram_factorizations):
+def test_acceptance_9_code_update_scales_linearly(capsys, spy):
     geometry = ImageGeometry(50, 40)
     config = method_config("F-LR-IRNNLS")
     rng = np.random.default_rng(9000)
     y = rng.uniform(0.0, 1.0, geometry.d)
 
-    def timed(n, reps=300):
+    def setup(n):
         T = random_dictionary(rng, geometry.rows, geometry.cols, n, classes=10)
         cache = precompute_gram(T, config.gram_ratio)
         state = AdmmState(
@@ -291,22 +293,27 @@ def test_acceptance_9_code_update_scales_linearly(capsys, gram_factorizations):
         )
         for _ in range(20):
             a_update(state, y, T, cache, config)
-        best = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                a_update(state, y, T, cache, config)
-            best = min(best, time.perf_counter() - t0)
-        return best, T, cache
+        return state, T, cache
 
-    t100, _, _ = timed(100)
-    t400, T400, cache400 = timed(400)
+    def block(state, T, cache, reps=300):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            a_update(state, y, T, cache, config)
+        return time.perf_counter() - t0
+
+    small, large = setup(100), setup(400)
+    # Alternate the two sizes so that host noise hits both alike; keep the best.
+    t100 = t400 = np.inf
+    for _ in range(5):
+        t100 = min(t100, block(*small))
+        t400 = min(t400, block(*large))
     ratio = t400 / t100
-    before = len(gram_factorizations)
+    _, T400, cache400 = large
+    factorizations = spy("cho_factor")
     solve(
         FaceVector(y, geometry).normalized(), T400, method_config("F-IRNNLS"), cache=cache400
     )
-    new_factorizations = len(gram_factorizations) - before
+    new_factorizations = len(factorizations)
     ok = ratio <= 8.0 and new_factorizations == 0
     _verdict(
         capsys, 9, ok,

@@ -21,7 +21,6 @@ def _result(a, w, e=None):
         inner_iterations=[1],
         inner_converged=[True],
         converged=True,
-        objective_trace=None,
         wall_seconds=0.0,
     )
 

@@ -62,6 +62,18 @@ def test_load_pgm_requires_separator_after_maxval(tmp_path):
         load_pgm(p)
 
 
+def test_load_pgm_missing_field_names_byte(tmp_path):
+    p = _write(tmp_path, "m.pgm", b"P5\n2")
+    with pytest.raises(ParseError, match="missing height at byte 4$"):
+        load_pgm(p)
+
+
+def test_load_pgm_invalid_field_names_token_and_byte(tmp_path):
+    p = _write(tmp_path, "n.pgm", b"P5\n2 x\n255\n")
+    with pytest.raises(ParseError, match=r"invalid height b'x' at byte 5$"):
+        load_pgm(p)
+
+
 def test_pgm_round_trip_is_exact_on_quantized_values(tmp_path):
     rng = np.random.default_rng(0)
     grid = rng.integers(0, 256, size=(9, 5)).astype(float) / 255.0

@@ -127,6 +127,16 @@ def test_run_experiment_report_shape():
     assert all(r.inner_iterations >= r.outer_iterations for r in report.rows)
 
 
+def test_run_experiment_rows_keep_test_index_order_past_9999():
+    # Five-digit indices sort before four-digit ones as strings ("t10000" < "t1001").
+    report = run_experiment(ExperimentConfig(
+        method="CR-RLS",
+        synthetic=SyntheticSpec(classes=2, per_class=2, rows=4, cols=4, extra_tests=5000),
+    ))
+    assert len(report.rows) == 10002
+    assert [r.image_id for r in report.rows] == [f"s0-t{i:04d}" for i in range(10002)]
+
+
 def test_run_experiment_thread_count_does_not_change_results():
     solo = run_experiment(_small_config(occlusion=0.3))
     pooled = run_experiment(_small_config(occlusion=0.3, jobs=3))

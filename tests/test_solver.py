@@ -66,9 +66,10 @@ def test_precompute_gram_rejects_nonpositive_ratio():
         precompute_gram(np.eye(3), 0.0)
 
 
-def test_precompute_gram_counts_factorizations(gram_factorizations):
+def test_precompute_gram_counts_factorizations(spy):
+    factorizations = spy("cho_factor")
     precompute_gram(np.eye(4), 0.5)
-    assert len(gram_factorizations) == 1
+    assert len(factorizations) == 1
 
 
 def test_e_update_low_rank_off_equals_zero_threshold():
@@ -105,14 +106,13 @@ def test_e_update_low_rank_contracts_nuclear_norm():
     assert nuc(low_rank) <= nuc(shrunk) + 1e-12
 
 
-def test_e_update_low_rank_needs_geometry():
+def test_coding_step_low_rank_needs_geometry():
     rng = np.random.default_rng(4)
     config = SolverConfig(low_rank=True)
-    state = AdmmState(
-        a=np.zeros(3), z=np.zeros(3), e=np.zeros(6), u1=np.zeros(6), u2=np.zeros(3), w=np.ones(6)
-    )
-    with pytest.raises(ConfigError):
-        e_update(state, np.zeros(6), rng.normal(size=(6, 3)), config)
+    T = rng.normal(size=(6, 3))
+    cache = precompute_gram(T, config.gram_ratio)
+    with pytest.raises(ConfigError, match="geometry"):
+        coding_step(np.zeros(6), T, np.ones(6), cache, config)
 
 
 def test_z_update_nonneg_projection():
@@ -184,17 +184,17 @@ def test_a_update_satisfies_normal_equations():
         assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 
-def test_a_update_rejects_mismatched_cache():
+def test_coding_step_rejects_mismatched_cache():
     rng = np.random.default_rng(8)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     config = SolverConfig()
-    state = _state(rng, T, config)
     y = rng.uniform(0.0, 1.0, 20)
-    with pytest.raises(ConfigError):
-        a_update(state, y, T, precompute_gram(T, 5.0), config)
     small = random_dictionary(rng, 4, 5, 4, classes=2)
-    with pytest.raises(ConfigError):
-        a_update(state, y, T, precompute_gram(small, config.gram_ratio), config)
+    for foreign in (precompute_gram(T, 5.0), precompute_gram(small, config.gram_ratio)):
+        with pytest.raises(ConfigError, match="gram cache"):
+            coding_step(y, T, np.ones(20), foreign, config)
+        with pytest.raises(ConfigError, match="gram cache"):
+            solve(y, T, config, cache=foreign)
 
 
 def test_dual_update_fixed_at_feasibility():
@@ -271,17 +271,6 @@ def test_coding_step_reports_nonconvergence():
     res = coding_step(y, T, np.ones(25), cache, config)
     assert not res.converged
     assert res.iterations == 2
-
-
-def test_coding_step_iterate_callback_sees_every_step():
-    rng = np.random.default_rng(15)
-    T = random_dictionary(rng, 5, 5, 8, classes=2)
-    y = rng.uniform(0.0, 1.0, 25)
-    config = SolverConfig(low_rank=False)
-    cache = precompute_gram(T, config.gram_ratio)
-    steps = []
-    res = coding_step(y, T, np.ones(25), cache, config, t=3, on_iterate=lambda st: steps.append((st.s, st.t)))
-    assert steps == [(s, 3) for s in range(1, res.iterations + 1)]
 
 
 def test_objective_zero_at_exact_nonnegative_fit():
@@ -404,43 +393,37 @@ def test_solve_converges_on_occluded_instance():
     assert res.outer_iterations <= 100
 
 
-def test_solve_low_rank_reduction_small_instance():
+def test_solve_low_rank_reduction_small_instance(spy):
     rng = np.random.default_rng(24)
     T = random_dictionary(rng, 6, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
+    iterates = spy("a_update")
     runs = []
     for config in (method_config("F-LR-IRNNLS", lambda_star=0.0), method_config("F-IRNNLS")):
-        iterates = []
-        solve(y, T, config, on_inner_iterate=lambda st: iterates.append(st.a.copy()))
-        runs.append(iterates)
+        iterates.clear()
+        solve(y, T, config)
+        runs.append(list(iterates))
     assert len(runs[0]) == len(runs[1])
     gaps = [np.abs(p - q).max() for p, q in zip(*runs)]
     assert max(gaps) <= 1e-10
 
 
-def test_solve_frozen_trace_monotone():
+def test_solve_frozen_trace_monotone(spy):
     rng = np.random.default_rng(25)
     T = random_dictionary(rng, 5, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-    r0 = y.values - T.columns @ np.full(8, 1.0 / 8.0)
-    wf = WeightFunction.logistic_frozen(*logistic_params(r0, 0.6))
+    a0 = np.full(8, 1.0 / 8.0)
+    wf = WeightFunction.logistic_frozen(*logistic_params(y.values - T.columns @ a0, 0.6))
     config = SolverConfig(
         regularizer="nonneg", low_rank=True, lambda_star=0.0, weights=wf,
-        eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=8, s_max=5000, trace_objective=True,
+        eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=8, s_max=5000,
     )
+    steps = spy("coding_step")
     res = solve(y, T, config)
-    trace = np.array(res.objective_trace)
-    assert trace.size == res.outer_iterations + 1
+    assert len(steps) == res.outer_iterations
+    trace = np.array([objective_value(a, y, T, config) for a in [a0] + [s.a for s in steps]])
     assert np.isfinite(trace).all()
     assert float(np.diff(trace).max()) <= 1e-9
-
-
-def test_solve_trace_rejects_adaptive_weights():
-    rng = np.random.default_rng(26)
-    T = random_dictionary(rng, 4, 5, 6, classes=2)
-    y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-    with pytest.raises(ConfigError):
-        solve(y, T, SolverConfig(trace_objective=True))
 
 
 def test_solve_warm_started_duals_still_converge():
@@ -459,15 +442,15 @@ def test_solve_checks_observation_length():
         solve(np.zeros(7), T, SolverConfig(low_rank=False))
 
 
-def test_solve_reuses_supplied_gram_cache(gram_factorizations):
+def test_solve_reuses_supplied_gram_cache(spy):
     rng = np.random.default_rng(29)
     T = random_dictionary(rng, 6, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
     config = method_config("F-IRNNLS")
     cache = precompute_gram(T, config.gram_ratio)
-    before = len(gram_factorizations)
+    factorizations = spy("cho_factor")
     solve(y, T, config, cache=cache)
-    assert len(gram_factorizations) == before
+    assert factorizations == []
 
 
 def test_method_presets_map_to_engine_settings():
