@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import classify, dataio, experiment, solver
-from .errors import ConfigError, FaceidError, GeometryError, NumericError, ParseError
+from .errors import ConfigError, FaceidError, GeometryError, NumericError
 from .model import ImageGeometry, build_dictionary
 
 
@@ -198,13 +198,10 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_synth(args)
-    except (ParseError, ConfigError, GeometryError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except FaceidError as exc:
+    except (FaceidError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,6 +97,8 @@ def make_synthetic_benchmark(
     class, samples 0..per_class-2 train, sample per_class-1 is the held-out
     test image, and extra_tests fresh draws join the test split.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     spec = SyntheticSpec(
         classes=classes,
         per_class=per_class,
@@ -176,6 +178,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {tuple(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {tuple(self.seeds)}")
         if self.occlusion is not None and not 0.0 < self.occlusion < 1.0:
             raise ConfigError(f"occlusion must be in (0, 1), got {self.occlusion}")
         if self.patch is not None and self.occlusion is None:

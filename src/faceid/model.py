@@ -162,21 +162,11 @@ class Dictionary:
 def _stack(images, geometry):
     vecs = []
     for img in images:
-        if isinstance(img, FaceVector):
-            if geometry is None:
-                geometry = img.geometry
-            elif img.geometry != geometry:
-                raise GeometryError("all images must share one geometry")
-            vecs.append(img.values)
-        else:
-            arr = np.asarray(img, dtype=float)
-            if arr.ndim == 2:
-                arr = arr.reshape(-1, order="F")
-            if geometry is None:
-                raise GeometryError("raw arrays need an explicit geometry")
-            if arr.size != geometry.d:
-                raise GeometryError(f"image length {arr.size} does not match geometry d={geometry.d}")
-            vecs.append(arr)
+        if geometry is None:
+            geometry = img.geometry
+        elif img.geometry != geometry:
+            raise GeometryError("all images must share one geometry")
+        vecs.append(img.values)
     if not vecs:
         raise DictionaryError("no training images given")
     return np.column_stack(vecs), geometry
@@ -186,10 +176,10 @@ def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> D
     """Assemble a class dictionary from training images.
 
     Args:
-        images: sequence of FaceVector (or raw arrays if geometry is given).
+        images: sequence of FaceVector sharing one geometry.
         labels: one hashable class label per image; sorted unique labels are
             remapped to dense ids 0..c-1 and columns are grouped per class.
-        geometry: required when images are raw arrays.
+        geometry: the images must match it when given.
 
     Returns:
         Dictionary with unit-normalized, class-contiguous columns.

@@ -49,5 +49,4 @@ def shrink_weighted(residual, w, rho1: float) -> np.ndarray:
     """
     if rho1 <= 0.0:
         raise ConfigError(f"rho1 must be positive, got {rho1}")
-    w = np.asarray(getattr(w, "values", w), dtype=float)
-    return np.asarray(residual, dtype=float) / (1.0 + 2.0 * w / rho1)
+    return np.asarray(residual, dtype=float) / (1.0 + 2.0 * np.asarray(w, dtype=float) / rho1)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, GeometryError, NumericError
-from .model import Dictionary, FaceVector
+from .model import Dictionary
 from .prox import project_nonneg, shrink_weighted, soft_threshold, svt
 from .weights import WeightFunction, WeightVector, phi_value, weight_update
 
@@ -27,7 +27,9 @@ REGULARIZERS = ("nonneg", "l1", "l2")
 FEAS_TOL = 1e-8
 
 # Engine configurations behind the published method names. Entries are
-# (regularizer kind, low-rank flag, weight scheme, outer cap override).
+# (regularizer kind, low-rank flag, weight scheme, outer cap override). The
+# presets without the low-rank flag are the lambda_star = 0 case of the same
+# engine: method_config zeroes lambda_star for them.
 METHODS = {
     "F-LR-IRNNLS": ("nonneg", True, "logistic", None),
     "F-IRNNLS": ("nonneg", False, "logistic", None),
@@ -44,9 +46,10 @@ METHODS = {
 class SolverConfig:
     """Engine knobs; the defaults give the robust nonnegative low-rank solver.
 
-    lambda_star weighs the nuclear norm of the residual grid (low-rank path
-    only). lambda_reg weighs the coefficient penalty for the l1/l2 kinds; the
-    default is a working convention, not a published value. eps1/eps2 bound
+    lambda_star weighs the nuclear norm of the residual grid; at 0 the SVT
+    step is skipped, and that is the plain (F-IRNNLS-style) path. lambda_reg
+    weighs the coefficient penalty for the l1/l2 kinds; the default is a
+    working convention, not a published value. eps1/eps2 bound
     the inner primal residuals ||y - Ta - e|| and ||a - z||, eps3 the relative
     change of consecutive weight vectors that stops the outer loop.
 
@@ -66,7 +69,6 @@ class SolverConfig:
     t_max: int = 100
     s_max: int = 500
     regularizer: str = "nonneg"
-    low_rank: bool = True
     weights: WeightFunction = field(default_factory=WeightFunction.logistic)
     warm_start_duals: bool = False
 
@@ -83,6 +85,11 @@ class SolverConfig:
             raise ConfigError("iteration caps must be at least 1")
         if not isinstance(self.weights, WeightFunction):
             raise ConfigError("weights must be a WeightFunction")
+
+    @property
+    def low_rank(self) -> bool:
+        """Whether the SVT step runs: lambda_star > 0."""
+        return self.lambda_star > 0.0
 
     @property
     def gram_ratio(self) -> float:
@@ -105,14 +112,10 @@ class GramCache:
         return cho_solve(self._factor, b, check_finite=False)
 
 
-def _columns(T) -> np.ndarray:
-    return T.columns if isinstance(T, Dictionary) else np.asarray(T, dtype=float)
-
-
-def precompute_gram(T, ratio: float) -> GramCache:
+def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
     """Factor T'T + ratio * I once so every coefficient update is a pair of
     triangular solves instead of a fresh inversion."""
-    A = _columns(T)
+    A = T.columns
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
     gram = A.T @ A + ratio * np.eye(A.shape[1])
@@ -125,7 +128,12 @@ def precompute_gram(T, ratio: float) -> GramCache:
 
 @dataclass
 class AdmmState:
-    """Mutable inner-loop state; z is None when the l2 kind drops the split."""
+    """Inner-loop state; z is None when the l2 kind drops the split.
+
+    coding_step returns its final state: the iteration count, whether it
+    converged, and the last fit ||y - Ta - e|| and split ||a - z|| residuals
+    (split stays 0.0 on the l2 path).
+    """
 
     a: np.ndarray
     z: Optional[np.ndarray]
@@ -133,15 +141,18 @@ class AdmmState:
     u1: np.ndarray
     u2: np.ndarray
     w: np.ndarray
+    iterations: int = 0
+    converged: bool = False
+    fit_residual: float = float("inf")
+    split_residual: float = float("inf")
 
 
-def e_update(state: AdmmState, y, T, config: SolverConfig) -> np.ndarray:
+def e_update(state: AdmmState, y, T: Dictionary, config: SolverConfig) -> np.ndarray:
     """Residual-variable update: weighted shrink, then SVT on the grid when
-    the low-rank path is on (T must then be a Dictionary; coding_step checks)."""
-    A = _columns(T)
-    r = y - A @ state.a + state.u1 / config.rho1
+    lambda_star > 0."""
+    r = y - T.columns @ state.a + state.u1 / config.rho1
     e = shrink_weighted(r, state.w, config.rho1)
-    if config.low_rank:
+    if config.lambda_star > 0.0:
         E = svt(e.reshape(T.geometry.shape, order="F"), config.lambda_star / config.rho1)
         e = E.reshape(-1, order="F")
     return e
@@ -157,20 +168,18 @@ def z_update(state: AdmmState, config: SolverConfig) -> np.ndarray:
     raise ConfigError("the l2 kind has no split variable z")
 
 
-def a_update(state: AdmmState, y, T, cache: GramCache, config: SolverConfig) -> np.ndarray:
+def a_update(state: AdmmState, y, T: Dictionary, cache: GramCache, config: SolverConfig) -> np.ndarray:
     """Coefficient update through the cached Gram factorization, which must
     match T and config.gram_ratio (coding_step checks)."""
-    A = _columns(T)
-    rhs = A.T @ (y - state.e + state.u1 / config.rho1)
+    rhs = T.columns.T @ (y - state.e + state.u1 / config.rho1)
     if config.regularizer != "l2":
         rhs = rhs + (config.rho2 / config.rho1) * state.z - state.u2 / config.rho1
     return cache.apply(rhs)
 
 
-def dual_update(state: AdmmState, y, T, rho1: float, rho2: float):
+def dual_update(state: AdmmState, y, T: Dictionary, rho1: float, rho2: float):
     """Scaled dual ascent on both constraints; u2 is untouched on the l2 path."""
-    A = _columns(T)
-    u1 = state.u1 + rho1 * (y - A @ state.a - state.e)
+    u1 = state.u1 + rho1 * (y - T.columns @ state.a - state.e)
     if state.z is None:
         u2 = state.u2
     else:
@@ -178,60 +187,41 @@ def dual_update(state: AdmmState, y, T, rho1: float, rho2: float):
     return u1, u2
 
 
-@dataclass
-class CodingResult:
-    """Outcome of one inner ADMM run under fixed weights."""
-
-    a: np.ndarray
-    e: np.ndarray
-    z: Optional[np.ndarray]
-    u1: np.ndarray
-    u2: np.ndarray
-    iterations: int
-    converged: bool
-    fit_residual: float
-    split_residual: float
-
-
 def coding_step(
     y,
-    T,
+    T: Dictionary,
     w,
     cache: GramCache,
     config: SolverConfig,
     a0=None,
     duals=None,
-) -> CodingResult:
+) -> AdmmState:
     """Code y against T under fixed weights w by inner ADMM.
 
     Args:
-        y: observation vector (FaceVector or array of length d).
-        w: pixel weights (WeightVector or array of length d).
+        y: observation array of length d.
+        w: pixel weight array of length d.
         cache: Gram factorization matching config.gram_ratio.
         a0: warm-start coefficients; defaults to the flat vector 1/n.
         duals: optional (u1, u2) warm start of lengths d and n; both default
             to zero.
 
     Returns:
-        CodingResult; convergence means ||y - Ta - e|| <= eps1 and, unless the
-        l2 kind dropped the split, ||a - z|| <= eps2.
+        The final AdmmState; convergence means ||y - Ta - e|| <= eps1 and,
+        unless the l2 kind dropped the split, ||a - z|| <= eps2.
 
     Raises:
-        ConfigError: the cache does not match T and config.gram_ratio, or the
-            low-rank path is on and T carries no image geometry.
+        ConfigError: the cache does not match T and config.gram_ratio.
     """
-    A = _columns(T)
-    d, n = A.shape
+    d, n = T.columns.shape
     expected = config.gram_ratio
     if cache.n != n or abs(cache.ratio - expected) > 1e-12 * max(1.0, expected):
         raise ConfigError(
             f"gram cache (n={cache.n}, ratio={cache.ratio}) does not match the "
             f"configuration (n={n}, ratio={expected})"
         )
-    if config.low_rank and not isinstance(T, Dictionary):
-        raise ConfigError("low-rank path needs a Dictionary carrying image geometry")
-    y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
-    w = np.asarray(getattr(w, "values", w), dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    w = np.asarray(w, dtype=float).ravel()
     if y.size != d or w.size != d:
         raise GeometryError(f"y and w must have length d={d}")
     if a0 is None:
@@ -254,8 +244,6 @@ def coding_step(
         state.u2 = np.array(duals[1], dtype=float).ravel()
         if state.u1.size != d or state.u2.size != n:
             raise GeometryError(f"duals must have lengths d={d} and n={n}")
-    converged = False
-    fit = split = float("inf")
     for s in range(1, config.s_max + 1):
         state.e = e_update(state, y, T, config)
         if not drop_split:
@@ -266,40 +254,27 @@ def coding_step(
         fit = float(np.linalg.norm(u1 - state.u1)) / config.rho1
         split = 0.0 if drop_split else float(np.linalg.norm(u2 - state.u2)) / config.rho2
         state.u1, state.u2 = u1, u2
+        state.iterations, state.fit_residual, state.split_residual = s, fit, split
         if fit <= config.eps1 and (drop_split or split <= config.eps2):
-            converged = True
+            state.converged = True
             break
-    return CodingResult(
-        a=state.a,
-        e=state.e,
-        z=state.z,
-        u1=state.u1,
-        u2=state.u2,
-        iterations=s,
-        converged=converged,
-        fit_residual=fit,
-        split_residual=split,
-    )
+    return state
 
 
-def objective_value(a, y, T, config: SolverConfig) -> float:
+def objective_value(a, y, T: Dictionary, config: SolverConfig) -> float:
     """Objective sum(phi(r_i)) + lambda_star ||grid(r)||_* + theta(a) at a.
 
     config.weights must be frozen (phi is undefined while the weights still
-    move). The nuclear term is only charged on the low-rank path. For the
-    nonneg kind theta is an indicator: entries below -FEAS_TOL make the value
-    infinite.
+    move). For the nonneg kind theta is an indicator: entries below -FEAS_TOL
+    make the value infinite.
     """
-    A = _columns(T)
     y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     a = np.asarray(a, dtype=float).ravel()
-    r = y - A @ a
+    r = y - T.columns @ a
     if not np.isfinite(r).all():
         raise NumericError("residual contains non-finite entries")
     total = float(phi_value(r, config.weights).sum())
-    if config.low_rank and config.lambda_star > 0.0:
-        if not isinstance(T, Dictionary):
-            raise ConfigError("nuclear term needs a Dictionary carrying image geometry")
+    if config.lambda_star > 0.0:
         sigma = np.linalg.svd(r.reshape(T.geometry.shape, order="F"), compute_uv=False)
         total += config.lambda_star * float(sigma.sum())
     if config.regularizer == "nonneg":
@@ -332,8 +307,8 @@ class SolveResult:
 
 def solve(
     y,
-    T,
-    config: Optional[SolverConfig] = None,
+    T: Dictionary,
+    config: SolverConfig,
     cache: Optional[GramCache] = None,
 ) -> SolveResult:
     """Full reweighted solve of one observation against a dictionary.
@@ -353,8 +328,7 @@ def solve(
         SolveResult with final a, e, w and the iteration bookkeeping.
     """
     t0 = time.perf_counter()
-    config = SolverConfig() if config is None else config
-    A = _columns(T)
+    A = T.columns
     yv = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     if yv.size != A.shape[0]:
         raise GeometryError(f"observation length {yv.size} does not match dictionary d={A.shape[0]}")
@@ -404,7 +378,9 @@ def method_config(name: str, gamma: Optional[float] = None, **overrides) -> Solv
         gamma: saturation fraction for the logistic weight schedule (ignored
             by the constant-weight baselines); defaults to the WeightFunction
             default.
-        overrides: any SolverConfig field, applied last.
+        overrides: any SolverConfig field. lambda_star is zeroed after them
+            on the presets without the low-rank flag (the lambda_star = 0
+            case), so an override of it only reaches the low-rank presets.
     """
     if name not in METHODS:
         raise ConfigError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
@@ -415,10 +391,12 @@ def method_config(name: str, gamma: Optional[float] = None, **overrides) -> Solv
         wf = WeightFunction.logistic()
     else:
         wf = WeightFunction.logistic(gamma=gamma)
-    config = SolverConfig(regularizer=kind, low_rank=low_rank, weights=wf)
+    config = SolverConfig(regularizer=kind, weights=wf)
     if t_cap is not None:
         config = replace(config, t_max=t_cap)
     if overrides:
         config = replace(config, **overrides)
+    if not low_rank:
+        config = replace(config, lambda_star=0.0)
     return config
 

@@ -84,7 +84,7 @@ def test_acceptance_2_coding_step_matches_nnls_oracle(capsys):
         a0 = rng.uniform(0.0, 1.0, 8)
         y = T.columns @ a0 + residual
         config = SolverConfig(
-            regularizer="nonneg", low_rank=False, lambda_star=0.0,
+            regularizer="nonneg", lambda_star=0.0,
             eps1=1e-9, eps2=1e-9, s_max=5000, weights=wf,
         )
         cache = precompute_gram(T, config.gram_ratio)
@@ -142,7 +142,7 @@ def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy):
         a0 = np.full(8, 1.0 / 8.0)
         wf = WeightFunction.logistic_frozen(*logistic_params(y.values - T.columns @ a0, 0.6))
         config = SolverConfig(
-            regularizer="nonneg", low_rank=True, lambda_star=0.0, weights=wf,
+            regularizer="nonneg", lambda_star=0.0, weights=wf,
             eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=12, s_max=5000,
         )
         steps.clear()

@@ -117,6 +117,19 @@ def test_contradictory_bench_flags_exit_2(capsys):
         assert message in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--synthetic", "3,3,12x10", "--seed", "-2", "--out", str(data)]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert not data.exists()
+    main(["synth", "--synthetic", "3,3,12x10", "--seed", "0", "--out", str(data)])
+    capsys.readouterr()
+    for source in (["--synthetic", "3,3,12x10"], ["--manifest", str(data / "manifest.txt")]):
+        code = main(["bench", *source, "--method", "CR-RLS", "--occlusion", "0.3", "--seed", "-1"])
+        assert code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(monkeypatch, capsys):
     def broken(config):
         raise NumericError("all 12 solves failed")

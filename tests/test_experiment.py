@@ -35,6 +35,11 @@ def test_synthetic_spec_validation():
         SyntheticSpec(extra_tests=-1)
 
 
+def test_synthetic_benchmark_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="nonnegative"):
+        make_synthetic_benchmark(classes=2, per_class=2, seed=-1)
+
+
 def test_benchmark_split_counts():
     ds = make_synthetic_benchmark(seed=0)
     assert len(ds.train) == 10 * 6 == len(ds.train_labels)
@@ -98,6 +103,8 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(synthetic=SyntheticSpec(), patch=tmp_path / "missing.pgm")
     with pytest.raises(ConfigError, match="distinct"):
         ExperimentConfig(synthetic=SyntheticSpec(), seeds=(1, 1))
+    with pytest.raises(ConfigError, match="nonnegative"):
+        ExperimentConfig(synthetic=SyntheticSpec(), seeds=(0, -1))
     assert not ExperimentConfig(synthetic=SyntheticSpec()).corrupted
     assert ExperimentConfig(synthetic=SyntheticSpec(), occlusion=0.3).corrupted
 

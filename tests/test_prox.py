@@ -10,7 +10,6 @@ from faceid.prox import (
     soft_threshold,
     svt,
 )
-from faceid.weights import WeightVector
 from oracle import oracle_prox_nuclear, oracle_scalar_prox_grid
 
 
@@ -91,12 +90,6 @@ def test_shrink_weighted_half_rho():
     r = np.array([3.0, -1.0])
     out = shrink_weighted(r, np.array([0.35, 0.35]), 0.7)
     assert np.allclose(out, r / 2.0, atol=1e-15)
-
-
-def test_shrink_weighted_accepts_weight_vector():
-    r = np.array([2.0, 4.0])
-    w = WeightVector(np.array([1.0, 3.0]))
-    assert np.array_equal(shrink_weighted(r, w, 1.0), shrink_weighted(r, w.values, 1.0))
 
 
 def test_shrink_weighted_sign_and_magnitude():

@@ -7,7 +7,8 @@ from scipy.special import expit
 
 from faceid.corruptions import occlude_block, textured_patch
 from faceid.errors import ConfigError, GeometryError, NumericError
-from faceid.model import FaceVector, ImageGeometry
+from faceid.model import Dictionary, FaceVector, ImageGeometry
+from faceid.prox import shrink_weighted
 from faceid.solver import (
     METHODS,
     AdmmState,
@@ -40,22 +41,29 @@ def _state(rng, T, config, scale=0.1):
     )
 
 
+def _one_class_per_column(columns):
+    """Dictionary over unit columns as given, one class each, on a d x 1 grid."""
+    d, n = columns.shape
+    return Dictionary(columns, np.arange(n), ImageGeometry(d, 1), tuple(range(n)), n)
+
+
 def test_precompute_gram_identity_dictionary():
-    cache = precompute_gram(np.eye(5), 0.3)
+    cache = precompute_gram(_one_class_per_column(np.eye(5)), 0.3)
     b = np.arange(1.0, 6.0)
     assert np.allclose(cache.apply(b), b / 1.3, atol=1e-12)
 
 
 def test_precompute_gram_single_unit_column():
     t = np.array([[0.6], [0.8]])
-    cache = precompute_gram(t, 0.25)
+    cache = precompute_gram(_one_class_per_column(t), 0.25)
     assert cache.apply(np.array([2.0]))[0] == pytest.approx(2.0 / 1.25, rel=1e-12)
 
 
 def test_precompute_gram_solves_shifted_system():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(20, 8))
-    cache = precompute_gram(A, 0.1)
+    A /= np.linalg.norm(A, axis=0)
+    cache = precompute_gram(_one_class_per_column(A), 0.1)
     b = rng.normal(size=8)
     x = cache.apply(b)
     assert np.linalg.norm((A.T @ A + 0.1 * np.eye(8)) @ x - b) <= 1e-8
@@ -63,30 +71,33 @@ def test_precompute_gram_solves_shifted_system():
 
 def test_precompute_gram_rejects_nonpositive_ratio():
     with pytest.raises(ConfigError):
-        precompute_gram(np.eye(3), 0.0)
+        precompute_gram(_one_class_per_column(np.eye(3)), 0.0)
 
 
 def test_precompute_gram_counts_factorizations(spy):
     factorizations = spy("cho_factor")
-    precompute_gram(np.eye(4), 0.5)
+    precompute_gram(_one_class_per_column(np.eye(4)), 0.5)
     assert len(factorizations) == 1
 
 
-def test_e_update_low_rank_off_equals_zero_threshold():
+def test_e_update_low_rank_off_equals_zero_threshold(spy):
     rng = np.random.default_rng(1)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     y = rng.uniform(0.0, 1.0, 20)
-    on = SolverConfig(low_rank=True, lambda_star=0.0)
-    off = SolverConfig(low_rank=False)
-    state = _state(rng, T, on)
-    assert np.abs(e_update(state, y, T, on) - e_update(state, y, T, off)).max() <= 1e-12
+    config = SolverConfig(lambda_star=0.0)
+    assert not config.low_rank
+    state = _state(rng, T, config)
+    svt_calls = spy("svt")
+    r = y - T.columns @ state.a + state.u1 / config.rho1
+    assert np.array_equal(e_update(state, y, T, config), shrink_weighted(r, state.w, config.rho1))
+    assert svt_calls == []
 
 
 def test_e_update_vanishing_weights_pass_residual_through():
     rng = np.random.default_rng(2)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     y = rng.uniform(0.0, 1.0, 20)
-    config = SolverConfig(low_rank=False)
+    config = SolverConfig(lambda_star=0.0)
     state = _state(rng, T, config)
     state.w = np.full(20, 1e-30)
     r = y - T.columns @ state.a + state.u1 / config.rho1
@@ -97,22 +108,13 @@ def test_e_update_low_rank_contracts_nuclear_norm():
     rng = np.random.default_rng(3)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     y = rng.uniform(0.0, 1.0, 20)
-    lr = SolverConfig(low_rank=True, lambda_star=0.05)
-    flat = SolverConfig(low_rank=False)
+    lr = SolverConfig(lambda_star=0.05)
+    flat = SolverConfig(lambda_star=0.0)
     state = _state(rng, T, lr)
     shrunk = e_update(state, y, T, flat)
     low_rank = e_update(state, y, T, lr)
     nuc = lambda v: np.linalg.svd(v.reshape(4, 5, order="F"), compute_uv=False).sum()
     assert nuc(low_rank) <= nuc(shrunk) + 1e-12
-
-
-def test_coding_step_low_rank_needs_geometry():
-    rng = np.random.default_rng(4)
-    config = SolverConfig(low_rank=True)
-    T = rng.normal(size=(6, 3))
-    cache = precompute_gram(T, config.gram_ratio)
-    with pytest.raises(ConfigError, match="geometry"):
-        coding_step(np.zeros(6), T, np.ones(6), cache, config)
 
 
 def test_z_update_nonneg_projection():
@@ -238,7 +240,7 @@ def test_coding_step_reaches_feasible_reconstruction():
     a_true = rng.uniform(0.0, 1.0, 8)
     y = T.columns @ a_true
     config = SolverConfig(
-        regularizer="nonneg", low_rank=False, weights=WeightFunction.constant_one()
+        regularizer="nonneg", lambda_star=0.0, weights=WeightFunction.constant_one()
     )
     cache = precompute_gram(T, config.gram_ratio)
     res = coding_step(y, T, np.ones(25), cache, config)
@@ -251,7 +253,7 @@ def test_coding_step_reaches_feasible_reconstruction():
 def test_coding_step_dimension_checks():
     rng = np.random.default_rng(13)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
-    config = SolverConfig(low_rank=False)
+    config = SolverConfig(lambda_star=0.0)
     cache = precompute_gram(T, config.gram_ratio)
     with pytest.raises(GeometryError):
         coding_step(np.zeros(7), T, np.ones(7), cache, config)
@@ -266,7 +268,7 @@ def test_coding_step_reports_nonconvergence():
     rng = np.random.default_rng(14)
     T = random_dictionary(rng, 5, 5, 8, classes=2)
     y = rng.uniform(0.0, 1.0, 25)
-    config = SolverConfig(low_rank=False, s_max=2, eps1=1e-12, eps2=1e-12)
+    config = SolverConfig(lambda_star=0.0, s_max=2, eps1=1e-12, eps2=1e-12)
     cache = precompute_gram(T, config.gram_ratio)
     res = coding_step(y, T, np.ones(25), cache, config)
     assert not res.converged
@@ -288,7 +290,7 @@ def test_objective_constant_l2_matches_direct_formula():
     a = rng.normal(size=6)
     y = rng.uniform(0.0, 1.0, 20)
     config = SolverConfig(
-        regularizer="l2", low_rank=False, lambda_star=0.0, lambda_reg=0.01,
+        regularizer="l2", lambda_star=0.0, lambda_reg=0.01,
         weights=WeightFunction.constant_one(),
     )
     r = y - T.columns @ a
@@ -302,7 +304,7 @@ def test_objective_l1_and_infeasible_nonneg():
     y = rng.uniform(0.0, 1.0, 20)
     a = rng.normal(size=6)
     l1 = SolverConfig(
-        regularizer="l1", low_rank=False, lambda_reg=0.2, weights=WeightFunction.constant_one()
+        regularizer="l1", lambda_star=0.0, lambda_reg=0.2, weights=WeightFunction.constant_one()
     )
     r = y - T.columns @ a
     expect = 0.5 * float(r @ r) + 0.2 * float(np.abs(a).sum())
@@ -320,7 +322,7 @@ def test_objective_matches_quadrature_and_svd_oracle():
     a = rng.uniform(0.0, 0.5, 6)
     mu, eta = 2.0, 0.3
     config = SolverConfig(
-        regularizer="nonneg", low_rank=True, lambda_star=0.07,
+        regularizer="nonneg", lambda_star=0.07,
         weights=WeightFunction.logistic_frozen(mu, eta),
     )
     r = y - T.columns @ a
@@ -346,7 +348,9 @@ def test_objective_rejects_adaptive_weights():
 def test_objective_rejects_non_finite_coefficients(low_rank, bad):
     rng = np.random.default_rng(21)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
-    config = SolverConfig(low_rank=low_rank, weights=WeightFunction.logistic_frozen(2.0, 0.3))
+    config = SolverConfig(
+        lambda_star=0.05 if low_rank else 0.0, weights=WeightFunction.logistic_frozen(2.0, 0.3)
+    )
     a = rng.uniform(0.0, 0.5, 6)
     a[2] = bad
     with pytest.raises(NumericError, match="non-finite"):
@@ -358,7 +362,7 @@ def test_solve_single_ridge_step_is_regularized_least_squares():
     T = random_dictionary(rng, 5, 5, 8, classes=2)
     y = FaceVector(rng.uniform(0.0, 1.0, 25), T.geometry).normalized()
     config = SolverConfig(
-        regularizer="l2", low_rank=False, lambda_star=0.0, lambda_reg=1e-3,
+        regularizer="l2", lambda_star=0.0, lambda_reg=1e-3,
         weights=WeightFunction.constant_one(), t_max=1, eps1=1e-9, s_max=5000,
     )
     res = solve(y, T, config)
@@ -415,7 +419,7 @@ def test_solve_frozen_trace_monotone(spy):
     a0 = np.full(8, 1.0 / 8.0)
     wf = WeightFunction.logistic_frozen(*logistic_params(y.values - T.columns @ a0, 0.6))
     config = SolverConfig(
-        regularizer="nonneg", low_rank=True, lambda_star=0.0, weights=wf,
+        regularizer="nonneg", lambda_star=0.0, weights=wf,
         eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=8, s_max=5000,
     )
     steps = spy("coding_step")
@@ -439,7 +443,7 @@ def test_solve_checks_observation_length():
     rng = np.random.default_rng(28)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     with pytest.raises(GeometryError):
-        solve(np.zeros(7), T, SolverConfig(low_rank=False))
+        solve(np.zeros(7), T, SolverConfig(lambda_star=0.0))
 
 
 def test_solve_reuses_supplied_gram_cache(spy):
@@ -475,6 +479,8 @@ def test_method_presets_map_to_engine_settings():
     assert method_config("CR-RLS").t_max == 1
     assert method_config("F-LR-IRNNLS", gamma=0.8).weights.gamma == 0.8
     assert method_config("F-IRNNLS", s_max=42).s_max == 42
+    assert method_config("F-IRNNLS", lambda_star=0.1).lambda_star == 0.0
+    assert method_config("F-LR-IRNNLS", lambda_star=0.1).lambda_star == 0.1
     with pytest.raises(ConfigError):
         method_config("nope")
 
