@@ -130,6 +130,11 @@ def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
 class AdmmState:
     """Inner-loop state; z is None when the l2 kind drops the split.
 
+    Ta carries the product T.columns @ a for the current a, so that each
+    product is formed once: dual_update forms it, e_update and the outer
+    weight residual read it. coding_step keeps Ta == T.columns @ a at every
+    e_update; a state that only meets z_update and a_update may leave it None.
+
     coding_step returns its final state: the iteration count, whether it
     converged, and the last fit ||y - Ta - e|| and split ||a - z|| residuals
     (split stays 0.0 on the l2 path).
@@ -141,6 +146,7 @@ class AdmmState:
     u1: np.ndarray
     u2: np.ndarray
     w: np.ndarray
+    Ta: Optional[np.ndarray] = None
     iterations: int = 0
     converged: bool = False
     fit_residual: float = float("inf")
@@ -149,8 +155,8 @@ class AdmmState:
 
 def e_update(state: AdmmState, y, T: Dictionary, config: SolverConfig) -> np.ndarray:
     """Residual-variable update: weighted shrink, then SVT on the grid when
-    lambda_star > 0."""
-    r = y - T.columns @ state.a + state.u1 / config.rho1
+    lambda_star > 0. Reads the carried product state.Ta; forms none."""
+    r = y - state.Ta + state.u1 / config.rho1
     e = shrink_weighted(r, state.w, config.rho1)
     if config.lambda_star > 0.0:
         E = svt(e.reshape(T.geometry.shape, order="F"), config.lambda_star / config.rho1)
@@ -178,13 +184,18 @@ def a_update(state: AdmmState, y, T: Dictionary, cache: GramCache, config: Solve
 
 
 def dual_update(state: AdmmState, y, T: Dictionary, rho1: float, rho2: float):
-    """Scaled dual ascent on both constraints; u2 is untouched on the l2 path."""
-    u1 = state.u1 + rho1 * (y - T.columns @ state.a - state.e)
+    """Scaled dual ascent on both constraints; u2 is untouched on the l2 path.
+
+    Returns (u1, u2, Ta): the product Ta = T.columns @ state.a is formed here
+    once and handed back for the next e_update and the outer residual.
+    """
+    Ta = T.columns @ state.a
+    u1 = state.u1 + rho1 * (y - Ta - state.e)
     if state.z is None:
         u2 = state.u2
     else:
         u2 = state.u2 + rho2 * (state.a - state.z)
-    return u1, u2
+    return u1, u2, Ta
 
 
 def coding_step(
@@ -194,24 +205,33 @@ def coding_step(
     cache: GramCache,
     config: SolverConfig,
     a0=None,
+    Ta0=None,
     duals=None,
 ) -> AdmmState:
     """Code y against T under fixed weights w by inner ADMM.
+
+    Each inner iteration forms two dictionary products, T' v in a_update and
+    T a in dual_update; the state carries the latter, Ta == T.columns @ a,
+    into the next e_update and out to the caller.
 
     Args:
         y: observation array of length d.
         w: pixel weight array of length d.
         cache: Gram factorization matching config.gram_ratio.
         a0: warm-start coefficients; defaults to the flat vector 1/n.
+        Ta0: the product T.columns @ a0, given exactly when a0 is; it is
+            formed here only for the default a0.
         duals: optional (u1, u2) warm start of lengths d and n; both default
             to zero.
 
     Returns:
         The final AdmmState; convergence means ||y - Ta - e|| <= eps1 and,
-        unless the l2 kind dropped the split, ||a - z|| <= eps2.
+        unless the l2 kind dropped the split, ||a - z|| <= eps2. Its Ta is
+        T.columns @ a for the returned a.
 
     Raises:
-        ConfigError: the cache does not match T and config.gram_ratio.
+        ConfigError: the cache does not match T and config.gram_ratio, or
+            only one of a0 and Ta0 is given.
     """
     d, n = T.columns.shape
     expected = config.gram_ratio
@@ -230,6 +250,11 @@ def coding_step(
         a = np.array(a0, dtype=float).ravel()
         if a.size != n:
             raise GeometryError(f"a0 must have length n={n}")
+    if (a0 is None) != (Ta0 is None):
+        raise ConfigError("Ta0 = T.columns @ a0 is given exactly when a0 is")
+    Ta = T.columns @ a if Ta0 is None else np.asarray(Ta0, dtype=float).ravel()
+    if Ta.size != d:
+        raise GeometryError(f"Ta0 must have length d={d}")
     drop_split = config.regularizer == "l2"
     state = AdmmState(
         a=a,
@@ -238,6 +263,7 @@ def coding_step(
         u1=np.zeros(d),
         u2=np.zeros(n),
         w=w,
+        Ta=Ta,
     )
     if duals is not None:
         state.u1 = np.array(duals[0], dtype=float).ravel()
@@ -249,7 +275,7 @@ def coding_step(
         if not drop_split:
             state.z = z_update(state, config)
         state.a = a_update(state, y, T, cache, config)
-        u1, u2 = dual_update(state, y, T, config.rho1, config.rho2)
+        u1, u2, state.Ta = dual_update(state, y, T, config.rho1, config.rho2)
         # The dual increments are rho * (primal residuals); reuse them.
         fit = float(np.linalg.norm(u1 - state.u1)) / config.rho1
         split = 0.0 if drop_split else float(np.linalg.norm(u2 - state.u2)) / config.rho2
@@ -317,7 +343,8 @@ def solve(
     with inner ADMM coding steps until the relative change of the weight
     vector drops below eps3 or t_max outer iterations have run. Coefficients
     warm-start each coding step; duals restart at zero unless
-    config.warm_start_duals is set.
+    config.warm_start_duals is set. T a is formed once for the flat start;
+    every later weight residual reuses the product the coding step carries.
 
     Args:
         y: observation (FaceVector or length-d array), typically unit l2.
@@ -328,14 +355,14 @@ def solve(
         SolveResult with final a, e, w and the iteration bookkeeping.
     """
     t0 = time.perf_counter()
-    A = T.columns
+    d, n = T.columns.shape
     yv = np.asarray(getattr(y, "values", y), dtype=float).ravel()
-    if yv.size != A.shape[0]:
-        raise GeometryError(f"observation length {yv.size} does not match dictionary d={A.shape[0]}")
+    if yv.size != d:
+        raise GeometryError(f"observation length {yv.size} does not match dictionary d={d}")
     if cache is None:
         cache = precompute_gram(T, config.gram_ratio)
-    n = A.shape[1]
     a = np.full(n, 1.0 / n)
+    Ta = T.columns @ a
     prev_w = None
     duals = None
     wv = None
@@ -344,10 +371,10 @@ def solve(
     converged = False
     t = 0
     for t in range(1, config.t_max + 1):
-        wv = weight_update(yv - A @ a, config.weights)
+        wv = weight_update(yv - Ta, config.weights)
         w = wv.values
-        step = coding_step(yv, T, w, cache, config, a0=a, duals=duals)
-        a = step.a
+        step = coding_step(yv, T, w, cache, config, a0=a, Ta0=Ta, duals=duals)
+        a, Ta = step.a, step.Ta
         if config.warm_start_duals:
             duals = (step.u1, step.u2)
         inner_iterations.append(step.iterations)

@@ -28,16 +28,19 @@ from helpers import orthonormal_dictionary, random_dictionary
 
 
 def _state(rng, T, config, scale=0.1):
-    """AdmmState with small random content, dimensioned for T."""
+    """AdmmState with small random content, dimensioned for T, carrying the
+    product Ta = T.columns @ a that coding_step keeps."""
     d, n = T.columns.shape
     drop_split = config.regularizer == "l2"
+    a = rng.normal(scale=scale, size=n)
     return AdmmState(
-        a=rng.normal(scale=scale, size=n),
+        a=a,
         z=None if drop_split else rng.uniform(0.0, scale, size=n),
         e=rng.normal(scale=scale, size=d),
         u1=rng.normal(scale=scale, size=d),
         u2=rng.normal(scale=scale, size=n),
         w=rng.uniform(0.1, 1.0, size=d),
+        Ta=T.columns @ a,
     )
 
 
@@ -115,6 +118,17 @@ def test_e_update_low_rank_contracts_nuclear_norm():
     low_rank = e_update(state, y, T, lr)
     nuc = lambda v: np.linalg.svd(v.reshape(4, 5, order="F"), compute_uv=False).sum()
     assert nuc(low_rank) <= nuc(shrunk) + 1e-12
+
+
+def test_e_update_follows_carried_product():
+    rng = np.random.default_rng(4)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    y = rng.uniform(0.0, 1.0, 20)
+    config = SolverConfig(lambda_star=0.0)
+    state = _state(rng, T, config)
+    state.Ta = T.columns @ state.a + rng.normal(size=20)
+    r = y - state.Ta + state.u1 / config.rho1
+    assert np.array_equal(e_update(state, y, T, config), shrink_weighted(r, state.w, config.rho1))
 
 
 def test_z_update_nonneg_projection():
@@ -208,7 +222,7 @@ def test_dual_update_fixed_at_feasibility():
         a=a, z=a.copy(), e=y - T.columns @ a,
         u1=rng.normal(size=20), u2=rng.normal(size=6), w=np.ones(20),
     )
-    u1, u2 = dual_update(state, y, T, 1.0, 0.1)
+    u1, u2, _ = dual_update(state, y, T, 1.0, 0.1)
     assert np.allclose(u1, state.u1, atol=1e-12)
     assert np.allclose(u2, state.u2, atol=1e-12)
 
@@ -221,7 +235,7 @@ def test_dual_update_single_step_is_scaled_residual():
     state.u1 = np.zeros(20)
     state.u2 = np.zeros(6)
     y = rng.uniform(0.0, 1.0, 20)
-    u1, u2 = dual_update(state, y, T, 2.0, 0.3)
+    u1, u2, _ = dual_update(state, y, T, 2.0, 0.3)
     assert np.allclose(u1, 2.0 * (y - T.columns @ state.a - state.e), atol=1e-12)
     assert np.allclose(u2, 0.3 * (state.a - state.z), atol=1e-12)
 
@@ -230,7 +244,7 @@ def test_dual_update_l2_leaves_u2_alone():
     rng = np.random.default_rng(11)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     state = _state(rng, T, SolverConfig(regularizer="l2"))
-    _, u2 = dual_update(state, np.zeros(20), T, 1.0, 0.1)
+    _, u2, _ = dual_update(state, np.zeros(20), T, 1.0, 0.1)
     assert u2 is state.u2
 
 
@@ -262,6 +276,26 @@ def test_coding_step_dimension_checks():
     for duals in [(0.0, 0.0), (np.zeros(3), np.zeros(6)), (np.zeros(20), np.zeros(3))]:
         with pytest.raises(GeometryError, match="duals"):
             coding_step(np.zeros(20), T, np.ones(20), cache, config, duals=duals)
+
+
+def test_coding_step_warm_start_carries_its_product():
+    rng = np.random.default_rng(13)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    config = SolverConfig(lambda_star=0.0)
+    cache = precompute_gram(T, config.gram_ratio)
+    y = rng.uniform(0.0, 1.0, 20)
+    a0 = rng.uniform(0.0, 0.5, 6)
+    with pytest.raises(ConfigError, match="Ta0"):
+        coding_step(y, T, np.ones(20), cache, config, a0=a0)
+    with pytest.raises(ConfigError, match="Ta0"):
+        coding_step(y, T, np.ones(20), cache, config, Ta0=T.columns @ a0)
+    with pytest.raises(GeometryError, match="Ta0"):
+        coding_step(y, T, np.ones(20), cache, config, a0=a0, Ta0=np.zeros(7))
+    for step in (
+        coding_step(y, T, np.ones(20), cache, config),
+        coding_step(y, T, np.ones(20), cache, config, a0=a0, Ta0=T.columns @ a0),
+    ):
+        assert np.array_equal(step.Ta, T.columns @ step.a)
 
 
 def test_coding_step_reports_nonconvergence():
@@ -455,6 +489,34 @@ def test_solve_reuses_supplied_gram_cache(spy):
     factorizations = spy("cho_factor")
     solve(y, T, config, cache=cache)
     assert factorizations == []
+
+
+def test_solve_forms_two_products_per_inner_iteration():
+    """Each inner iteration forms T' v (a_update) and T a (dual_update); the
+    carried T a serves the next e_update and the outer weight residual, so a
+    solve forms 2 * inner + 1 products, the one extra for the flat start."""
+
+    class CountingMatmul(np.ndarray):
+        calls = 0
+
+        def __matmul__(self, other):
+            CountingMatmul.calls += 1
+            return np.asarray(self) @ other
+
+    rng = np.random.default_rng(0)
+    T = random_dictionary(rng, 10, 10, 30, classes=6)
+    noise = np.random.default_rng(1).uniform(size=100)
+    clean = FaceVector(T.columns[:, 7] + 0.05 * noise, T.geometry)
+    y, _ = occlude_block(clean, textured_patch(), 0.3, seed=1)
+    y = y.normalized()
+    configs = {name: method_config(name, gamma=0.6) for name in ("F-IRNNLS", "F-LR-IRNNLS", "F-IRLS", "F-IRSC")}
+    caches = {name: precompute_gram(T, config.gram_ratio) for name, config in configs.items()}
+    object.__setattr__(T, "columns", T.columns.view(CountingMatmul))
+    for name, config in configs.items():
+        CountingMatmul.calls = 0
+        res = solve(y, T, config, cache=caches[name])
+        assert res.total_inner_iterations > res.outer_iterations > 1
+        assert CountingMatmul.calls == 2 * res.total_inner_iterations + 1, name
 
 
 def test_method_presets_map_to_engine_settings():
