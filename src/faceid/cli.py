@@ -42,7 +42,7 @@ _SOLVER_FLAGS = (
     ("lambda_reg", float, "l1/l2 coefficient weight"),
     ("rho1", float, None),
     ("rho2", float, None),
-    ("eps1", float, "inner fit tolerance"),
+    ("eps1", float, "loosest inner fit tolerance"),
     ("eps2", float, "inner split tolerance"),
     ("eps3", float, "outer weight-change tolerance"),
     ("t_max", int, "outer iteration cap"),

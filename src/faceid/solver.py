@@ -9,6 +9,7 @@ ridge). Method presets select the combinations by name.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -23,23 +24,30 @@ from .weights import WeightFunction, WeightVector, phi_value, weight_update
 
 REGULARIZERS = ("nonneg", "l1", "l2")
 
+log = logging.getLogger(__name__)
+
 # Slack below zero that the nonneg indicator in objective_value still accepts.
 FEAS_TOL = 1e-8
 
+# From the third outer step on, solve runs the coding step to the fit
+# tolerance min(eps1, INNER_TOL_RATIO * the last relative weight change), so
+# the inner accuracy follows the outer progress instead of staying at eps1.
+INNER_TOL_RATIO = 0.03
+
 # Engine configurations behind the published method names. Entries are
-# (regularizer kind, low-rank flag, weight scheme, outer cap override). The
-# presets without the low-rank flag are the lambda_star = 0 case of the same
-# engine: method_config zeroes lambda_star for them.
+# (regularizer kind, low-rank flag, weight scheme). The presets without the
+# low-rank flag are the lambda_star = 0 case of the same engine: method_config
+# zeroes lambda_star for them.
 METHODS = {
-    "F-LR-IRNNLS": ("nonneg", True, "logistic", None),
-    "F-IRNNLS": ("nonneg", False, "logistic", None),
-    "F-IRLS": ("l2", False, "logistic", None),
-    "F-IRSC": ("l1", False, "logistic", None),
-    "F-LR-IRLS": ("l2", True, "logistic", None),
-    "F-LR-IRSC": ("l1", True, "logistic", None),
-    "SRC": ("l1", False, "constant", None),
-    "CR-RLS": ("l2", False, "constant", 1),
-    "LR3": ("l2", True, "constant", None),
+    "F-LR-IRNNLS": ("nonneg", True, "logistic"),
+    "F-IRNNLS": ("nonneg", False, "logistic"),
+    "F-IRLS": ("l2", False, "logistic"),
+    "F-IRSC": ("l1", False, "logistic"),
+    "F-LR-IRLS": ("l2", True, "logistic"),
+    "F-LR-IRSC": ("l1", True, "logistic"),
+    "SRC": ("l1", False, "constant"),
+    "CR-RLS": ("l2", False, "constant"),
+    "LR3": ("l2", True, "constant"),
 }
 
 @dataclass(frozen=True)
@@ -51,7 +59,9 @@ class SolverConfig:
     weighs the coefficient penalty for the l1/l2 kinds; the default is a
     working convention, not a published value. eps1/eps2 bound
     the inner primal residuals ||y - Ta - e|| and ||a - z||, eps3 the relative
-    change of consecutive weight vectors that stops the outer loop.
+    change of consecutive weight vectors that stops the outer loop. eps1 is
+    the loosest fit tolerance: solve tightens it as the weights settle (see
+    INNER_TOL_RATIO).
 
     The penalties are in units of the engine's data term sum(w * e^2), twice
     the x^2 / 2 that phi charges at unit weight. So the ridge fixed point is
@@ -70,7 +80,6 @@ class SolverConfig:
     s_max: int = 500
     regularizer: str = "nonneg"
     weights: WeightFunction = field(default_factory=WeightFunction.logistic)
-    warm_start_duals: bool = False
 
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
@@ -207,6 +216,7 @@ def coding_step(
     a0=None,
     Ta0=None,
     duals=None,
+    tol: Optional[float] = None,
 ) -> AdmmState:
     """Code y against T under fixed weights w by inner ADMM.
 
@@ -223,9 +233,10 @@ def coding_step(
             formed here only for the default a0.
         duals: optional (u1, u2) warm start of lengths d and n; both default
             to zero.
+        tol: fit tolerance; defaults to config.eps1.
 
     Returns:
-        The final AdmmState; convergence means ||y - Ta - e|| <= eps1 and,
+        The final AdmmState; convergence means ||y - Ta - e|| <= tol and,
         unless the l2 kind dropped the split, ||a - z|| <= eps2. Its Ta is
         T.columns @ a for the returned a.
 
@@ -255,6 +266,7 @@ def coding_step(
     Ta = T.columns @ a if Ta0 is None else np.asarray(Ta0, dtype=float).ravel()
     if Ta.size != d:
         raise GeometryError(f"Ta0 must have length d={d}")
+    tol = config.eps1 if tol is None else tol
     drop_split = config.regularizer == "l2"
     state = AdmmState(
         a=a,
@@ -281,7 +293,7 @@ def coding_step(
         split = 0.0 if drop_split else float(np.linalg.norm(u2 - state.u2)) / config.rho2
         state.u1, state.u2 = u1, u2
         state.iterations, state.fit_residual, state.split_residual = s, fit, split
-        if fit <= config.eps1 and (drop_split or split <= config.eps2):
+        if fit <= tol and (drop_split or split <= config.eps2):
             state.converged = True
             break
     return state
@@ -341,10 +353,14 @@ def solve(
 
     Alternates weight updates (from the residual of the current coefficients)
     with inner ADMM coding steps until the relative change of the weight
-    vector drops below eps3 or t_max outer iterations have run. Coefficients
-    warm-start each coding step; duals restart at zero unless
-    config.warm_start_duals is set. T a is formed once for the flat start;
-    every later weight residual reuses the product the coding step carries.
+    vector drops below eps3 or t_max outer iterations have run; constant
+    weights never change, so their solve stops after one coding step.
+    Coefficients and the scaled duals (u1, u2) warm-start each coding step.
+    The first two steps run to eps1, every later one to
+    min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
+    which lies in [INNER_TOL_RATIO * eps3, eps1]. T a is formed once for the
+    flat start; every later weight residual reuses the product the coding
+    step carries. A solve that stops at t_max logs a warning.
 
     Args:
         y: observation (FaceVector or length-d array), typically unit l2.
@@ -365,26 +381,33 @@ def solve(
     Ta = T.columns @ a
     prev_w = None
     duals = None
-    wv = None
+    tol = config.eps1
+    change = float("nan")
     inner_iterations = []
     inner_converged = []
     converged = False
-    t = 0
     for t in range(1, config.t_max + 1):
         wv = weight_update(yv - Ta, config.weights)
         w = wv.values
-        step = coding_step(yv, T, w, cache, config, a0=a, Ta0=Ta, duals=duals)
-        a, Ta = step.a, step.Ta
-        if config.warm_start_duals:
-            duals = (step.u1, step.u2)
+        step = coding_step(yv, T, w, cache, config, a0=a, Ta0=Ta, duals=duals, tol=tol)
+        a, Ta, duals = step.a, step.Ta, (step.u1, step.u2)
         inner_iterations.append(step.iterations)
         inner_converged.append(step.converged)
-        if prev_w is not None:
-            if np.linalg.norm(w - prev_w) / np.linalg.norm(prev_w) < config.eps3:
-                converged = True
-        prev_w = w
-        if converged:
+        if config.weights.kind == "constant":
+            converged = True
             break
+        if prev_w is not None:
+            change = float(np.linalg.norm(w - prev_w) / np.linalg.norm(prev_w))
+            if change < config.eps3:
+                converged = True
+                break
+            tol = min(config.eps1, INNER_TOL_RATIO * change)
+        prev_w = w
+    else:
+        log.warning(
+            "solve stopped at t_max=%d outer iterations; last relative weight change %.3g (eps3 %g)",
+            config.t_max, change, config.eps3,
+        )
     return SolveResult(
         a=a,
         e=step.e,
@@ -411,7 +434,7 @@ def method_config(name: str, gamma: Optional[float] = None, **overrides) -> Solv
     """
     if name not in METHODS:
         raise ConfigError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
-    kind, low_rank, scheme, t_cap = METHODS[name]
+    kind, low_rank, scheme = METHODS[name]
     if scheme == "constant":
         wf = WeightFunction.constant_one()
     elif gamma is None:
@@ -419,8 +442,6 @@ def method_config(name: str, gamma: Optional[float] = None, **overrides) -> Solv
     else:
         wf = WeightFunction.logistic(gamma=gamma)
     config = SolverConfig(regularizer=kind, weights=wf)
-    if t_cap is not None:
-        config = replace(config, t_max=t_cap)
     if overrides:
         config = replace(config, **overrides)
     if not low_rank:

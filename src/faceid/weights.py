@@ -88,9 +88,9 @@ def logistic_params(residual, gamma: float = 0.6):
     """Estimate the logistic pair (mu, eta) from a residual vector.
 
     eta is the l-th largest entry (l = floor(gamma * d), at least 1) of the
-    squared residuals. Ties resolve by descending sort position, so the value
-    at 1-based index l is taken either way. mu = ZETA / eta with eta floored
-    at ETA_FLOOR to survive all-zero residuals.
+    squared residuals, counted with multiplicity, so ties do not shift it; a
+    partial sort (np.partition) finds it. mu = ZETA / eta with eta floored at
+    ETA_FLOOR to survive all-zero residuals.
 
     Returns:
         (mu, eta) as floats.
@@ -101,7 +101,8 @@ def logistic_params(residual, gamma: float = 0.6):
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
     ell = max(1, int(math.floor(gamma * x.size)))
-    eta = float(np.sort(x * x)[::-1][ell - 1])
+    k = x.size - ell
+    eta = float(np.partition(x * x, k)[k])
     eta = max(eta, ETA_FLOOR)
     return ZETA / eta, eta
 

@@ -1,5 +1,7 @@
 """ADMM engine: individual updates, the coding step, and full solves."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -10,6 +12,7 @@ from faceid.errors import ConfigError, GeometryError, NumericError
 from faceid.model import Dictionary, FaceVector, ImageGeometry
 from faceid.prox import shrink_weighted
 from faceid.solver import (
+    INNER_TOL_RATIO,
     METHODS,
     AdmmState,
     SolverConfig,
@@ -464,13 +467,81 @@ def test_solve_frozen_trace_monotone(spy):
     assert float(np.diff(trace).max()) <= 1e-9
 
 
-def test_solve_warm_started_duals_still_converge():
-    rng = np.random.default_rng(27)
-    T = random_dictionary(rng, 6, 4, 8, classes=4)
-    y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
-    res = solve(y, T, method_config("F-IRNNLS", warm_start_duals=True))
+def _occluded_column_instance():
+    """Column 7 of a 6-class 10x10 dictionary plus mild noise, behind a 30%
+    textured block; F-LR-IRNNLS once ran 100 outer steps here unconverged."""
+    T = random_dictionary(np.random.default_rng(0), 10, 10, 30, classes=6)
+    noise = np.random.default_rng(3).uniform(size=100)
+    clean = FaceVector(T.columns[:, 7] + 0.05 * noise, T.geometry)
+    y, _ = occlude_block(clean, textured_patch(), 0.3, seed=3)
+    return y.normalized(), T
+
+
+def test_solve_warm_started_duals_still_converge(spy):
+    """Each coding step starts from the scaled duals (u1, u2) the previous one
+    ended with; the first starts from zero."""
+    y, T = _occluded_column_instance()
+    calls = spy("coding_step", with_args=True)
+    res = solve(y, T, method_config("F-IRNNLS", gamma=0.6))
     assert res.converged
     assert np.isfinite(res.a).all()
+    assert len(calls) == res.outer_iterations > 2
+    assert calls[0][1]["duals"] is None
+    for (_, _, before), (_, kwargs, _) in zip(calls, calls[1:]):
+        u1, u2 = kwargs["duals"]
+        assert np.array_equal(u1, before.u1) and np.array_equal(u2, before.u2)
+
+
+def test_solve_inner_tolerance_follows_weight_change(spy):
+    """Steps 1 and 2 run to eps1; step t >= 3 to min(eps1, INNER_TOL_RATIO *
+    the relative weight change measured after step t - 1)."""
+    y, T = _occluded_column_instance()
+    config = method_config("F-LR-IRNNLS", gamma=0.6)
+    calls = spy("coding_step", with_args=True)
+    solve(y, T, config)
+    tols = [kwargs["tol"] for _, kwargs, _ in calls]
+    weights = [args[2] for args, _, _ in calls]
+    assert tols[:2] == [config.eps1, config.eps1]
+    for t in range(2, len(calls)):
+        change = np.linalg.norm(weights[t - 1] - weights[t - 2]) / np.linalg.norm(weights[t - 2])
+        assert change >= config.eps3
+        assert tols[t] == min(config.eps1, INNER_TOL_RATIO * change)
+        assert INNER_TOL_RATIO * config.eps3 <= tols[t] <= config.eps1
+    for (_, kwargs, step) in calls:
+        assert step.converged and step.fit_residual <= kwargs["tol"]
+    assert min(tols) < config.eps1
+
+
+@pytest.mark.parametrize("name", ["F-IRNNLS", "F-LR-IRNNLS", "F-IRLS", "F-IRSC"])
+def test_solve_converges_on_formerly_capped_instance(name):
+    y, T = _occluded_column_instance()
+    res = solve(y, T, method_config(name, gamma=0.6))
+    assert res.converged
+    assert res.outer_iterations < 100
+    assert all(res.inner_converged)
+
+
+@pytest.mark.parametrize("name", ["CR-RLS", "SRC", "LR3"])
+def test_constant_weight_presets_stop_after_one_coding_step(name, spy):
+    y, T = _occluded_column_instance()
+    steps = spy("coding_step")
+    res = solve(y, T, method_config(name))
+    assert res.outer_iterations == 1 == len(steps)
+    assert res.converged
+    assert res.inner_converged == [True]
+
+
+def test_solve_warns_when_stopped_at_t_max(caplog):
+    y, T = _occluded_column_instance()
+    with caplog.at_level(logging.WARNING, logger="faceid.solver"):
+        res = solve(y, T, method_config("F-IRNNLS", gamma=0.6, t_max=3))
+        assert not res.converged and res.outer_iterations == 3
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "t_max=3" in message and "weight change" in message
+        caplog.clear()
+        assert solve(y, T, method_config("F-IRNNLS", gamma=0.6)).converged
+        assert caplog.records == []
 
 
 def test_solve_checks_observation_length():
@@ -538,7 +609,6 @@ def test_method_presets_map_to_engine_settings():
         assert config.low_rank == low_rank
         wanted = "constant" if scheme == "constant" else "logistic"
         assert config.weights.kind == wanted
-    assert method_config("CR-RLS").t_max == 1
     assert method_config("F-LR-IRNNLS", gamma=0.8).weights.gamma == 0.8
     assert method_config("F-IRNNLS", s_max=42).s_max == 42
     assert method_config("F-IRNNLS", lambda_star=0.1).lambda_star == 0.0

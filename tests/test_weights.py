@@ -35,6 +35,22 @@ def test_logistic_params_sign_blind():
     assert logistic_params(x) == logistic_params(-x)
 
 
+def test_logistic_params_partition_matches_sorted_reference():
+    """eta is the l-th largest squared residual, as a full descending sort
+    gives it, also when many residuals tie (rounded draws and exact zeros)."""
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 100, 504):
+        for x in (
+            rng.normal(size=size),
+            np.round(rng.normal(size=size), 1),
+            np.where(rng.uniform(size=size) < 0.5, 0.0, 0.25),
+        ):
+            for gamma in (0.01, 0.3, 0.6, 0.99, 1.0):
+                ell = max(1, int(np.floor(gamma * size)))
+                eta = max(float(np.sort(x * x)[::-1][ell - 1]), ETA_FLOOR)
+                assert logistic_params(x, gamma) == (8.0 / eta, eta)
+
+
 def test_logistic_params_zero_residual_floored():
     mu, eta = logistic_params(np.zeros(5))
     assert eta == ETA_FLOOR
