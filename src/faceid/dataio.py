@@ -30,7 +30,7 @@ def load_pgm(path) -> np.ndarray:
     if data[:2] != b"P5":
         raise ParseError(f"{path}: bad magic {data[:2]!r}, want b'P5' at byte 0")
     pos = 2
-    fields = []
+    fields, offsets = [], []
     for name in ("width", "height", "maxval"):
         m = _HEADER_FIELD.match(data, pos)
         token, at, pos = m.group(1), m.start(1), m.end()
@@ -40,11 +40,13 @@ def load_pgm(path) -> np.ndarray:
             fields.append(int(token))
         except ValueError:
             raise ParseError(f"{path}: invalid {name} {token!r} at byte {at}") from None
+        offsets.append(at)
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise ParseError(f"{path}: bad dimensions {width}x{height} at byte {at}")
+        bad = offsets[0] if width < 1 else offsets[1]
+        raise ParseError(f"{path}: bad dimensions {width}x{height} at byte {bad}")
     if maxval != 255:
-        raise ParseError(f"{path}: unsupported maxval {maxval} (want 255) at byte {at}")
+        raise ParseError(f"{path}: unsupported maxval {maxval} (want 255) at byte {offsets[2]}")
     if not data[pos : pos + 1].isspace():
         raise ParseError(f"{path}: missing whitespace after maxval at byte {pos}")
     start = pos + 1  # exactly one separator byte before the raster

@@ -331,6 +331,14 @@ def _manifest_unit(config, solver_config, seed):
     )
 
 
+def resolve_gamma(gamma: Optional[float], corrupted: bool) -> float:
+    """Logistic saturation fraction for a solve: gamma when given, else 0.6
+    when the probes are corrupted and 0.8 when they are clean."""
+    if gamma is not None:
+        return gamma
+    return 0.6 if corrupted else 0.8
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one identification experiment and aggregate a report.
 
@@ -343,8 +351,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Returns:
         ExperimentReport; report.csv and weight maps land in out_dir if set.
     """
-    corrupted = config.corrupted
-    gamma = config.gamma if config.gamma is not None else (0.6 if corrupted else 0.8)
+    gamma = resolve_gamma(config.gamma, config.corrupted)
     solver_config = solver.method_config(config.method, gamma=gamma, **config.solver_kwargs)
     patch = None
     if config.occlusion is not None:

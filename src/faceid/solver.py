@@ -20,14 +20,11 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import ConfigError, GeometryError, NumericError
 from .model import Dictionary
 from .prox import project_nonneg, shrink_weighted, soft_threshold, svt
-from .weights import WeightFunction, WeightVector, phi_value, weight_update
+from .weights import WeightFunction, WeightVector, weight_update
 
 REGULARIZERS = ("nonneg", "l1", "l2")
 
 log = logging.getLogger(__name__)
-
-# Slack below zero that the nonneg indicator in objective_value still accepts.
-FEAS_TOL = 1e-8
 
 # From the third outer step on, solve runs the coding step to the fit
 # tolerance min(eps1, INNER_TOL_RATIO * the last relative weight change), so
@@ -64,9 +61,11 @@ class SolverConfig:
     INNER_TOL_RATIO).
 
     The penalties are in units of the engine's data term sum(w * e^2), twice
-    the x^2 / 2 that phi charges at unit weight. So the ridge fixed point is
-    (T'T + lambda_reg I)^-1 T'y, and a coefficient penalty stated in phi units
-    is doubled before it goes into lambda_reg.
+    the x^2 / 2 that phi (the reference objective in tests/oracle.py) charges
+    at unit weight. So the ridge fixed point is (T'T + lambda_reg I)^-1 T'y,
+    and a coefficient penalty stated in phi units is doubled before it goes
+    into lambda_reg; the l2 kind needs lambda_reg > 0, which keeps its Gram
+    system positive definite.
     """
 
     lambda_star: float = 0.05
@@ -86,6 +85,8 @@ class SolverConfig:
             raise ConfigError(f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
         if self.lambda_star < 0.0 or self.lambda_reg < 0.0:
             raise ConfigError("penalty weights must be nonnegative")
+        if self.regularizer == "l2" and self.lambda_reg == 0.0:
+            raise ConfigError("the l2 regularizer needs lambda_reg > 0")
         if self.rho1 <= 0.0 or self.rho2 <= 0.0:
             raise ConfigError("rho1 and rho2 must be positive")
         if self.eps1 <= 0.0 or self.eps2 <= 0.0 or self.eps3 <= 0.0:
@@ -213,8 +214,8 @@ def coding_step(
     w,
     cache: GramCache,
     config: SolverConfig,
-    a0=None,
-    Ta0=None,
+    a0,
+    Ta0,
     duals=None,
     tol: Optional[float] = None,
 ) -> AdmmState:
@@ -228,9 +229,9 @@ def coding_step(
         y: observation array of length d.
         w: pixel weight array of length d.
         cache: Gram factorization matching config.gram_ratio.
-        a0: warm-start coefficients; defaults to the flat vector 1/n.
-        Ta0: the product T.columns @ a0, given exactly when a0 is; it is
-            formed here only for the default a0.
+        a0: starting coefficients of length n.
+        Ta0: the product T.columns @ a0, of length d; the caller forms it
+            (solve carries it from the previous step).
         duals: optional (u1, u2) warm start of lengths d and n; both default
             to zero.
         tol: fit tolerance; defaults to config.eps1.
@@ -241,8 +242,7 @@ def coding_step(
         T.columns @ a for the returned a.
 
     Raises:
-        ConfigError: the cache does not match T and config.gram_ratio, or
-            only one of a0 and Ta0 is given.
+        ConfigError: the cache does not match T and config.gram_ratio.
     """
     d, n = T.columns.shape
     expected = config.gram_ratio
@@ -255,15 +255,10 @@ def coding_step(
     w = np.asarray(w, dtype=float).ravel()
     if y.size != d or w.size != d:
         raise GeometryError(f"y and w must have length d={d}")
-    if a0 is None:
-        a = np.full(n, 1.0 / n)
-    else:
-        a = np.array(a0, dtype=float).ravel()
-        if a.size != n:
-            raise GeometryError(f"a0 must have length n={n}")
-    if (a0 is None) != (Ta0 is None):
-        raise ConfigError("Ta0 = T.columns @ a0 is given exactly when a0 is")
-    Ta = T.columns @ a if Ta0 is None else np.asarray(Ta0, dtype=float).ravel()
+    a = np.array(a0, dtype=float).ravel()
+    if a.size != n:
+        raise GeometryError(f"a0 must have length n={n}")
+    Ta = np.asarray(Ta0, dtype=float).ravel()
     if Ta.size != d:
         raise GeometryError(f"Ta0 must have length d={d}")
     tol = config.eps1 if tol is None else tol
@@ -297,32 +292,6 @@ def coding_step(
             state.converged = True
             break
     return state
-
-
-def objective_value(a, y, T: Dictionary, config: SolverConfig) -> float:
-    """Objective sum(phi(r_i)) + lambda_star ||grid(r)||_* + theta(a) at a.
-
-    config.weights must be frozen (phi is undefined while the weights still
-    move). For the nonneg kind theta is an indicator: entries below -FEAS_TOL
-    make the value infinite.
-    """
-    y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
-    a = np.asarray(a, dtype=float).ravel()
-    r = y - T.columns @ a
-    if not np.isfinite(r).all():
-        raise NumericError("residual contains non-finite entries")
-    total = float(phi_value(r, config.weights).sum())
-    if config.lambda_star > 0.0:
-        sigma = np.linalg.svd(r.reshape(T.geometry.shape, order="F"), compute_uv=False)
-        total += config.lambda_star * float(sigma.sum())
-    if config.regularizer == "nonneg":
-        if (a < -FEAS_TOL).any():
-            return float("inf")
-    elif config.regularizer == "l1":
-        total += config.lambda_reg * float(np.abs(a).sum())
-    else:
-        total += config.lambda_reg * float(a @ a)
-    return total
 
 
 @dataclass

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -14,8 +13,8 @@ from .errors import ConfigError, NumericError
 # Weights are kept strictly positive so sqrt(W) stays invertible.
 WEIGHT_FLOOR = float(np.finfo(float).tiny)
 
-# Slope of the adaptive logistic weights, mu = ZETA / eta, so a zero residual
-# gets weight expit(ZETA).
+# Slope of the logistic weights, mu = ZETA / eta, so a zero residual gets
+# weight expit(ZETA).
 ZETA = 8.0
 
 # Floor for the logistic inflection parameter eta before mu = ZETA / eta.
@@ -44,44 +43,29 @@ class WeightVector:
 class WeightFunction:
     """How residuals map to pixel weights.
 
-    kind "logistic" follows w(x) = expit(mu * (eta - x^2)); adaptive instances
-    re-estimate (mu, eta) from each residual, frozen ones keep them fixed.
-    kind "constant" is w = 1 everywhere (plain least squares).
+    kind "logistic" follows w(x) = expit(mu * (eta - x^2)), with (mu, eta)
+    re-estimated from each residual by logistic_params at saturation
+    fraction gamma. kind "constant" is w = 1 everywhere (plain least squares).
     """
 
     kind: str
-    adaptive: bool
     gamma: float = 0.6
-    mu: Optional[float] = None
-    eta: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("logistic", "constant"):
             raise ConfigError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "logistic":
-            if self.adaptive:
-                if not 0.0 < self.gamma <= 1.0:
-                    raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-            else:
-                if self.mu is None or self.eta is None:
-                    raise ConfigError("frozen logistic weights need explicit (mu, eta)")
-                if self.mu <= 0.0 or self.eta < 0.0:
-                    raise ConfigError(f"need mu > 0 and eta >= 0, got ({self.mu}, {self.eta})")
+        if self.kind == "logistic" and not 0.0 < self.gamma <= 1.0:
+            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
 
     @classmethod
     def logistic(cls, gamma: float = 0.6):
-        """Adaptive logistic weights re-estimated from every residual."""
-        return cls(kind="logistic", adaptive=True, gamma=gamma)
-
-    @classmethod
-    def logistic_frozen(cls, mu: float, eta: float):
-        """Logistic weights with (mu, eta) pinned once and for all."""
-        return cls(kind="logistic", adaptive=False, mu=float(mu), eta=float(eta))
+        """Logistic weights re-estimated from every residual."""
+        return cls(kind="logistic", gamma=gamma)
 
     @classmethod
     def constant_one(cls):
         """Unit weights; turns the coding step into ordinary least squares."""
-        return cls(kind="constant", adaptive=False)
+        return cls(kind="constant")
 
 
 def logistic_params(residual, gamma: float = 0.6):
@@ -115,36 +99,6 @@ def weight_update(residual, wf: WeightFunction) -> WeightVector:
     if wf.kind == "constant":
         w = np.ones_like(x)
     else:
-        if wf.adaptive:
-            mu, eta = logistic_params(x, wf.gamma)
-        else:
-            mu, eta = wf.mu, wf.eta
+        mu, eta = logistic_params(x, wf.gamma)
         w = expit(mu * (eta - x * x))
     return WeightVector(np.maximum(w, WEIGHT_FLOOR))
-
-
-def phi_value(x, wf: WeightFunction):
-    """Penalty phi(x) = integral of s * w(s) over s in [0, |x|], elementwise.
-
-    With a = mu * eta and d = mu * x^2 the logistic penalty has the closed form
-    (softplus(a) - softplus(a - d)) / (2 mu). For d < 1 the difference is taken
-    as log1p(expit(a - d) * expm1(d)), which keeps full relative precision as
-    x -> 0; the constant kind gives x^2 / 2. Adaptive weight functions have no
-    fixed phi and are rejected.
-
-    Returns:
-        a float for scalar x, else an array of x's shape.
-    """
-    if wf.adaptive:
-        raise ConfigError("phi is only defined for a frozen weight function")
-    x = np.asarray(x, dtype=float)
-    if wf.kind == "constant":
-        phi = 0.5 * x * x
-    else:
-        a = wf.mu * wf.eta
-        d = wf.mu * x * x
-        # np.where evaluates both forms; the clamp keeps the unused one finite
-        near = np.log1p(expit(a - d) * np.expm1(np.minimum(d, 1.0)))
-        far = np.logaddexp(0.0, a) - np.logaddexp(0.0, a - d)
-        phi = np.where(d < 1.0, near, far) / (2.0 * wf.mu)
-    return float(phi) if phi.ndim == 0 else phi

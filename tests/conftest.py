@@ -3,6 +3,7 @@
 import pytest
 
 import faceid.solver
+from oracle import pinned_logistic_weights
 
 
 @pytest.fixture
@@ -26,5 +27,24 @@ def spy(monkeypatch):
 
         monkeypatch.setattr(faceid.solver, name, recording)
         return returns
+
+    return install
+
+
+@pytest.fixture
+def frozen_weights(monkeypatch):
+    """frozen_weights(mu, eta) pins the logistic (mu, eta) of every weight
+    update solve makes for the rest of the test (a later call re-pins), by
+    replacing faceid.solver.weight_update with the oracle's
+    pinned_logistic_weights. solve then runs its real outer loop under a fixed
+    phi, so the oracle objective_value applies. Keep config.weights logistic:
+    with the constant kind solve stops after one coding step.
+    """
+
+    def install(mu, eta):
+        def pinned(residual, wf):
+            return pinned_logistic_weights(residual, mu, eta)
+
+        monkeypatch.setattr(faceid.solver, "weight_update", pinned)
 
     return install

@@ -22,3 +22,11 @@ def orthonormal_dictionary(rng, rows, cols, n):
     q, _ = np.linalg.qr(rng.normal(size=(geometry.d, n)))
     faces = [FaceVector(q[:, i], geometry) for i in range(n)]
     return build_dictionary(faces, list(range(n)))
+
+
+def flat_start(T):
+    """(a0, Ta0) for coding_step: the flat coefficients 1/n that solve starts
+    from, and their product T.columns @ a0."""
+    n = T.columns.shape[1]
+    a0 = np.full(n, 1.0 / n)
+    return a0, T.columns @ a0

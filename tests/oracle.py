@@ -4,6 +4,10 @@ Everything here exists to cross-check the production solver in the tests and
 deliberately shares no iteration machinery with it: the nonnegative coder is
 plain projected gradient descent, prox claims are certified from optimality
 conditions, and scalar proxes are brute-forced on a grid.
+
+It also holds the objective the reweighted solver decreases, which the
+package never evaluates: the penalty phi and the logistic weights with
+(mu, eta) pinned, under which phi is fixed and the objective is defined.
 """
 
 from __future__ import annotations
@@ -12,8 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
-from faceid.errors import ConfigError
+from faceid.errors import ConfigError, NumericError
+from faceid.weights import WEIGHT_FLOOR, WeightVector
+
+# Slack below zero that the nonneg indicator in objective_value still accepts.
+FEAS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -158,3 +167,79 @@ def oracle_scalar_prox_grid(v, tau: float, kind: str, span: float = 10.0) -> np.
                 lo = m1
         out.ravel()[i] = 0.5 * (lo + hi)
     return out
+
+
+def _check_pinned(mu, eta) -> bool:
+    """Whether (mu, eta) pins logistic weights (True) or neither is given
+    (False, the constant kind)."""
+    if (mu is None) != (eta is None):
+        raise ConfigError(f"mu and eta are pinned together, got ({mu}, {eta})")
+    if mu is None:
+        return False
+    if mu <= 0.0 or eta < 0.0:
+        raise ConfigError(f"need mu > 0 and eta >= 0, got ({mu}, {eta})")
+    return True
+
+
+def pinned_logistic_weights(residual, mu: float, eta: float) -> WeightVector:
+    """Logistic weights expit(mu * (eta - x^2)) with (mu, eta) pinned,
+    floored at WEIGHT_FLOOR: the package's weight_update without the
+    re-estimation of (mu, eta) from each residual."""
+    if not _check_pinned(mu, eta):
+        raise ConfigError("pinned logistic weights need (mu, eta)")
+    x = np.asarray(residual, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        raise NumericError("residual contains non-finite entries")
+    return WeightVector(np.maximum(expit(mu * (eta - x * x)), WEIGHT_FLOOR))
+
+
+def phi_value(x, mu: Optional[float] = None, eta: Optional[float] = None):
+    """Penalty phi(x) = integral of s * w(s) over s in [0, |x|], elementwise.
+
+    With (mu, eta) pinned, w is the logistic weight; with neither given, w = 1
+    and phi(x) = x^2 / 2. For the logistic w, with a = mu * eta and
+    d = mu * x^2, phi has the closed form (softplus(a) - softplus(a - d)) /
+    (2 mu). For d < 1 the difference is taken as log1p(expit(a - d) *
+    expm1(d)), which keeps full relative precision as x -> 0.
+
+    Returns:
+        a float for scalar x, else an array of x's shape.
+    """
+    x = np.asarray(x, dtype=float)
+    if not _check_pinned(mu, eta):
+        phi = 0.5 * x * x
+    else:
+        a = mu * eta
+        d = mu * x * x
+        # np.where evaluates both forms; the clamp keeps the unused one finite
+        near = np.log1p(expit(a - d) * np.expm1(np.minimum(d, 1.0)))
+        far = np.logaddexp(0.0, a) - np.logaddexp(0.0, a - d)
+        phi = np.where(d < 1.0, near, far) / (2.0 * mu)
+    return float(phi) if phi.ndim == 0 else phi
+
+
+def objective_value(a, y, T, config, mu: Optional[float] = None, eta: Optional[float] = None) -> float:
+    """Objective sum(phi(r_i)) + lambda_star ||grid(r)||_* + theta(a) at a.
+
+    phi is taken at the pinned (mu, eta), or is x^2 / 2 when neither is given;
+    config supplies lambda_star, the regularizer theta and lambda_reg (its
+    weight function is not read). For the nonneg kind theta is an indicator:
+    entries below -FEAS_TOL make the value infinite.
+    """
+    y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
+    a = np.asarray(a, dtype=float).ravel()
+    r = y - T.columns @ a
+    if not np.isfinite(r).all():
+        raise NumericError("residual contains non-finite entries")
+    total = float(phi_value(r, mu, eta).sum())
+    if config.lambda_star > 0.0:
+        sigma = np.linalg.svd(r.reshape(T.geometry.shape, order="F"), compute_uv=False)
+        total += config.lambda_star * float(sigma.sum())
+    if config.regularizer == "nonneg":
+        if (a < -FEAS_TOL).any():
+            return float("inf")
+    elif config.regularizer == "l1":
+        total += config.lambda_reg * float(np.abs(a).sum())
+    else:
+        total += config.lambda_reg * float(a @ a)
+    return total

@@ -29,13 +29,18 @@ from faceid.solver import (
     a_update,
     coding_step,
     method_config,
-    objective_value,
     precompute_gram,
     solve,
 )
-from faceid.weights import WeightFunction, logistic_params, weight_update
-from helpers import random_dictionary
-from oracle import nnls_kkt_residual, oracle_prox_nuclear, oracle_weighted_nnls
+from faceid.weights import logistic_params
+from helpers import flat_start, random_dictionary
+from oracle import (
+    nnls_kkt_residual,
+    objective_value,
+    oracle_prox_nuclear,
+    oracle_weighted_nnls,
+    pinned_logistic_weights,
+)
 
 
 def _verdict(capsys, num, ok, detail):
@@ -79,16 +84,14 @@ def test_acceptance_2_coding_step_matches_nnls_oracle(capsys):
         rng = np.random.default_rng(2000 + seed)
         T = random_dictionary(rng, 5, 4, 8, classes=4)
         residual = rng.normal(0.0, 0.3, 20)
-        wf = WeightFunction.logistic_frozen(*logistic_params(residual, 0.6))
-        w = weight_update(residual, wf)
+        w = pinned_logistic_weights(residual, *logistic_params(residual, 0.6))
         a0 = rng.uniform(0.0, 1.0, 8)
         y = T.columns @ a0 + residual
         config = SolverConfig(
-            regularizer="nonneg", lambda_star=0.0,
-            eps1=1e-9, eps2=1e-9, s_max=5000, weights=wf,
+            regularizer="nonneg", lambda_star=0.0, eps1=1e-9, eps2=1e-9, s_max=5000,
         )
         cache = precompute_gram(T, config.gram_ratio)
-        step = coding_step(y, T, w.values, cache, config)
+        step = coding_step(y, T, w.values, cache, config, *flat_start(T))
         rep = oracle_weighted_nnls(y, T, w, tol=1e-8)
         worst_gap = max(worst_gap, float(np.abs(step.z - rep.solution).max()))
         worst_step_kkt = max(worst_step_kkt, nnls_kkt_residual(y, T, w, step.z))
@@ -132,22 +135,23 @@ def test_acceptance_3_svt_certified_by_prox_oracle(capsys):
     )
 
 
-def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy):
+def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy, frozen_weights):
     steps = spy("coding_step")
     worst_rise = -np.inf
+    config = SolverConfig(
+        regularizer="nonneg", lambda_star=0.0,
+        eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=12, s_max=5000,
+    )
     for seed in range(50):
         rng = np.random.default_rng(4000 + seed)
         T = random_dictionary(rng, 5, 4, 8, classes=4)
         y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-        a0 = np.full(8, 1.0 / 8.0)
-        wf = WeightFunction.logistic_frozen(*logistic_params(y.values - T.columns @ a0, 0.6))
-        config = SolverConfig(
-            regularizer="nonneg", lambda_star=0.0, weights=wf,
-            eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=12, s_max=5000,
-        )
+        a0, Ta0 = flat_start(T)
+        mu, eta = logistic_params(y.values - Ta0, 0.6)
+        frozen_weights(mu, eta)
         steps.clear()
         solve(y, T, config)
-        trace = [objective_value(a, y, T, config) for a in [a0] + [s.a for s in steps]]
+        trace = [objective_value(a, y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
         worst_rise = max(worst_rise, float(np.diff(trace).max()))
     ok = worst_rise <= 1e-9
     _verdict(

@@ -112,6 +112,7 @@ def test_contradictory_bench_flags_exit_2(capsys):
         (["--resize", "6x5"], "resize"),
         (["--patch", "/nonexistent.pgm"], "patch"),
         (["--seed", "1", "--seed", "1"], "distinct"),
+        (["--lambda-reg", "0", "--occlusion", "0.3"], "lambda_reg"),
     ):
         assert main(base + extra) == 2
         assert message in capsys.readouterr().err

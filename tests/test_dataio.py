@@ -74,6 +74,18 @@ def test_load_pgm_invalid_field_names_token_and_byte(tmp_path):
         load_pgm(p)
 
 
+def test_load_pgm_bad_field_values_name_their_byte(tmp_path):
+    for blob, message in (
+        (b"P5\n0 5\n255\n", "bad dimensions 0x5 at byte 3$"),
+        (b"P5\n5 0\n255\n", "bad dimensions 5x0 at byte 5$"),
+        (b"P5\n 12 0\n255\n", "bad dimensions 12x0 at byte 7$"),
+        (b"P5\n2 2\n127\n" + bytes(4), r"unsupported maxval 127 \(want 255\) at byte 7$"),
+    ):
+        p = _write(tmp_path, "b.pgm", blob)
+        with pytest.raises(ParseError, match=message):
+            load_pgm(p)
+
+
 def test_pgm_round_trip_is_exact_on_quantized_values(tmp_path):
     rng = np.random.default_rng(0)
     grid = rng.integers(0, 256, size=(9, 5)).astype(float) / 255.0

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from faceid.errors import ConfigError
+from faceid.errors import ConfigError, NumericError
 from faceid.prox import project_nonneg, soft_threshold, svt
+from faceid.weights import WeightFunction, logistic_params, weight_update
 from helpers import orthonormal_dictionary, random_dictionary
 from oracle import (
     nnls_kkt_residual,
     oracle_prox_nuclear,
     oracle_scalar_prox_grid,
     oracle_weighted_nnls,
+    phi_value,
+    pinned_logistic_weights,
 )
 
 
@@ -110,3 +113,27 @@ def test_scalar_grid_matches_closed_forms():
 def test_scalar_grid_unknown_kind():
     with pytest.raises(ConfigError):
         oracle_scalar_prox_grid(np.zeros(2), 0.1, "huber")
+
+
+def test_pinned_weights_match_package_weights():
+    """Pinned at the (mu, eta) the package estimates from x, the oracle's
+    weights are the package's weights bit for bit."""
+    rng = np.random.default_rng(1)
+    for size in (1, 30, 504):
+        x = rng.normal(size=size)
+        for gamma in (0.3, 0.6, 0.8, 1.0):
+            mu, eta = logistic_params(x, gamma)
+            package = weight_update(x, WeightFunction.logistic(gamma))
+            assert np.array_equal(pinned_logistic_weights(x, mu, eta).values, package.values)
+
+
+def test_pinned_params_are_validated():
+    for mu, eta in ((-1.0, 1.0), (0.0, 1.0), (1.0, -0.5), (1.0, None), (None, 1.0)):
+        with pytest.raises(ConfigError):
+            pinned_logistic_weights(np.ones(3), mu, eta)
+        with pytest.raises(ConfigError):
+            phi_value(1.0, mu, eta)
+    with pytest.raises(ConfigError):
+        pinned_logistic_weights(np.ones(3), None, None)
+    with pytest.raises(NumericError):
+        pinned_logistic_weights(np.array([1.0, np.nan]), 2.0, 0.5)

@@ -21,13 +21,13 @@ from faceid.solver import (
     dual_update,
     e_update,
     method_config,
-    objective_value,
     precompute_gram,
     solve,
     z_update,
 )
-from faceid.weights import WeightFunction, logistic_params, weight_update
-from helpers import orthonormal_dictionary, random_dictionary
+from faceid.weights import WeightFunction, logistic_params
+from helpers import flat_start, orthonormal_dictionary, random_dictionary
+from oracle import objective_value
 
 
 def _state(rng, T, config, scale=0.1):
@@ -211,7 +211,7 @@ def test_coding_step_rejects_mismatched_cache():
     small = random_dictionary(rng, 4, 5, 4, classes=2)
     for foreign in (precompute_gram(T, 5.0), precompute_gram(small, config.gram_ratio)):
         with pytest.raises(ConfigError, match="gram cache"):
-            coding_step(y, T, np.ones(20), foreign, config)
+            coding_step(y, T, np.ones(20), foreign, config, *flat_start(T))
         with pytest.raises(ConfigError, match="gram cache"):
             solve(y, T, config, cache=foreign)
 
@@ -260,7 +260,7 @@ def test_coding_step_reaches_feasible_reconstruction():
         regularizer="nonneg", lambda_star=0.0, weights=WeightFunction.constant_one()
     )
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y, T, np.ones(25), cache, config)
+    res = coding_step(y, T, np.ones(25), cache, config, *flat_start(T))
     assert res.converged
     assert res.fit_residual <= config.eps1
     assert res.split_residual <= config.eps2
@@ -272,13 +272,14 @@ def test_coding_step_dimension_checks():
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     config = SolverConfig(lambda_star=0.0)
     cache = precompute_gram(T, config.gram_ratio)
+    a0, Ta0 = flat_start(T)
     with pytest.raises(GeometryError):
-        coding_step(np.zeros(7), T, np.ones(7), cache, config)
+        coding_step(np.zeros(7), T, np.ones(7), cache, config, a0, Ta0)
     with pytest.raises(GeometryError):
-        coding_step(np.zeros(20), T, np.ones(20), cache, config, a0=np.zeros(3))
+        coding_step(np.zeros(20), T, np.ones(20), cache, config, np.zeros(3), Ta0)
     for duals in [(0.0, 0.0), (np.zeros(3), np.zeros(6)), (np.zeros(20), np.zeros(3))]:
         with pytest.raises(GeometryError, match="duals"):
-            coding_step(np.zeros(20), T, np.ones(20), cache, config, duals=duals)
+            coding_step(np.zeros(20), T, np.ones(20), cache, config, a0, Ta0, duals=duals)
 
 
 def test_coding_step_warm_start_carries_its_product():
@@ -288,15 +289,11 @@ def test_coding_step_warm_start_carries_its_product():
     cache = precompute_gram(T, config.gram_ratio)
     y = rng.uniform(0.0, 1.0, 20)
     a0 = rng.uniform(0.0, 0.5, 6)
-    with pytest.raises(ConfigError, match="Ta0"):
-        coding_step(y, T, np.ones(20), cache, config, a0=a0)
-    with pytest.raises(ConfigError, match="Ta0"):
-        coding_step(y, T, np.ones(20), cache, config, Ta0=T.columns @ a0)
     with pytest.raises(GeometryError, match="Ta0"):
-        coding_step(y, T, np.ones(20), cache, config, a0=a0, Ta0=np.zeros(7))
+        coding_step(y, T, np.ones(20), cache, config, a0, np.zeros(7))
     for step in (
-        coding_step(y, T, np.ones(20), cache, config),
-        coding_step(y, T, np.ones(20), cache, config, a0=a0, Ta0=T.columns @ a0),
+        coding_step(y, T, np.ones(20), cache, config, *flat_start(T)),
+        coding_step(y, T, np.ones(20), cache, config, a0, T.columns @ a0),
     ):
         assert np.array_equal(step.Ta, T.columns @ step.a)
 
@@ -307,7 +304,7 @@ def test_coding_step_reports_nonconvergence():
     y = rng.uniform(0.0, 1.0, 25)
     config = SolverConfig(lambda_star=0.0, s_max=2, eps1=1e-12, eps2=1e-12)
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y, T, np.ones(25), cache, config)
+    res = coding_step(y, T, np.ones(25), cache, config, *flat_start(T))
     assert not res.converged
     assert res.iterations == 2
 
@@ -358,26 +355,15 @@ def test_objective_matches_quadrature_and_svd_oracle():
     y = rng.uniform(0.0, 1.0, 20)
     a = rng.uniform(0.0, 0.5, 6)
     mu, eta = 2.0, 0.3
-    config = SolverConfig(
-        regularizer="nonneg", lambda_star=0.07,
-        weights=WeightFunction.logistic_frozen(mu, eta),
-    )
+    config = SolverConfig(regularizer="nonneg", lambda_star=0.07)
     r = y - T.columns @ a
     ref = 0.0
     for x in r:
         s = np.linspace(0.0, abs(x), 200_001)
         ref += float(trapezoid(s * expit(mu * (eta - s * s)), s))
     ref += 0.07 * float(np.linalg.svd(r.reshape(4, 5, order="F"), compute_uv=False).sum())
-    got = objective_value(a, y, T, config)
+    got = objective_value(a, y, T, config, mu, eta)
     assert got == pytest.approx(ref, rel=1e-6)
-
-
-def test_objective_rejects_adaptive_weights():
-    rng = np.random.default_rng(20)
-    T = random_dictionary(rng, 4, 5, 6, classes=2)
-    config = SolverConfig(weights=WeightFunction.logistic())
-    with pytest.raises(ConfigError):
-        objective_value(np.zeros(6), np.zeros(20), T, config)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -385,13 +371,11 @@ def test_objective_rejects_adaptive_weights():
 def test_objective_rejects_non_finite_coefficients(low_rank, bad):
     rng = np.random.default_rng(21)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
-    config = SolverConfig(
-        lambda_star=0.05 if low_rank else 0.0, weights=WeightFunction.logistic_frozen(2.0, 0.3)
-    )
+    config = SolverConfig(lambda_star=0.05 if low_rank else 0.0)
     a = rng.uniform(0.0, 0.5, 6)
     a[2] = bad
     with pytest.raises(NumericError, match="non-finite"):
-        objective_value(a, rng.uniform(0.0, 1.0, 20), T, config)
+        objective_value(a, rng.uniform(0.0, 1.0, 20), T, config, 2.0, 0.3)
 
 
 def test_solve_single_ridge_step_is_regularized_least_squares():
@@ -449,20 +433,23 @@ def test_solve_low_rank_reduction_small_instance(spy):
     assert max(gaps) <= 1e-10
 
 
-def test_solve_frozen_trace_monotone(spy):
+def test_solve_frozen_trace_monotone(spy, frozen_weights):
     rng = np.random.default_rng(25)
     T = random_dictionary(rng, 5, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-    a0 = np.full(8, 1.0 / 8.0)
-    wf = WeightFunction.logistic_frozen(*logistic_params(y.values - T.columns @ a0, 0.6))
+    a0, Ta0 = flat_start(T)
+    mu, eta = logistic_params(y.values - Ta0, 0.6)
+    frozen_weights(mu, eta)
     config = SolverConfig(
-        regularizer="nonneg", lambda_star=0.0, weights=wf,
+        regularizer="nonneg", lambda_star=0.0,
         eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=8, s_max=5000,
     )
     steps = spy("coding_step")
     res = solve(y, T, config)
     assert len(steps) == res.outer_iterations
-    trace = np.array([objective_value(a, y, T, config) for a in [a0] + [s.a for s in steps]])
+    trace = np.array(
+        [objective_value(a, y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
+    )
     assert np.isfinite(trace).all()
     assert float(np.diff(trace).max()) <= 1e-9
 
@@ -630,6 +617,10 @@ def test_solver_config_validation():
         SolverConfig(t_max=0)
     with pytest.raises(ConfigError):
         SolverConfig(weights="logistic")
+    # the l2 kind's Gram shift is 2 * lambda_reg / rho1: zero would leave none
+    with pytest.raises(ConfigError, match="lambda_reg"):
+        SolverConfig(regularizer="l2", lambda_reg=0.0)
+    assert SolverConfig(regularizer="l1", lambda_reg=0.0).gram_ratio == pytest.approx(0.1)
     assert SolverConfig(regularizer="l2", lambda_reg=0.3).gram_ratio == pytest.approx(0.6)
     assert SolverConfig(regularizer="nonneg").gram_ratio == pytest.approx(0.1)
 

@@ -1,4 +1,5 @@
-"""Logistic residual weighting and the induced penalty integral."""
+"""Logistic residual weighting, and the induced penalty integral phi of the
+reference objective (tests/oracle.py)."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from faceid.weights import (
     WeightFunction,
     WeightVector,
     logistic_params,
-    phi_value,
     weight_update,
 )
+from oracle import phi_value, pinned_logistic_weights
 
 
 def test_logistic_params_order_statistic():
@@ -71,30 +72,21 @@ def test_logistic_params_bad_inputs():
 
 
 def test_weight_update_half_at_eta():
-    wf = WeightFunction.logistic_frozen(mu=2.0, eta=0.25)
-    w = weight_update(np.array([0.5, -0.5]), wf)
+    # every squared residual is 0.25, so eta = 0.25 and each weight is expit(0)
+    w = weight_update(np.array([0.5, -0.5]), WeightFunction.logistic())
     assert np.allclose(w.values, 0.5, atol=1e-15)
 
 
 def test_weight_update_ceiling_at_zero_residual():
-    # mu * eta = ZETA = 8 puts the zero-residual weight at expit(8)
-    wf = WeightFunction.logistic_frozen(mu=8.0, eta=1.0)
-    w = weight_update(np.array([0.0]), wf)
+    # eta = 1 (third largest of five squares), and mu * eta = ZETA = 8 puts
+    # the zero-residual weight at expit(8)
+    w = weight_update(np.array([0.0, 1.0, 1.0, -1.0, 1.0]), WeightFunction.logistic())
     assert w.values[0] == pytest.approx(0.9996646498695336, abs=1e-12)
 
 
 def test_weight_update_constant_kind():
     w = weight_update(np.array([3.0, -7.0, 0.1]), WeightFunction.constant_one())
     assert np.array_equal(w.values, np.ones(3))
-
-
-def test_weight_update_adaptive_matches_frozen_at_same_params():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=30)
-    mu, eta = logistic_params(x)
-    adaptive = weight_update(x, WeightFunction.logistic())
-    frozen = weight_update(x, WeightFunction.logistic_frozen(mu, eta))
-    assert np.array_equal(adaptive.values, frozen.values)
 
 
 def test_weight_update_rejects_non_finite():
@@ -111,8 +103,7 @@ def test_weights_monotone_in_magnitude():
         x = np.sort(np.abs(rng.normal(size=50)))
         w = weight_update(x, WeightFunction.logistic()).values
         assert (np.diff(w) <= 1e-15).all()
-        wf = WeightFunction.logistic_frozen(*logistic_params(rng.normal(size=50)))
-        w = weight_update(x, wf).values
+        w = pinned_logistic_weights(x, *logistic_params(rng.normal(size=50))).values
         assert (np.diff(w) <= 1e-15).all()
 
 
@@ -141,80 +132,67 @@ def test_weight_function_validation():
     with pytest.raises(ConfigError):
         WeightFunction.logistic(gamma=1.5)
     with pytest.raises(ConfigError):
-        WeightFunction.logistic_frozen(mu=-1.0, eta=1.0)
+        WeightFunction(kind="logistic", gamma=0.0)
     with pytest.raises(ConfigError):
-        WeightFunction(kind="logistic", adaptive=False)  # frozen needs (mu, eta)
-    with pytest.raises(ConfigError):
-        WeightFunction(kind="huber", adaptive=True)
+        WeightFunction(kind="huber")
 
 
 def test_phi_zero():
-    wf = WeightFunction.logistic_frozen(mu=1.0, eta=1.0)
-    assert phi_value(0.0, wf) == 0.0
+    assert phi_value(0.0, mu=1.0, eta=1.0) == 0.0
 
 
 def test_phi_constant_is_half_square():
-    wf = WeightFunction.constant_one()
     rng = np.random.default_rng(4)
     for x in rng.uniform(-3.0, 3.0, size=10):
-        assert phi_value(x, wf) == pytest.approx(0.5 * x * x, abs=1e-10)
+        assert phi_value(x) == pytest.approx(0.5 * x * x, abs=1e-10)
 
 
 def test_phi_logistic_matches_trapezoid_oracle():
-    wf = WeightFunction.logistic_frozen(mu=1.0, eta=1.0)
-    # frozen from a 2e6-point trapezoid evaluation of the same integrand
-    assert phi_value(1.0, wf) == pytest.approx(0.3100572534791233, abs=1e-8)
+    # the constant is from a 2e6-point trapezoid evaluation of the same integrand
+    assert phi_value(1.0, mu=1.0, eta=1.0) == pytest.approx(0.3100572534791233, abs=1e-8)
     s = np.linspace(0.0, 2.3, 400_001)
     ref = trapezoid(s * expit(1.0 * (1.0 - s * s)), s)
-    assert phi_value(2.3, wf) == pytest.approx(float(ref), abs=1e-8)
+    assert phi_value(2.3, mu=1.0, eta=1.0) == pytest.approx(float(ref), abs=1e-8)
 
 
 def test_phi_steep_weights_monotone_and_saturating():
     # knee at sqrt(eta) = 1e-3: phi climbs over a tiny interval, then stays flat
     mu, eta = 8e6, 1e-6
-    wf = WeightFunction.logistic_frozen(mu, eta)
     xs = np.concatenate([np.geomspace(1e-5, 1e-2, 301), np.linspace(1e-2, 1.0, 100)])
-    vals = np.array([phi_value(x, wf) for x in np.concatenate([[0.0], xs])])
+    vals = np.array([phi_value(x, mu, eta) for x in np.concatenate([[0.0], xs])])
     assert (np.diff(vals) >= 0.0).all()
     ceiling = np.logaddexp(0.0, mu * eta) / (2.0 * mu)
-    assert phi_value(1.0, wf) == pytest.approx(ceiling, rel=1e-9)
+    assert phi_value(1.0, mu, eta) == pytest.approx(ceiling, rel=1e-9)
 
 
 def test_phi_small_residual_limit():
     # phi(x) -> w(0) * x^2 / 2 as x -> 0, with relative error O(mu * x^2)
     mu, eta = 2.3, 0.7
-    wf = WeightFunction.logistic_frozen(mu, eta)
     for x in np.geomspace(1e-8, 1e-4, 9):
-        assert phi_value(x, wf) == pytest.approx(expit(mu * eta) * x * x / 2.0, rel=1e-7)
+        assert phi_value(x, mu, eta) == pytest.approx(expit(mu * eta) * x * x / 2.0, rel=1e-7)
 
 
 def test_phi_array_matches_scalar_calls():
     rng = np.random.default_rng(6)
     x = rng.normal(scale=2.0, size=(5, 7))
-    for wf in (WeightFunction.logistic_frozen(mu=8e6, eta=1e-6),
-               WeightFunction.logistic_frozen(mu=2.3, eta=0.7),
-               WeightFunction.constant_one()):
-        got = phi_value(x, wf)
+    for pinned in ((8e6, 1e-6), (2.3, 0.7), (None, None)):
+        got = phi_value(x, *pinned)
         assert got.shape == x.shape
-        assert np.array_equal(got, [[phi_value(v, wf) for v in row] for row in x])
+        assert np.array_equal(got, [[phi_value(v, *pinned) for v in row] for row in x])
 
 
 def test_phi_is_even():
-    wf = WeightFunction.logistic_frozen(mu=2.0, eta=0.5)
-    assert phi_value(-1.3, wf) == phi_value(1.3, wf)
-
-
-def test_phi_rejects_adaptive():
-    with pytest.raises(ConfigError):
-        phi_value(1.0, WeightFunction.logistic())
+    assert phi_value(-1.3, 2.0, 0.5) == phi_value(1.3, 2.0, 0.5)
 
 
 def test_phi_derivative_recovers_weights():
-    # phi'(x) / x must reproduce w(x) since phi integrates s * w(s)
-    wf = WeightFunction.logistic_frozen(mu=2.3, eta=0.7)
+    # phi'(x) / x must reproduce the package's weights w(x) at the (mu, eta)
+    # they were estimated with, since phi integrates s * w(s)
     rng = np.random.default_rng(5)
     h = 1e-5
-    for x in rng.uniform(0.2, 2.0, size=8):
-        deriv = (phi_value(x + h, wf) - phi_value(x - h, wf)) / (2.0 * h)
-        w = float(expit(2.3 * (0.7 - x * x)))
-        assert deriv / x == pytest.approx(w, abs=1e-6)
+    for gamma in (0.3, 0.6, 0.8):
+        x = rng.uniform(0.2, 2.0, size=8)
+        mu, eta = logistic_params(x, gamma)
+        w = weight_update(x, WeightFunction.logistic(gamma)).values
+        deriv = (phi_value(x + h, mu, eta) - phi_value(x - h, mu, eta)) / (2.0 * h)
+        assert np.abs(deriv / x - w).max() <= 1e-6
