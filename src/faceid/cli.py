@@ -146,6 +146,7 @@ def _cmd_solve(args) -> int:
     train = dataio.load_manifest(args.manifest).split("train")
     faces, geometry = dataio.load_faces(train, args.resize)
     T = build_dictionary(faces, [rec.label for rec in train], geometry)
+    del faces  # the solve then holds one copy of the gallery, T itself
     gamma = experiment.resolve_gamma(args.gamma, corrupted=False)
     config = solver.method_config(args.method, gamma=gamma, **_solver_kwargs(args))
     y = dataio.load_face(args.image, geometry).normalized()

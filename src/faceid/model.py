@@ -121,11 +121,12 @@ class Dictionary:
                 f"variation_start must equal the column count {cols.shape[1]}, "
                 f"got {self.variation_start}"
             )
-        norms = np.linalg.norm(cols, axis=0)
-        bad = np.abs(norms - 1.0) > NORM_TOL
+        # No d x n temporary; a non-finite norm fails the check too.
+        norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+        bad = ~(np.abs(norms - 1.0) <= NORM_TOL)
         if bad.any():
             raise DictionaryError(
-                f"{int(bad.sum())} column(s) are not unit norm (max deviation "
+                f"{int(bad.sum())} column(s) are not finite and unit norm (max deviation "
                 f"{float(np.abs(norms - 1.0).max()):.3e})"
             )
         # Class columns must be contiguous runs 0,1,...,c-1.
@@ -159,19 +160,6 @@ class Dictionary:
         return int(idx[0]), int(idx[-1]) + 1
 
 
-def _stack(images, geometry):
-    vecs = []
-    for img in images:
-        if geometry is None:
-            geometry = img.geometry
-        elif img.geometry != geometry:
-            raise GeometryError("all images must share one geometry")
-        vecs.append(img.values)
-    if not vecs:
-        raise DictionaryError("no training images given")
-    return np.column_stack(vecs), geometry
-
-
 def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> Dictionary:
     """Assemble a class dictionary from training images.
 
@@ -183,23 +171,37 @@ def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> D
 
     Returns:
         Dictionary with unit-normalized, class-contiguous columns.
+
+    Memory: the input faces plus one d x n array. The columns are allocated
+    once, already in class order, filled face by face and normalized in place.
     """
+    images = list(images)
     labels = list(labels)
-    cols, geometry = _stack(images, geometry)
-    if len(labels) != cols.shape[1]:
-        raise DictionaryError(f"{cols.shape[1]} images but {len(labels)} labels")
+    if not images:
+        raise DictionaryError("no training images given")
+    if geometry is None:
+        geometry = images[0].geometry
+    if any(img.geometry != geometry for img in images):
+        raise GeometryError("all images must share one geometry")
+    if len(labels) != len(images):
+        raise DictionaryError(f"{len(images)} images but {len(labels)} labels")
     names = sorted(set(labels))
     dense = {name: i for i, name in enumerate(names)}
     order = np.argsort([dense[lab] for lab in labels], kind="stable")
-    cols = cols[:, order]
-    norms = np.linalg.norm(cols, axis=0)
-    if (norms == 0.0).any():
-        raise DictionaryError(f"{int((norms == 0.0).sum())} all-zero column(s) cannot be normalized")
-    cols = cols / norms
-    dense_labels = np.array([dense[labels[i]] for i in order], dtype=int)
+    cols = np.empty((geometry.d, len(images)))
+    norms = np.empty(len(images))
+    for j, i in enumerate(order):
+        v = images[i].values
+        cols[:, j] = v
+        # Bit for bit the pairwise sum that np.linalg.norm(..., axis=0) takes per column.
+        norms[j] = np.sqrt(np.add.reduce(v * v))
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if bad.any():
+        raise DictionaryError(f"{int(bad.sum())} all-zero or not finite column(s) cannot be normalized")
+    cols /= norms
     return Dictionary(
         columns=cols,
-        labels=dense_labels,
+        labels=np.array([dense[labels[i]] for i in order], dtype=int),
         geometry=geometry,
         class_names=tuple(names),
         variation_start=cols.shape[1],

@@ -1,5 +1,7 @@
 """Geometry, face vectors, reshaping, and dictionary construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,14 @@ def test_build_dictionary_rejects_zero_column():
         build_dictionary([a, b], [0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_dictionary_rejects_non_finite_face(bad):
+    a = FaceVector(np.ones(4), ImageGeometry(2, 2))
+    b = FaceVector(np.array([1.0, bad, 1.0, 1.0]), ImageGeometry(2, 2))
+    with pytest.raises(DictionaryError, match="not finite"):
+        build_dictionary([a, b], [0, 1])
+
+
 def test_build_dictionary_rejects_label_mismatch():
     a = FaceVector(np.ones(4), ImageGeometry(2, 2))
     with pytest.raises(DictionaryError):
@@ -179,6 +189,20 @@ def test_build_dictionary_rejects_label_mismatch():
 def test_dictionary_rejects_non_unit_columns():
     cols = np.full((4, 2), 0.7)
     with pytest.raises(DictionaryError):
+        Dictionary(
+            columns=cols,
+            labels=np.array([0, 1]),
+            geometry=ImageGeometry(2, 2),
+            class_names=("a", "b"),
+            variation_start=2,
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dictionary_rejects_non_finite_columns(bad):
+    cols = np.eye(4)[:, :2].copy()
+    cols[1, 1] = bad
+    with pytest.raises(DictionaryError, match="not finite"):
         Dictionary(
             columns=cols,
             labels=np.array([0, 1]),
@@ -198,6 +222,38 @@ def test_dictionary_rejects_scattered_labels():
             class_names=("a", "b"),
             variation_start=3,
         )
+
+
+def _shuffled_paper_gallery():
+    """200 faces at 96x84 whose 38 labels are interleaved and shuffled, so
+    the class reorder moves almost every column."""
+    rng = np.random.default_rng(11)
+    faces = random_faces(rng, ImageGeometry(96, 84), 200)
+    labels = [f"s{c:02d}" for c in rng.permutation([i % 38 for i in range(200)])]
+    return faces, labels
+
+
+def test_build_dictionary_matches_stack_reorder_normalize_bit_for_bit():
+    faces, labels = _shuffled_paper_gallery()
+    T = build_dictionary(faces, labels)
+    cols = np.column_stack([f.values for f in faces])
+    cols = cols[:, np.argsort(labels, kind="stable")]
+    expect = cols / np.linalg.norm(cols, axis=0)
+    assert T.columns.flags.c_contiguous
+    assert np.array_equal(T.columns, expect)
+
+
+def test_build_dictionary_holds_one_dictionary_copy():
+    faces, labels = _shuffled_paper_gallery()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        T = build_dictionary(faces, labels)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * T.columns.nbytes, f"peak {peak / T.columns.nbytes:.2f}x the dictionary"
 
 
 def test_dictionary_unknown_class_id():
