@@ -133,9 +133,10 @@ def _cmd_bench(args) -> int:
     )
     report = experiment.run_experiment(config)
     failed = sum(1 for r in report.rows if r.error)
+    converged = sum(1 for r in report.rows if r.converged)
     print(
         f"{report.method}: accuracy {report.accuracy:.4f} over {len(report.rows)} solves "
-        f"({failed} failed), mean {report.mean_seconds:.3f}s"
+        f"({failed} failed, {converged}/{len(report.rows)} converged), mean {report.mean_seconds:.3f}s"
     )
     if args.out:
         print(f"report: {Path(args.out) / 'report.csv'}")
@@ -152,10 +153,11 @@ def _cmd_solve(args) -> int:
     y = dataio.load_face(args.image, geometry).normalized()
     result = solver.solve(y, T, config)
     outcome = classify.identify(y, T, result)
+    stop = "converged" if result.converged else f"stopped at t_max={config.t_max}"
     print(
         f"{args.image}: class {T.class_names[outcome.predicted]} "
         f"(margin {outcome.margin:.6g}, {result.outer_iterations} outer / "
-        f"{result.total_inner_iterations} inner iterations, {result.wall_seconds:.3f}s)"
+        f"{result.total_inner_iterations} inner iterations, {stop}, {result.wall_seconds:.3f}s)"
     )
     if args.weight_map is not None:
         dataio.export_weight_map(result.w, T.geometry, args.weight_map)

@@ -31,6 +31,15 @@ log = logging.getLogger(__name__)
 # the inner accuracy follows the outer progress instead of staying at eps1.
 INNER_TOL_RATIO = 0.03
 
+# Over-relaxation of the plain (lambda_star = 0) inner loop (Boyd et al. 2011,
+# section 3.4.3): the coefficient and dual updates read RELAX * e +
+# (1 - RELAX) * (y - T a_prev) and RELAX * z + (1 - RELAX) * a_prev in place of
+# e and z. Both are combinations of vectors the loop carries, so relaxation
+# costs no dictionary product. It needs both blocks to be exact proximal
+# steps; at lambda_star > 0 e_update shrinks and then thresholds singular
+# values, which is not the joint prox, so that path runs unrelaxed.
+RELAX = 1.5
+
 # Engine configurations behind the published method names. Entries are
 # (regularizer kind, low-rank flag, weight scheme). The presets without the
 # low-rank flag are the lambda_star = 0 case of the same engine: method_config
@@ -58,7 +67,9 @@ class SolverConfig:
     the inner primal residuals ||y - Ta - e|| and ||a - z||, eps3 the relative
     change of consecutive weight vectors that stops the outer loop. eps1 is
     the loosest fit tolerance: solve tightens it as the weights settle (see
-    INNER_TOL_RATIO).
+    INNER_TOL_RATIO). At lambda_star = 0 the inner loop is over-relaxed by
+    the module constant RELAX; at lambda_star > 0 it is not, because the
+    shrink-then-SVT e step is not an exact proximal step (see RELAX).
 
     The penalties are in units of the engine's data term sum(w * e^2), twice
     the x^2 / 2 that phi (the reference objective in tests/oracle.py) charges
@@ -225,6 +236,11 @@ def coding_step(
     T a in dual_update; the state carries the latter, Ta == T.columns @ a,
     into the next e_update and out to the caller.
 
+    At lambda_star = 0, a_update and dual_update read e and z over-relaxed
+    by RELAX; the state keeps the unrelaxed e and z, and the residuals are
+    measured on them. At lambda_star > 0 the loop is unrelaxed, because the
+    shrink-then-SVT e step is not the exact proximal step relaxation needs.
+
     Args:
         y: observation array of length d.
         w: pixel weight array of length d.
@@ -277,15 +293,28 @@ def coding_step(
         state.u2 = np.array(duals[1], dtype=float).ravel()
         if state.u1.size != d or state.u2.size != n:
             raise GeometryError(f"duals must have lengths d={d} and n={n}")
+    relax = config.lambda_star == 0.0
     for s in range(1, config.s_max + 1):
-        state.e = e_update(state, y, T, config)
-        if not drop_split:
-            state.z = z_update(state, config)
+        e = e_update(state, y, T, config)
+        z = None if drop_split else z_update(state, config)
+        if relax:
+            state.e = RELAX * e + (1.0 - RELAX) * (y - state.Ta)
+            if not drop_split:
+                state.z = RELAX * z + (1.0 - RELAX) * state.a
+        else:
+            state.e, state.z = e, z
         state.a = a_update(state, y, T, cache, config)
         u1, u2, state.Ta = dual_update(state, y, T, config.rho1, config.rho2)
-        # The dual increments are rho * (primal residuals); reuse them.
-        fit = float(np.linalg.norm(u1 - state.u1)) / config.rho1
-        split = 0.0 if drop_split else float(np.linalg.norm(u2 - state.u2)) / config.rho2
+        if relax:
+            # The dual increments follow the relaxed e and z; measure the
+            # residuals on the real ones.
+            state.e, state.z = e, z
+            fit = float(np.linalg.norm(y - state.Ta - e))
+            split = 0.0 if drop_split else float(np.linalg.norm(state.a - z))
+        else:
+            # The dual increments are rho * (primal residuals); reuse them.
+            fit = float(np.linalg.norm(u1 - state.u1)) / config.rho1
+            split = 0.0 if drop_split else float(np.linalg.norm(u2 - state.u2)) / config.rho2
         state.u1, state.u2 = u1, u2
         state.iterations, state.fit_residual, state.split_residual = s, fit, split
         if fit <= tol and (drop_split or split <= config.eps2):

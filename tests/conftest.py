@@ -10,19 +10,24 @@ from oracle import pinned_logistic_weights
 def spy(monkeypatch):
     """spy(name) wraps faceid.solver.<name> for the test and returns the list
     of that function's return values, one entry per call, in call order.
-    spy(name, with_args=True) records (args, kwargs, return value) instead.
+    spy(name, with_args=True) records (args, kwargs, return value) instead,
+    and spy(name, record=f) records f(args, kwargs, return value) as the call
+    returns: a way to copy an argument the solver mutates later.
 
     The solver looks its step functions up as module attributes, so this sees
     the calls it makes; it is how perfbench's tracer instruments them too.
     """
 
-    def install(name, with_args=False):
+    def install(name, with_args=False, record=None):
         returns = []
         real = getattr(faceid.solver, name)
 
         def recording(*args, **kwargs):
             out = real(*args, **kwargs)
-            returns.append((args, kwargs, out) if with_args else out)
+            if record is not None:
+                returns.append(record(args, kwargs, out))
+            else:
+                returns.append((args, kwargs, out) if with_args else out)
             return out
 
         monkeypatch.setattr(faceid.solver, name, recording)

@@ -14,6 +14,7 @@ from faceid.prox import shrink_weighted
 from faceid.solver import (
     INNER_TOL_RATIO,
     METHODS,
+    RELAX,
     AdmmState,
     SolverConfig,
     a_update,
@@ -575,6 +576,61 @@ def test_solve_forms_two_products_per_inner_iteration():
         res = solve(y, T, config, cache=caches[name])
         assert res.total_inner_iterations > res.outer_iterations > 1
         assert CountingMatmul.calls == 2 * res.total_inner_iterations + 1, name
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_coding_step_residuals_are_those_of_its_iterates(name, spy):
+    """Every step reports ||y - Ta - e|| and ||a - z|| of the a, e and z it
+    returns (0.0 split on the l2 path), relaxed path or not."""
+    y, T = _occluded_column_instance()
+    steps = spy("coding_step")
+    solve(y, T, method_config(name, gamma=0.6))
+    assert steps
+    for step in steps:
+        fit = np.linalg.norm(y.values - T.columns @ step.a - step.e)
+        assert step.fit_residual == pytest.approx(fit, rel=1e-12, abs=0.0)
+        if step.z is None:
+            assert step.split_residual == 0.0
+        else:
+            split = np.linalg.norm(step.a - step.z)
+            assert step.split_residual == pytest.approx(split, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["F-IRNNLS", "F-IRLS", "F-IRSC", "F-LR-IRNNLS", "F-LR-IRLS", "F-LR-IRSC"]
+)
+def test_a_update_reads_relaxed_iterates_only_at_zero_nuclear_weight(name, spy):
+    """At lambda_star = 0, a_update reads RELAX * e + (1 - RELAX) * (y - T a_prev)
+    and RELAX * z + (1 - RELAX) * a_prev; at lambda_star > 0 exactly the e and z
+    that e_update and z_update returned. The returned state holds the
+    unrelaxed e and z."""
+    y, T = _occluded_column_instance()
+    config = method_config(name, gamma=0.6)
+    copy = lambda v: None if v is None else v.copy()
+    es = spy("e_update", record=lambda args, kwargs, e: (e, args[0].Ta.copy()))
+    zs = spy("z_update", record=lambda args, kwargs, z: (z, args[0].a.copy()))
+    read = spy("a_update", record=lambda args, kwargs, a: (args[0].e.copy(), copy(args[0].z)))
+    steps = spy("coding_step")
+    solve(y, T, config)
+    assert len(es) == len(read) == sum(s.iterations for s in steps) > 0
+    if config.regularizer == "l2":
+        assert zs == [] and all(z is None for _, z in read)
+        zs = [(None, None)] * len(read)
+    relax = not METHODS[name][1]  # the presets without the low-rank flag
+    for (e, Ta_prev), (z, a_prev), (e_read, z_read) in zip(es, zs, read):
+        if relax:
+            assert np.array_equal(e_read, RELAX * e + (1.0 - RELAX) * (y.values - Ta_prev))
+            if z is not None:
+                assert np.array_equal(z_read, RELAX * z + (1.0 - RELAX) * a_prev)
+        else:
+            assert np.array_equal(e_read, e)
+            assert z is None or np.array_equal(z_read, z)
+    last = 0
+    for step in steps:
+        last += step.iterations
+        assert np.array_equal(step.e, es[last - 1][0])
+        if step.z is not None:
+            assert np.array_equal(step.z, zs[last - 1][0])
 
 
 def test_method_presets_map_to_engine_settings():
