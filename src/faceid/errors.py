@@ -18,7 +18,7 @@ class ConfigError(FaceidError, ValueError):
 
 
 class NumericError(FaceidError, ArithmeticError):
-    """A numeric kernel failed (factorization, SVD, non-finite input)."""
+    """A numeric kernel failed (factorization, eigendecomposition, non-finite input)."""
 
 
 class ParseError(FaceidError, ValueError):

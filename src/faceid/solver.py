@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotri
 
 from .errors import ConfigError, GeometryError, NumericError
 from .model import Dictionary
@@ -122,29 +123,52 @@ class SolverConfig:
 
 @dataclass
 class GramCache:
-    """Cholesky factorization of T'T + ratio * I, reused across iterations."""
+    """The inverse of T'T + ratio * I for one dictionary, reused across
+    iterations.
+
+    columns is the array the inverse was built from; coding_step accepts the
+    cache only with that same array (an O(1) identity check), so a cache built
+    for another dictionary of the same size is refused. The inverse is a full,
+    exactly symmetric array, so that apply is one matrix-vector product.
+    """
 
     ratio: float
-    n: int
-    _factor: tuple
+    columns: np.ndarray
+    _inverse: np.ndarray
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """Solve (T'T + ratio I) x = b from the cached factorization."""
-        return cho_solve(self._factor, b, check_finite=False)
+        """x = (T'T + ratio I)^-1 b, as one product with the stored inverse."""
+        return self._inverse @ b
 
 
 def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
-    """Factor T'T + ratio * I once so every coefficient update is a pair of
-    triangular solves instead of a fresh inversion."""
+    """Invert T'T + ratio * I once, so that every coefficient update is one
+    matrix-vector product instead of a pair of triangular solves.
+
+    The Gram is factored once by Cholesky (cho_factor); LAPACK potri turns
+    the factor into the inverse in the same buffer, and the triangle it fills
+    is copied into the other one column by column, so nothing n x n is
+    allocated beyond T'T itself.
+    """
     A = T.columns
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
-    gram = A.T @ A + ratio * np.eye(A.shape[1])
+    n = A.shape[1]
+    gram = A.T @ A
+    gram.flat[:: n + 1] += ratio
+    # numpy forms A.T @ A exactly symmetric, so its transpose is the same
+    # matrix in the Fortran order LAPACK works in: both steps overwrite it in
+    # place instead of copying it.
     try:
-        factor = cho_factor(gram, lower=True, check_finite=False)
+        factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"gram matrix ({A.shape[1]}x{A.shape[1]}) is not positive definite") from exc
-    return GramCache(ratio=float(ratio), n=A.shape[1], _factor=factor)
+        raise NumericError(f"gram matrix ({n}x{n}) is not positive definite") from exc
+    inverse, info = dpotri(factor, lower=lower, overwrite_c=True)
+    if info != 0:
+        raise NumericError(f"gram matrix ({n}x{n}) could not be inverted (potri info {info})")
+    for i in range(1, n):
+        inverse[:i, i] = inverse[i, :i]
+    return GramCache(ratio=float(ratio), columns=A, _inverse=inverse)
 
 
 @dataclass
@@ -196,8 +220,8 @@ def z_update(state: AdmmState, config: SolverConfig) -> np.ndarray:
 
 
 def a_update(state: AdmmState, y, T: Dictionary, cache: GramCache, config: SolverConfig) -> np.ndarray:
-    """Coefficient update through the cached Gram factorization, which must
-    match T and config.gram_ratio (coding_step checks)."""
+    """Coefficient update through the cached Gram inverse, which must match T
+    and config.gram_ratio (coding_step checks)."""
     rhs = T.columns.T @ (y - state.e + state.u1 / config.rho1)
     if config.regularizer != "l2":
         rhs = rhs + (config.rho2 / config.rho1) * state.z - state.u2 / config.rho1
@@ -244,7 +268,7 @@ def coding_step(
     Args:
         y: observation array of length d.
         w: pixel weight array of length d.
-        cache: Gram factorization matching config.gram_ratio.
+        cache: GramCache built from T.columns at config.gram_ratio.
         a0: starting coefficients of length n.
         Ta0: the product T.columns @ a0, of length d; the caller forms it
             (solve carries it from the previous step).
@@ -258,15 +282,15 @@ def coding_step(
         T.columns @ a for the returned a.
 
     Raises:
-        ConfigError: the cache does not match T and config.gram_ratio.
+        ConfigError: the cache was built for other columns than T's, or at
+            another ratio than config.gram_ratio.
     """
     d, n = T.columns.shape
+    if cache.columns is not T.columns:
+        raise ConfigError("gram cache was built for another dictionary's columns")
     expected = config.gram_ratio
-    if cache.n != n or abs(cache.ratio - expected) > 1e-12 * max(1.0, expected):
-        raise ConfigError(
-            f"gram cache (n={cache.n}, ratio={cache.ratio}) does not match the "
-            f"configuration (n={n}, ratio={expected})"
-        )
+    if abs(cache.ratio - expected) > 1e-12 * max(1.0, expected):
+        raise ConfigError(f"gram cache ratio {cache.ratio} does not match the configuration's {expected}")
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
     if y.size != d or w.size != d:
@@ -363,7 +387,7 @@ def solve(
     Args:
         y: observation (FaceVector or length-d array), typically unit l2.
         T: Dictionary of training faces.
-        cache: optional precomputed Gram factorization; built here when absent.
+        cache: optional GramCache from precompute_gram; built here when absent.
 
     Returns:
         SolveResult with final a, e, w and the iteration bookkeeping.

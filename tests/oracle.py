@@ -93,6 +93,12 @@ def oracle_weighted_nnls(y, T, w, tol: float = 1e-6, max_iter: int = 1_000_000) 
     return OracleReport(solution=a, iterations=done, gap=gap, converged=gap <= tol)
 
 
+def oracle_svt(M, tau: float) -> np.ndarray:
+    """Singular value thresholding by the SVD formula U max(S - tau, 0) V'."""
+    u, s, vt = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
 def oracle_prox_nuclear(M, tau: float, X, tol: float = 1e-8) -> bool:
     """Certify X = prox of tau * nuclear norm at M from the subdifferential.
 

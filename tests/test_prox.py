@@ -1,8 +1,9 @@
-"""Closed-form proximal operators and the SVD shrinkage."""
+"""Closed-form proximal operators and the singular value shrinkage."""
 
 import numpy as np
 import pytest
 
+import faceid.prox
 from faceid.errors import ConfigError, NumericError
 from faceid.prox import (
     project_nonneg,
@@ -10,7 +11,7 @@ from faceid.prox import (
     soft_threshold,
     svt,
 )
-from oracle import oracle_prox_nuclear, oracle_scalar_prox_grid
+from oracle import oracle_prox_nuclear, oracle_scalar_prox_grid, oracle_svt
 
 
 def test_svt_diagonal_matrix():
@@ -55,6 +56,72 @@ def test_svt_nonexpansive():
         tau = float(rng.uniform(0.0, 2.0))
         lhs = np.linalg.norm(svt(A, tau) - svt(B, tau))
         assert lhs <= np.linalg.norm(A - B) + 1e-12
+
+
+@pytest.fixture(scope="module")
+def svt_cases():
+    """3000 pairs (M, singular values of M) for random shapes 2..30 x 2..30
+    and scales 0.01-10: a third Gaussian, a third rank-deficient (a product
+    through a thinner inner dimension), a third with repeated singular
+    values."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for i in range(3000):
+        r, c = (int(x) for x in rng.integers(2, 31, size=2))
+        m = min(r, c)
+        if i % 3 == 0:
+            M = rng.normal(size=(r, c))
+        elif i % 3 == 1:
+            k = int(rng.integers(1, m))
+            M = rng.normal(size=(r, k)) @ rng.normal(size=(k, c))
+        else:
+            U = np.linalg.qr(rng.normal(size=(r, m)))[0]
+            V = np.linalg.qr(rng.normal(size=(c, m)))[0]
+            M = (U * rng.choice([2.0, 1.0, 0.5], size=m)) @ V.T
+        M *= 10.0 ** rng.uniform(-2.0, 1.0)
+        cases.append((M, np.linalg.svd(M, compute_uv=False)))
+    return cases
+
+
+def test_svt_property_zero_at_sigma1(svt_cases):
+    """tau = sigma_1 as the SVD reports it leaves nothing: the top eigenvalue
+    of the Gram may round above sigma_1^2, and the precision band absorbs it."""
+    nonzero = [M.shape for M, s in svt_cases if svt(M, float(s[0])).any()]
+    assert not nonzero, f"{len(nonzero)} of {len(svt_cases)} nonzero, e.g. {nonzero[:5]}"
+
+
+def test_svt_property_zero_threshold_reproduces_input(svt_cases):
+    worst = max(np.linalg.norm(svt(M, 0.0) - M) / np.linalg.norm(M) for M, _ in svt_cases)
+    assert worst <= 1e-10
+
+
+def test_svt_property_matches_svd_formula(svt_cases):
+    """At a threshold drawn inside the spectrum, at one of the singular values
+    themselves, and past the spectrum, svt agrees with U max(S - tau, 0) V'."""
+    rng = np.random.default_rng(15)
+    worst = 0.0
+    for M, s in svt_cases:
+        for tau in (float(s[0]) * rng.uniform(0.01, 1.0), float(rng.choice(s)), 1.5 * float(s[0])):
+            gap = np.abs(svt(M, tau) - oracle_svt(M, tau)).max() / np.linalg.norm(M)
+            worst = max(worst, gap)
+    assert worst <= 1e-12
+
+
+def test_svt_wide_matrix_matches_svd_formula():
+    rng = np.random.default_rng(16)
+    M = rng.normal(size=(5, 12))
+    for tau in (0.3, 1.0, 2.5):
+        assert np.abs(svt(M, tau) - oracle_svt(M, tau)).max() <= 1e-12 * np.linalg.norm(M)
+
+
+def test_svt_eigensolver_failure_is_numeric_error(monkeypatch):
+    def no_convergence(a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros((n, n)), 1
+
+    monkeypatch.setattr(faceid.prox, "dsyevd", no_convergence)
+    with pytest.raises(NumericError, match=r"\(4, 3\) matrix \(max \|M\|=2\.000e\+00, LAPACK info 1\)"):
+        svt(np.full((4, 3), 2.0), 0.5)
 
 
 def test_svt_rejects_negative_tau():

@@ -1,10 +1,12 @@
 """ADMM engine: individual updates, the coding step, and full solves."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from faceid.corruptions import occlude_block, textured_patch
@@ -85,6 +87,51 @@ def test_precompute_gram_counts_factorizations(spy):
     factorizations = spy("cho_factor")
     precompute_gram(_one_class_per_column(np.eye(4)), 0.5)
     assert len(factorizations) == 1
+
+
+@pytest.fixture(scope="module", params=[(24, 21, 60), (96, 84, 722)], ids=["n60", "n722"])
+def gram_dictionary(request):
+    """Positive random dictionaries at the benchmark (24x21, n=60) and paper
+    (96x84, n=722) shapes."""
+    rows, cols, n = request.param
+    return random_dictionary(np.random.default_rng(n), rows, cols, n, classes=10)
+
+
+@pytest.mark.parametrize("regularizer", ["nonneg", "l1", "l2"])
+def test_gram_apply_matches_cho_solve(gram_dictionary, regularizer):
+    """The stored inverse gives the Cholesky solution at the ratio of each
+    kind: rho2 / rho1 = 0.1 for nonneg and l1, 2 lambda_reg / rho1 = 2e-3 for
+    l2."""
+    T = gram_dictionary
+    A = T.columns
+    n = A.shape[1]
+    ratio = SolverConfig(regularizer=regularizer).gram_ratio
+    cache = precompute_gram(T, ratio)
+    factor = cho_factor(A.T @ A + ratio * np.eye(n), lower=True)
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        b = A.T @ rng.uniform(size=A.shape[0]) + rng.normal(size=n)
+        ref = cho_solve(factor, b)
+        assert np.linalg.norm(cache.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_gram_inverse_is_exactly_symmetric(gram_dictionary):
+    n = gram_dictionary.columns.shape[1]
+    inverse = precompute_gram(gram_dictionary, 0.1).apply(np.eye(n))
+    assert np.array_equal(inverse, inverse.T)
+
+
+def test_precompute_gram_allocates_one_n_by_n_array(gram_dictionary):
+    """Apart from T'T, which the factor and then the inverse overwrite,
+    precompute_gram allocates nothing n x n."""
+    n = gram_dictionary.columns.shape[1]
+    tracemalloc.start()
+    try:
+        precompute_gram(gram_dictionary, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_e_update_low_rank_off_equals_zero_threshold(spy):
@@ -215,6 +262,21 @@ def test_coding_step_rejects_mismatched_cache():
             coding_step(y, T, np.ones(20), foreign, config, *flat_start(T))
         with pytest.raises(ConfigError, match="gram cache"):
             solve(y, T, config, cache=foreign)
+
+
+def test_coding_step_rejects_cache_of_same_sized_dictionary():
+    """Two galleries of the same size and ratio: each cache serves only the
+    columns it was built from."""
+    rng = np.random.default_rng(30)
+    T1, T2 = (random_dictionary(rng, 24, 21, 60, classes=10) for _ in range(2))
+    config = method_config("F-LR-IRNNLS")
+    y = FaceVector(rng.uniform(0.0, 1.0, T1.d), T1.geometry).normalized()
+    cache1 = precompute_gram(T1, config.gram_ratio)
+    coding_step(y.values, T1, np.ones(T1.d), cache1, config, *flat_start(T1))
+    with pytest.raises(ConfigError, match="gram cache was built for another dictionary"):
+        coding_step(y.values, T2, np.ones(T2.d), cache1, config, *flat_start(T2))
+    with pytest.raises(ConfigError, match="gram cache was built for another dictionary"):
+        solve(y, T2, config, cache=cache1)
 
 
 def test_dual_update_fixed_at_feasibility():
@@ -569,8 +631,9 @@ def test_solve_forms_two_products_per_inner_iteration():
     y, _ = occlude_block(clean, textured_patch(), 0.3, seed=1)
     y = y.normalized()
     configs = {name: method_config(name, gamma=0.6) for name in ("F-IRNNLS", "F-LR-IRNNLS", "F-IRLS", "F-IRSC")}
-    caches = {name: precompute_gram(T, config.gram_ratio) for name, config in configs.items()}
     object.__setattr__(T, "columns", T.columns.view(CountingMatmul))
+    # After the swap: a cache serves only the columns object it was built from.
+    caches = {name: precompute_gram(T, config.gram_ratio) for name, config in configs.items()}
     for name, config in configs.items():
         CountingMatmul.calls = 0
         res = solve(y, T, config, cache=caches[name])
