@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GeometryError, ParseError
-from .model import FaceVector, ImageGeometry, vectorize
+from .model import FaceVector, ImageGeometry
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +25,11 @@ def load_pgm(path) -> np.ndarray:
     Returns the image as a rows x cols array (height first). Only the binary
     variant is accepted; parse failures name the offending byte offset.
     """
+    return _pgm_codes(path).astype(float) / 255.0
+
+
+def _pgm_codes(path) -> np.ndarray:
+    """The rows x cols uint8 pixel codes of a binary PGM (see load_pgm)."""
     path = Path(path)
     data = path.read_bytes()
     if data[:2] != b"P5":
@@ -54,8 +59,7 @@ def load_pgm(path) -> np.ndarray:
     raster = data[start : start + need]
     if len(raster) < need:
         raise ParseError(f"{path}: truncated payload ({len(raster)} of {need} bytes) at byte {len(data)}")
-    grid = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return grid.astype(float) / 255.0
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
 def save_pgm(image, path) -> int:
@@ -84,7 +88,11 @@ def resize_nearest(image, rows: int, cols: int) -> np.ndarray:
     floor(j * src_cols / cols)); pure integer index math, so resizing to the
     same shape is the identity.
     """
-    arr = np.asarray(image, dtype=float)
+    return _resample(np.asarray(image, dtype=float), rows, cols)
+
+
+def _resample(arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """resize_nearest on a grid of any dtype; it only indexes pixels."""
     if arr.ndim != 2:
         raise GeometryError(f"expected a 2-d image grid, got shape {arr.shape}")
     if rows < 1 or cols < 1:
@@ -95,11 +103,16 @@ def resize_nearest(image, rows: int, cols: int) -> np.ndarray:
 
 
 def load_face(path, geometry: ImageGeometry | None = None) -> FaceVector:
-    """Load a PGM and vectorize it, resizing to the target geometry if given."""
-    grid = load_pgm(path)
+    """Load a PGM as a face, resizing to the target geometry if given.
+
+    The face keeps the file's 8-bit codes, one byte per pixel (see
+    `FaceVector.from_codes`); its values equal those of
+    `vectorize(load_pgm(path))`, resized the same way, bit for bit.
+    """
+    grid = _pgm_codes(path)
     if geometry is not None and grid.shape != geometry.shape:
-        grid = resize_nearest(grid, geometry.rows, geometry.cols)
-    return vectorize(grid)
+        grid = _resample(grid, geometry.rows, geometry.cols)
+    return FaceVector.from_codes(grid.reshape(-1, order="F"), ImageGeometry(*grid.shape))
 
 
 def load_faces(records, geometry: ImageGeometry | None = None):

@@ -32,25 +32,55 @@ class ImageGeometry:
         return (self.rows, self.cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FaceVector:
-    """A column-stacked image together with its grid geometry."""
+    """A column-stacked image together with its grid geometry.
 
-    values: np.ndarray
+    A face built from floats keeps a read-only float64 copy of them. A face
+    built from 8-bit pixel codes (:meth:`from_codes`, which `dataio.load_face`
+    uses) keeps the codes, d bytes instead of 8d; its `values` are the codes
+    divided by 255, computed on every read and not cached, since a cached copy
+    would cost the 8 bytes per pixel again.
+    """
+
+    _pixels: np.ndarray
     geometry: ImageGeometry
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise GeometryError(f"face vector must be 1-d, got shape {v.shape}")
-        if v.size != self.geometry.d:
+    def __init__(self, values, geometry: ImageGeometry):
+        self._set(np.array(values, dtype=float), geometry)
+
+    @classmethod
+    def from_codes(cls, codes, geometry: ImageGeometry) -> "FaceVector":
+        """Face from column-stacked uint8 codes, where code k means k / 255."""
+        codes = np.asarray(codes)
+        if codes.dtype != np.uint8:
+            raise GeometryError(f"pixel codes must be uint8, got {codes.dtype}")
+        face = cls.__new__(cls)
+        face._set(codes.copy(), geometry)
+        return face
+
+    def _set(self, pixels: np.ndarray, geometry: ImageGeometry):
+        if pixels.ndim != 1:
+            raise GeometryError(f"face vector must be 1-d, got shape {pixels.shape}")
+        if pixels.size != geometry.d:
             raise GeometryError(
-                f"face vector length {v.size} does not match geometry "
-                f"{self.geometry.rows}x{self.geometry.cols} (d={self.geometry.d})"
+                f"face vector length {pixels.size} does not match geometry "
+                f"{geometry.rows}x{geometry.cols} (d={geometry.d})"
             )
-        v = v.copy()
+        pixels.flags.writeable = False
+        object.__setattr__(self, "_pixels", pixels)
+        object.__setattr__(self, "geometry", geometry)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The face as a read-only float64 vector."""
+        if self._pixels.dtype != np.uint8:
+            return self._pixels
+        # Bit for bit load_pgm's grid.astype(float) / 255.0, column-stacked.
+        v = self._pixels.astype(float)
+        v /= 255.0
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        return v
 
     @property
     def norm(self) -> float:
@@ -58,10 +88,11 @@ class FaceVector:
 
     def normalized(self) -> "FaceVector":
         """Unit l2 copy; zero vectors cannot be normalized."""
-        nrm = self.norm
+        v = self.values
+        nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             raise GeometryError("cannot normalize an all-zero face vector")
-        return FaceVector(self.values / nrm, self.geometry)
+        return FaceVector(v / nrm, self.geometry)
 
 
 def matricize(v, geometry: ImageGeometry | None = None) -> np.ndarray:
@@ -173,7 +204,9 @@ def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> D
         Dictionary with unit-normalized, class-contiguous columns.
 
     Memory: the input faces plus one d x n array. The columns are allocated
-    once, already in class order, filled face by face and normalized in place.
+    once, already in class order, filled face by face and normalized in place;
+    each face's float values are read once, so faces that hold 8-bit codes
+    (`dataio.load_face`) never exist as floats all at once.
     """
     images = list(images)
     labels = list(labels)

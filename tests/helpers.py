@@ -5,6 +5,17 @@ import numpy as np
 from faceid.model import FaceVector, ImageGeometry, build_dictionary
 
 
+class CountingMatmul(np.ndarray):
+    """ndarray view that counts its `@` products (transposed views count too):
+    put `T.columns.view(CountingMatmul)` in place with object.__setattr__."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        CountingMatmul.calls += 1
+        return np.asarray(self) @ other
+
+
 def random_faces(rng, geometry, count, lo=0.05, hi=1.0):
     return [FaceVector(rng.uniform(lo, hi, geometry.d), geometry) for _ in range(count)]
 

@@ -1,5 +1,7 @@
 """PGM round trips, resizing, weight-map export, and manifest parsing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from faceid.dataio import (
     save_pgm,
 )
 from faceid.errors import GeometryError, ParseError
-from faceid.model import ImageGeometry, vectorize
+from faceid.model import ImageGeometry, build_dictionary, vectorize
 from faceid.weights import WeightVector
 
 
@@ -259,3 +261,85 @@ def test_manifest_requires_train_and_covered_test_labels(tmp_path):
     mf.write_text("train,x,a1.pgm\ntest,zed,t1.pgm\n")
     with pytest.raises(ParseError, match="zed"):
         load_manifest(mf)
+
+
+def _random_pgm(path, rng, rows, cols):
+    """A P5 file of random 8-bit codes that include both 0 and 255."""
+    codes = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
+    codes.flat[rng.integers(codes.size)] = 0
+    codes.flat[rng.integers(codes.size)] = 255
+    path.write_bytes(b"P5\n%d %d\n255\n" % (cols, rows) + codes.tobytes())
+    return path
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (5, 3), (13, 11), (96, 84)])
+@pytest.mark.parametrize("target", [None, (1, 1), (3, 5), (10, 6), (96, 84)])
+def test_load_face_values_equal_float_pgm_bit_for_bit(tmp_path, shape, target):
+    rng = np.random.default_rng([*shape, *(target or (0, 0))])
+    for k in range(5):
+        path = _random_pgm(tmp_path / f"f{k}.pgm", rng, *shape)
+        geometry = None if target is None else ImageGeometry(*target)
+        grid = load_pgm(path)
+        if geometry is not None and grid.shape != geometry.shape:
+            grid = resize_nearest(grid, geometry.rows, geometry.cols)
+        expect = vectorize(grid)
+        face = load_face(path, geometry)
+        assert face.geometry == expect.geometry
+        assert face.values.dtype == np.float64 and not face.values.flags.writeable
+        assert face.values.tobytes() == expect.values.tobytes()
+        assert face.norm == expect.norm
+        if expect.norm == 0.0:  # a 1x1 resize can land on a 0 code
+            with pytest.raises(GeometryError):
+                face.normalized()
+        else:
+            assert face.normalized().values.tobytes() == expect.normalized().values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def paper_pgms(tmp_path_factory):
+    """684 random 8-bit faces at 96x84 with 38 shuffled labels."""
+    rng = np.random.default_rng(15)
+    out = tmp_path_factory.mktemp("paper")
+    paths = [_random_pgm(out / f"{i:03d}.pgm", rng, 96, 84) for i in range(684)]
+    labels = [f"s{c:02d}" for c in rng.permutation([i % 38 for i in range(684)])]
+    return paths, labels
+
+
+def test_build_dictionary_same_columns_from_loaded_and_float_faces(paper_pgms):
+    paths, labels = paper_pgms
+    loaded = build_dictionary([load_face(p) for p in paths], labels).columns
+    floats = build_dictionary([vectorize(load_pgm(p)) for p in paths], labels).columns
+    assert loaded.tobytes() == floats.tobytes()
+
+
+def _traced(fn):
+    """(result, bytes held after fn, peak bytes during fn), both above the start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - start, peak - start
+
+
+def test_loaded_faces_hold_one_byte_per_pixel(paper_pgms):
+    paths, _ = paper_pgms
+
+    def load():
+        faces = [load_face(p) for p in paths]
+        for face in faces:
+            face.normalized()  # a read must leave no float copy behind
+        return faces
+
+    faces, held, _ = _traced(load)
+    codes = len(faces) * faces[0].geometry.d
+    assert held <= 1.1 * codes, f"{held / codes:.2f} bytes per pixel held"
+
+
+def test_load_then_build_holds_one_dictionary(paper_pgms):
+    paths, labels = paper_pgms
+    T, _, peak = _traced(lambda: build_dictionary([load_face(p) for p in paths], labels))
+    assert peak <= 1.2 * T.columns.nbytes, f"peak {peak / T.columns.nbytes:.2f}x the dictionary"

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import faceid.corruptions
+import faceid.dataio
 import faceid.solver
-from faceid.dataio import load_pgm, save_pgm
+from faceid.dataio import load_pgm, resize_nearest, save_pgm
 from faceid.errors import ConfigError, NumericError
 from faceid.experiment import (
     ExperimentConfig,
@@ -17,7 +18,7 @@ from faceid.experiment import (
     make_synthetic_benchmark,
     run_experiment,
 )
-from faceid.model import ImageGeometry, matricize
+from faceid.model import ImageGeometry, matricize, vectorize
 
 
 SMALL = dict(classes=3, per_class=3, rows=12, cols=10, extra_tests=0)
@@ -237,6 +238,30 @@ def test_run_experiment_from_manifest(tmp_path):
     assert len(report.rows) == 2 * 3  # same images re-corrupted per seed
     assert {r.true_label for r in report.rows} == {"p0", "p1", "p2"}
     assert all(r.predicted_label.startswith("p") for r in report.rows)
+
+
+@pytest.mark.parametrize("geometry", [None, ImageGeometry(9, 8)])
+def test_run_experiment_same_rows_from_codes_and_float_faces(tmp_path, monkeypatch, geometry):
+    """Faces loaded as 8-bit codes solve exactly as float faces of the same file."""
+    mf = _manifest_from_synthetic(tmp_path)
+    config = ExperimentConfig(method="F-IRNNLS", manifest=mf, seeds=(0, 1), occlusion=0.3, geometry=geometry)
+
+    def rows():
+        return [
+            (r.image_id, r.predicted_label, r.margin, r.outer_iterations, r.inner_iterations, r.converged)
+            for r in run_experiment(config).rows
+        ]
+
+    from_codes = rows()
+
+    def float_face(path, geometry=None):
+        grid = load_pgm(path)
+        if geometry is not None and grid.shape != geometry.shape:
+            grid = resize_nearest(grid, geometry.rows, geometry.cols)
+        return vectorize(grid)
+
+    monkeypatch.setattr(faceid.dataio, "load_face", float_face)
+    assert rows() == from_codes
 
 
 def test_run_experiment_manifest_without_tests_is_empty_report(tmp_path):

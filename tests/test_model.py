@@ -107,6 +107,28 @@ def test_face_vector_values_read_only():
         v.values[0] = 1.0
 
 
+def test_face_from_codes_reads_codes_over_255_and_keeps_integers_elsewhere():
+    codes = np.array([0, 1, 128, 255], dtype=np.uint8)
+    face = FaceVector.from_codes(codes, ImageGeometry(2, 2))
+    assert face.values.tobytes() == (codes.astype(float) / 255.0).tobytes()
+    with pytest.raises(ValueError):
+        face.values[0] = 1.0
+    codes[0] = 9  # the face keeps its own copy
+    assert face.values[0] == 0.0
+    # A uint8 grid or vector given as values still means its integers.
+    assert np.array_equal(vectorize(codes.reshape(2, 2)).values, [9.0, 128.0, 1.0, 255.0])
+    assert np.array_equal(FaceVector(codes, ImageGeometry(2, 2)).values, [9.0, 1.0, 128.0, 255.0])
+
+
+def test_face_from_codes_checks_dtype_and_length():
+    with pytest.raises(GeometryError, match="uint8"):
+        FaceVector.from_codes(np.zeros(4), ImageGeometry(2, 2))
+    with pytest.raises(GeometryError):
+        FaceVector.from_codes(np.zeros(5, dtype=np.uint8), ImageGeometry(2, 2))
+    with pytest.raises(GeometryError):
+        FaceVector.from_codes(np.zeros((2, 2), dtype=np.uint8), ImageGeometry(2, 2))
+
+
 def test_build_dictionary_two_classes():
     rng = np.random.default_rng(0)
     geometry = ImageGeometry(2, 2)

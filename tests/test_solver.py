@@ -29,7 +29,7 @@ from faceid.solver import (
     z_update,
 )
 from faceid.weights import WeightFunction, logistic_params
-from helpers import flat_start, orthonormal_dictionary, random_dictionary
+from helpers import CountingMatmul, flat_start, orthonormal_dictionary, random_dictionary
 from oracle import objective_value
 
 
@@ -616,14 +616,6 @@ def test_solve_forms_two_products_per_inner_iteration():
     """Each inner iteration forms T' v (a_update) and T a (dual_update); the
     carried T a serves the next e_update and the outer weight residual, so a
     solve forms 2 * inner + 1 products, the one extra for the flat start."""
-
-    class CountingMatmul(np.ndarray):
-        calls = 0
-
-        def __matmul__(self, other):
-            CountingMatmul.calls += 1
-            return np.asarray(self) @ other
-
     rng = np.random.default_rng(0)
     T = random_dictionary(rng, 10, 10, 30, classes=6)
     noise = np.random.default_rng(1).uniform(size=100)
