@@ -153,7 +153,12 @@ def _cmd_solve(args) -> int:
     y = dataio.load_face(args.image, geometry).normalized()
     result = solver.solve(y, T, config)
     outcome = classify.identify(y, T, result)
-    stop = "converged" if result.converged else f"stopped at t_max={config.t_max}"
+    if result.converged:
+        stop = "converged"
+    elif config.weights.kind == "constant":  # one coding step, capped
+        stop = f"stopped at s_max={config.s_max}"
+    else:
+        stop = f"stopped at t_max={config.t_max}"
     print(
         f"{args.image}: class {T.class_names[outcome.predicted]} "
         f"(margin {outcome.margin:.6g}, {result.outer_iterations} outer / "

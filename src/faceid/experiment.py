@@ -377,13 +377,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     tasks = [(unit, idx) for unit in units for idx in range(len(unit.tests))]
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(
-                pool.map(lambda ui: _solve_one(ui[0], ui[1], config, solver_config, patch), tasks)
-            )
-    else:
-        rows = [_solve_one(unit, idx, config, solver_config, patch) for unit, idx in tasks]
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        rows = list(pool.map(lambda ui: _solve_one(ui[0], ui[1], config, solver_config, patch), tasks))
     rows.sort(key=lambda r: r.seed)  # stable: tasks are already in test-index order
     failed = sum(1 for r in rows if r.error)
     if rows and failed == len(rows):

@@ -32,13 +32,13 @@ log = logging.getLogger(__name__)
 # the inner accuracy follows the outer progress instead of staying at eps1.
 INNER_TOL_RATIO = 0.03
 
-# Over-relaxation of the plain (lambda_star = 0) inner loop (Boyd et al. 2011,
-# section 3.4.3): the coefficient and dual updates read RELAX * e +
-# (1 - RELAX) * (y - T a_prev) and RELAX * z + (1 - RELAX) * a_prev in place of
+# Over-relaxation factor of the plain (lambda_star = 0) inner loop (Boyd et
+# al. 2011, section 3.4.3): the coefficient and dual updates read alpha * e +
+# (1 - alpha) * (y - T a_prev) and alpha * z + (1 - alpha) * a_prev in place of
 # e and z. Both are combinations of vectors the loop carries, so relaxation
 # costs no dictionary product. It needs both blocks to be exact proximal
-# steps; at lambda_star > 0 e_update shrinks and then thresholds singular
-# values, which is not the joint prox, so that path runs unrelaxed.
+# steps; on the low-rank path e_update shrinks and then thresholds singular
+# values, which is not the joint prox, so that path runs at alpha = 1.
 RELAX = 1.5
 
 # Engine configurations behind the published method names. Entries are
@@ -68,9 +68,8 @@ class SolverConfig:
     the inner primal residuals ||y - Ta - e|| and ||a - z||, eps3 the relative
     change of consecutive weight vectors that stops the outer loop. eps1 is
     the loosest fit tolerance: solve tightens it as the weights settle (see
-    INNER_TOL_RATIO). At lambda_star = 0 the inner loop is over-relaxed by
-    the module constant RELAX; at lambda_star > 0 it is not, because the
-    shrink-then-SVT e step is not an exact proximal step (see RELAX).
+    INNER_TOL_RATIO). low_rank also sets the inner relaxation factor (see
+    RELAX).
 
     The penalties are in units of the engine's data term sum(w * e^2), twice
     the x^2 / 2 that phi (the reference objective in tests/oracle.py) charges
@@ -200,10 +199,10 @@ class AdmmState:
 
 def e_update(state: AdmmState, y, T: Dictionary, config: SolverConfig) -> np.ndarray:
     """Residual-variable update: weighted shrink, then SVT on the grid when
-    lambda_star > 0. Reads the carried product state.Ta; forms none."""
+    config.low_rank. Reads the carried product state.Ta; forms none."""
     r = y - state.Ta + state.u1 / config.rho1
     e = shrink_weighted(r, state.w, config.rho1)
-    if config.lambda_star > 0.0:
+    if config.low_rank:
         E = svt(e.reshape(T.geometry.shape, order="F"), config.lambda_star / config.rho1)
         e = E.reshape(-1, order="F")
     return e
@@ -260,10 +259,9 @@ def coding_step(
     T a in dual_update; the state carries the latter, Ta == T.columns @ a,
     into the next e_update and out to the caller.
 
-    At lambda_star = 0, a_update and dual_update read e and z over-relaxed
-    by RELAX; the state keeps the unrelaxed e and z, and the residuals are
-    measured on them. At lambda_star > 0 the loop is unrelaxed, because the
-    shrink-then-SVT e step is not the exact proximal step relaxation needs.
+    a_update and dual_update read e and z relaxed by the factor alpha (RELAX
+    on the plain path, 1 on the low-rank path); the state keeps the real e
+    and z, and the residuals are measured on the iterates it returns.
 
     Args:
         y: observation array of length d.
@@ -317,29 +315,20 @@ def coding_step(
         state.u2 = np.array(duals[1], dtype=float).ravel()
         if state.u1.size != d or state.u2.size != n:
             raise GeometryError(f"duals must have lengths d={d} and n={n}")
-    relax = config.lambda_star == 0.0
+    alpha = 1.0 if config.low_rank else RELAX
     for s in range(1, config.s_max + 1):
         e = e_update(state, y, T, config)
         z = None if drop_split else z_update(state, config)
-        if relax:
-            state.e = RELAX * e + (1.0 - RELAX) * (y - state.Ta)
+        state.e, state.z = e, z
+        if alpha != 1.0:  # at 1 the relaxed combination is e and z themselves
+            state.e = alpha * e + (1.0 - alpha) * (y - state.Ta)
             if not drop_split:
-                state.z = RELAX * z + (1.0 - RELAX) * state.a
-        else:
-            state.e, state.z = e, z
+                state.z = alpha * z + (1.0 - alpha) * state.a
         state.a = a_update(state, y, T, cache, config)
-        u1, u2, state.Ta = dual_update(state, y, T, config.rho1, config.rho2)
-        if relax:
-            # The dual increments follow the relaxed e and z; measure the
-            # residuals on the real ones.
-            state.e, state.z = e, z
-            fit = float(np.linalg.norm(y - state.Ta - e))
-            split = 0.0 if drop_split else float(np.linalg.norm(state.a - z))
-        else:
-            # The dual increments are rho * (primal residuals); reuse them.
-            fit = float(np.linalg.norm(u1 - state.u1)) / config.rho1
-            split = 0.0 if drop_split else float(np.linalg.norm(u2 - state.u2)) / config.rho2
-        state.u1, state.u2 = u1, u2
+        state.u1, state.u2, state.Ta = dual_update(state, y, T, config.rho1, config.rho2)
+        state.e, state.z = e, z
+        fit = float(np.linalg.norm(y - state.Ta - e))
+        split = 0.0 if drop_split else float(np.linalg.norm(state.a - z))
         state.iterations, state.fit_residual, state.split_residual = s, fit, split
         if fit <= tol and (drop_split or split <= config.eps2):
             state.converged = True
@@ -376,7 +365,8 @@ def solve(
     Alternates weight updates (from the residual of the current coefficients)
     with inner ADMM coding steps until the relative change of the weight
     vector drops below eps3 or t_max outer iterations have run; constant
-    weights never change, so their solve stops after one coding step.
+    weights never change, so their solve stops after one coding step and has
+    converged when that step has (it stops at s_max otherwise).
     Coefficients and the scaled duals (u1, u2) warm-start each coding step.
     The first two steps run to eps1, every later one to
     min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
@@ -416,7 +406,7 @@ def solve(
         inner_iterations.append(step.iterations)
         inner_converged.append(step.converged)
         if config.weights.kind == "constant":
-            converged = True
+            converged = step.converged
             break
         if prev_w is not None:
             change = float(np.linalg.norm(w - prev_w) / np.linalg.norm(prev_w))

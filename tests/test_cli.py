@@ -106,12 +106,31 @@ def test_solve_reports_a_solve_stopped_at_t_max(tmp_path, capsys):
     assert "stopped at t_max=1" in out and "converged" not in out
 
 
+def test_solve_names_s_max_for_a_capped_constant_weight_solve(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--synthetic", "3,3,12x10", "--seed", "0", "--out", str(data)])
+    capsys.readouterr()
+    code = main(
+        [
+            "solve", "--manifest", str(data / "manifest.txt"),
+            "--image", str(data / "test" / "c00_00.pgm"), "--method", "SRC", "--s-max", "1",
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "1 outer / 1 inner" in out
+    assert "stopped at s_max=1" in out and "t_max" not in out and "converged" not in out
+
+
 def test_bench_summary_counts_converged_solves(capsys):
     base = ["bench", "--synthetic", "3,3,12x10", "--occlusion", "0.3", "--seed", "0"]
     assert main(base + ["--method", "CR-RLS"]) == 0
     assert "(0 failed, 12/12 converged)" in capsys.readouterr().out
     # One logistic outer step cannot meet eps3: it needs two weight vectors.
     assert main(base + ["--method", "F-IRNNLS", "--t-max", "1"]) == 0
+    assert "(0 failed, 0/12 converged)" in capsys.readouterr().out
+    # A constant-weight solve whose one coding step stops at s_max.
+    assert main(base + ["--method", "SRC", "--s-max", "1"]) == 0
     assert "(0 failed, 0/12 converged)" in capsys.readouterr().out
 
 

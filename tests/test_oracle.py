@@ -1,14 +1,18 @@
-"""The reference solvers must stand on their own before they judge the engine."""
+"""The reference solvers and objective must stand on their own before they judge the engine."""
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
+from scipy.special import expit
 
 from faceid.errors import ConfigError, NumericError
 from faceid.prox import project_nonneg, soft_threshold, svt
+from faceid.solver import SolverConfig
 from faceid.weights import WeightFunction, logistic_params, weight_update
 from helpers import orthonormal_dictionary, random_dictionary
 from oracle import (
     nnls_kkt_residual,
+    objective_value,
     oracle_prox_nuclear,
     oracle_scalar_prox_grid,
     oracle_weighted_nnls,
@@ -137,3 +141,133 @@ def test_pinned_params_are_validated():
         pinned_logistic_weights(np.ones(3), None, None)
     with pytest.raises(NumericError):
         pinned_logistic_weights(np.array([1.0, np.nan]), 2.0, 0.5)
+
+
+def test_phi_zero():
+    assert phi_value(0.0, mu=1.0, eta=1.0) == 0.0
+
+
+def test_phi_constant_is_half_square():
+    rng = np.random.default_rng(4)
+    for x in rng.uniform(-3.0, 3.0, size=10):
+        assert phi_value(x) == pytest.approx(0.5 * x * x, abs=1e-10)
+
+
+def test_phi_logistic_matches_trapezoid_oracle():
+    # the constant is from a 2e6-point trapezoid evaluation of the same integrand
+    assert phi_value(1.0, mu=1.0, eta=1.0) == pytest.approx(0.3100572534791233, abs=1e-8)
+    s = np.linspace(0.0, 2.3, 400_001)
+    ref = trapezoid(s * expit(1.0 * (1.0 - s * s)), s)
+    assert phi_value(2.3, mu=1.0, eta=1.0) == pytest.approx(float(ref), abs=1e-8)
+
+
+def test_phi_steep_weights_monotone_and_saturating():
+    # knee at sqrt(eta) = 1e-3: phi climbs over a tiny interval, then stays flat
+    mu, eta = 8e6, 1e-6
+    xs = np.concatenate([np.geomspace(1e-5, 1e-2, 301), np.linspace(1e-2, 1.0, 100)])
+    vals = np.array([phi_value(x, mu, eta) for x in np.concatenate([[0.0], xs])])
+    assert (np.diff(vals) >= 0.0).all()
+    ceiling = np.logaddexp(0.0, mu * eta) / (2.0 * mu)
+    assert phi_value(1.0, mu, eta) == pytest.approx(ceiling, rel=1e-9)
+
+
+def test_phi_small_residual_limit():
+    # phi(x) -> w(0) * x^2 / 2 as x -> 0, with relative error O(mu * x^2)
+    mu, eta = 2.3, 0.7
+    for x in np.geomspace(1e-8, 1e-4, 9):
+        assert phi_value(x, mu, eta) == pytest.approx(expit(mu * eta) * x * x / 2.0, rel=1e-7)
+
+
+def test_phi_array_matches_scalar_calls():
+    rng = np.random.default_rng(6)
+    x = rng.normal(scale=2.0, size=(5, 7))
+    for pinned in ((8e6, 1e-6), (2.3, 0.7), (None, None)):
+        got = phi_value(x, *pinned)
+        assert got.shape == x.shape
+        assert np.array_equal(got, [[phi_value(v, *pinned) for v in row] for row in x])
+
+
+def test_phi_is_even():
+    assert phi_value(-1.3, 2.0, 0.5) == phi_value(1.3, 2.0, 0.5)
+
+
+def test_phi_derivative_recovers_weights():
+    # phi'(x) / x must reproduce the package's weights w(x) at the (mu, eta)
+    # they were estimated with, since phi integrates s * w(s)
+    rng = np.random.default_rng(5)
+    h = 1e-5
+    for gamma in (0.3, 0.6, 0.8):
+        x = rng.uniform(0.2, 2.0, size=8)
+        mu, eta = logistic_params(x, gamma)
+        w = weight_update(x, WeightFunction.logistic(gamma)).values
+        deriv = (phi_value(x + h, mu, eta) - phi_value(x - h, mu, eta)) / (2.0 * h)
+        assert np.abs(deriv / x - w).max() <= 1e-6
+
+
+def test_objective_zero_at_exact_nonnegative_fit():
+    rng = np.random.default_rng(16)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    a = rng.uniform(0.0, 1.0, 6)
+    y = T.columns @ a
+    config = SolverConfig(weights=WeightFunction.constant_one())
+    assert objective_value(a, y, T, config) == 0.0
+
+
+def test_objective_constant_l2_matches_direct_formula():
+    rng = np.random.default_rng(17)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    a = rng.normal(size=6)
+    y = rng.uniform(0.0, 1.0, 20)
+    config = SolverConfig(
+        regularizer="l2", lambda_star=0.0, lambda_reg=0.01,
+        weights=WeightFunction.constant_one(),
+    )
+    r = y - T.columns @ a
+    direct = 0.5 * float(r @ r) + 0.01 * float(a @ a)
+    assert objective_value(a, y, T, config) == pytest.approx(direct, rel=1e-10)
+
+
+def test_objective_l1_and_infeasible_nonneg():
+    rng = np.random.default_rng(18)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    y = rng.uniform(0.0, 1.0, 20)
+    a = rng.normal(size=6)
+    l1 = SolverConfig(
+        regularizer="l1", lambda_star=0.0, lambda_reg=0.2, weights=WeightFunction.constant_one()
+    )
+    r = y - T.columns @ a
+    expect = 0.5 * float(r @ r) + 0.2 * float(np.abs(a).sum())
+    assert objective_value(a, y, T, l1) == pytest.approx(expect, rel=1e-10)
+    nonneg = SolverConfig(regularizer="nonneg", weights=WeightFunction.constant_one())
+    a_bad = a.copy()
+    a_bad[0] = -1.0
+    assert objective_value(a_bad, y, T, nonneg) == np.inf
+
+
+def test_objective_matches_quadrature_and_svd_oracle():
+    rng = np.random.default_rng(19)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    y = rng.uniform(0.0, 1.0, 20)
+    a = rng.uniform(0.0, 0.5, 6)
+    mu, eta = 2.0, 0.3
+    config = SolverConfig(regularizer="nonneg", lambda_star=0.07)
+    r = y - T.columns @ a
+    ref = 0.0
+    for x in r:
+        s = np.linspace(0.0, abs(x), 200_001)
+        ref += float(trapezoid(s * expit(mu * (eta - s * s)), s))
+    ref += 0.07 * float(np.linalg.svd(r.reshape(4, 5, order="F"), compute_uv=False).sum())
+    got = objective_value(a, y, T, config, mu, eta)
+    assert got == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("low_rank", [True, False])
+def test_objective_rejects_non_finite_coefficients(low_rank, bad):
+    rng = np.random.default_rng(21)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    config = SolverConfig(lambda_star=0.05 if low_rank else 0.0)
+    a = rng.uniform(0.0, 0.5, 6)
+    a[2] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        objective_value(a, rng.uniform(0.0, 1.0, 20), T, config, 2.0, 0.3)

@@ -1,10 +1,7 @@
-"""Logistic residual weighting, and the induced penalty integral phi of the
-reference objective (tests/oracle.py)."""
+"""Logistic residual weighting."""
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
-from scipy.special import expit
 
 from faceid.errors import ConfigError, NumericError
 from faceid.weights import (
@@ -14,7 +11,7 @@ from faceid.weights import (
     logistic_params,
     weight_update,
 )
-from oracle import phi_value, pinned_logistic_weights
+from oracle import pinned_logistic_weights
 
 
 def test_logistic_params_order_statistic():
@@ -135,64 +132,3 @@ def test_weight_function_validation():
         WeightFunction(kind="logistic", gamma=0.0)
     with pytest.raises(ConfigError):
         WeightFunction(kind="huber")
-
-
-def test_phi_zero():
-    assert phi_value(0.0, mu=1.0, eta=1.0) == 0.0
-
-
-def test_phi_constant_is_half_square():
-    rng = np.random.default_rng(4)
-    for x in rng.uniform(-3.0, 3.0, size=10):
-        assert phi_value(x) == pytest.approx(0.5 * x * x, abs=1e-10)
-
-
-def test_phi_logistic_matches_trapezoid_oracle():
-    # the constant is from a 2e6-point trapezoid evaluation of the same integrand
-    assert phi_value(1.0, mu=1.0, eta=1.0) == pytest.approx(0.3100572534791233, abs=1e-8)
-    s = np.linspace(0.0, 2.3, 400_001)
-    ref = trapezoid(s * expit(1.0 * (1.0 - s * s)), s)
-    assert phi_value(2.3, mu=1.0, eta=1.0) == pytest.approx(float(ref), abs=1e-8)
-
-
-def test_phi_steep_weights_monotone_and_saturating():
-    # knee at sqrt(eta) = 1e-3: phi climbs over a tiny interval, then stays flat
-    mu, eta = 8e6, 1e-6
-    xs = np.concatenate([np.geomspace(1e-5, 1e-2, 301), np.linspace(1e-2, 1.0, 100)])
-    vals = np.array([phi_value(x, mu, eta) for x in np.concatenate([[0.0], xs])])
-    assert (np.diff(vals) >= 0.0).all()
-    ceiling = np.logaddexp(0.0, mu * eta) / (2.0 * mu)
-    assert phi_value(1.0, mu, eta) == pytest.approx(ceiling, rel=1e-9)
-
-
-def test_phi_small_residual_limit():
-    # phi(x) -> w(0) * x^2 / 2 as x -> 0, with relative error O(mu * x^2)
-    mu, eta = 2.3, 0.7
-    for x in np.geomspace(1e-8, 1e-4, 9):
-        assert phi_value(x, mu, eta) == pytest.approx(expit(mu * eta) * x * x / 2.0, rel=1e-7)
-
-
-def test_phi_array_matches_scalar_calls():
-    rng = np.random.default_rng(6)
-    x = rng.normal(scale=2.0, size=(5, 7))
-    for pinned in ((8e6, 1e-6), (2.3, 0.7), (None, None)):
-        got = phi_value(x, *pinned)
-        assert got.shape == x.shape
-        assert np.array_equal(got, [[phi_value(v, *pinned) for v in row] for row in x])
-
-
-def test_phi_is_even():
-    assert phi_value(-1.3, 2.0, 0.5) == phi_value(1.3, 2.0, 0.5)
-
-
-def test_phi_derivative_recovers_weights():
-    # phi'(x) / x must reproduce the package's weights w(x) at the (mu, eta)
-    # they were estimated with, since phi integrates s * w(s)
-    rng = np.random.default_rng(5)
-    h = 1e-5
-    for gamma in (0.3, 0.6, 0.8):
-        x = rng.uniform(0.2, 2.0, size=8)
-        mu, eta = logistic_params(x, gamma)
-        w = weight_update(x, WeightFunction.logistic(gamma)).values
-        deriv = (phi_value(x + h, mu, eta) - phi_value(x - h, mu, eta)) / (2.0 * h)
-        assert np.abs(deriv / x - w).max() <= 1e-6
