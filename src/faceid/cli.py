@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import classify, dataio, experiment, solver
 from .errors import ConfigError, FaceidError, GeometryError, NumericError
-from .model import ImageGeometry, build_dictionary
+from .model import ImageGeometry, matricize
 
 
 def _geometry(text: str) -> ImageGeometry:
@@ -144,21 +144,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    train = dataio.load_manifest(args.manifest).split("train")
-    faces, geometry = dataio.load_faces(train, args.resize)
-    T = build_dictionary(faces, [rec.label for rec in train], geometry)
-    del faces  # the solve then holds one copy of the gallery, T itself
+    T, _, _ = experiment.enroll(dataio.load_manifest(args.manifest).split("train"), args.resize)
     gamma = experiment.resolve_gamma(args.gamma, corrupted=False)
     config = solver.method_config(args.method, gamma=gamma, **_solver_kwargs(args))
-    y = dataio.load_face(args.image, geometry).normalized()
+    y = dataio.load_face(args.image, T.geometry).normalized()
     result = solver.solve(y, T, config)
     outcome = classify.identify(y, T, result)
-    if result.converged:
-        stop = "converged"
-    elif config.weights.kind == "constant":  # one coding step, capped
-        stop = f"stopped at s_max={config.s_max}"
-    else:
-        stop = f"stopped at t_max={config.t_max}"
+    stop = result.stop
+    if not result.converged:
+        stop = f"stopped at {stop}={getattr(config, stop)}"
     print(
         f"{args.image}: class {T.class_names[outcome.predicted]} "
         f"(margin {outcome.margin:.6g}, {result.outer_iterations} outer / "
@@ -189,7 +183,7 @@ def _cmd_synth(args) -> int:
             i = counter.get(label, 0)
             counter[label] = i + 1
             rel = f"{split}/c{label:02d}_{i:02d}.pgm"
-            dataio.save_pgm(face.values.reshape(ds.geometry.shape, order="F"), out / rel)
+            dataio.save_pgm(matricize(face), out / rel)
             lines.append(f"{split},{label},{rel}")
     manifest = out / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n")

@@ -61,8 +61,7 @@ def _corrupt_pixels(img: FaceVector, fraction: float, rng: np.random.Generator):
         idx = rng.choice(geom.d, size=count, replace=False)
         values[idx] = rng.integers(0, 256, size=count) / 255.0
         flat_mask[idx] = True
-    mask = flat_mask.reshape(geom.shape, order="F")
-    return FaceVector(values, geom), mask
+    return FaceVector(values, geom), matricize(flat_mask, geom)
 
 
 def occlude_block(img: FaceVector, patch, coverage: float, seed: int):

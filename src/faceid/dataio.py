@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GeometryError, ParseError
-from .model import FaceVector, ImageGeometry
+from .model import FaceVector, ImageGeometry, matricize
 
 log = logging.getLogger(__name__)
 
@@ -86,13 +86,10 @@ def resize_nearest(image, rows: int, cols: int) -> np.ndarray:
 
     Output pixel (i, j) copies source pixel (floor(i * src_rows / rows),
     floor(j * src_cols / cols)); pure integer index math, so resizing to the
-    same shape is the identity.
+    same shape is the identity. It only indexes pixels, so the result keeps
+    the input's dtype (`load_face` resizes 8-bit codes).
     """
-    return _resample(np.asarray(image, dtype=float), rows, cols)
-
-
-def _resample(arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """resize_nearest on a grid of any dtype; it only indexes pixels."""
+    arr = np.asarray(image)
     if arr.ndim != 2:
         raise GeometryError(f"expected a 2-d image grid, got shape {arr.shape}")
     if rows < 1 or cols < 1:
@@ -111,7 +108,7 @@ def load_face(path, geometry: ImageGeometry | None = None) -> FaceVector:
     """
     grid = _pgm_codes(path)
     if geometry is not None and grid.shape != geometry.shape:
-        grid = _resample(grid, geometry.rows, geometry.cols)
+        grid = resize_nearest(grid, geometry.rows, geometry.cols)
     return FaceVector.from_codes(grid.reshape(-1, order="F"), ImageGeometry(*grid.shape))
 
 
@@ -133,14 +130,10 @@ def load_faces(records, geometry: ImageGeometry | None = None):
 def export_weight_map(w, geometry: ImageGeometry, path) -> int:
     """Write pixel weights as a grayscale image (dark = small weight).
 
-    Weights are laid back onto the grid by the same column stacking used for
-    face vectors, then scaled to 8 bits. Returns the clamp count.
+    Weights are laid back onto the grid by `matricize`, the column stacking
+    of face vectors, then scaled to 8 bits. Returns the clamp count.
     """
-    values = np.asarray(getattr(w, "values", w), dtype=float)
-    if values.size != geometry.d:
-        raise GeometryError(f"weight length {values.size} does not match geometry d={geometry.d}")
-    grid = values.reshape(geometry.shape, order="F")
-    return save_pgm(grid, path)
+    return save_pgm(matricize(getattr(w, "values", w), geometry), path)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, corruptions, dataio, solver
 from .errors import ConfigError, NumericError
-from .model import Dictionary, FaceVector, ImageGeometry, build_dictionary
+from .model import Dictionary, ImageGeometry, build_dictionary, vectorize
 
 REPORT_VERSION = 1
 
@@ -127,7 +127,7 @@ def make_synthetic_benchmark(
         field = 0.6 + 0.8 * shade
         noise = rng.normal(0.0, 0.02, size=(rows, cols))
         grid = np.clip(templates[c] * field + noise, 0.0, 1.0)
-        return FaceVector(grid.reshape(-1, order="F"), spec.geometry)
+        return vectorize(grid)
 
     train, train_labels, test, test_labels = [], [], [], []
     for c in range(classes):
@@ -315,20 +315,15 @@ def _solve_one(unit, idx, config, solver_config, patch):
         )
 
 
-def _manifest_unit(config, solver_config, seed):
-    records = dataio.load_manifest(config.manifest).records
-    faces, geometry = dataio.load_faces(records, config.geometry)
+def enroll(records, geometry: Optional[ImageGeometry] = None):
+    """Load manifest records (the first fixes the geometry unless one is
+    given) and build the dictionary from the train ones. Returns
+    (dictionary, test faces, test labels), the tests in record order."""
+    faces, geometry = dataio.load_faces(records, geometry)
     train = [i for i, rec in enumerate(records) if rec.split == "train"]
     tests = [i for i, rec in enumerate(records) if rec.split == "test"]
     T = build_dictionary([faces[i] for i in train], [records[i].label for i in train], geometry)
-    cache = solver.precompute_gram(T, solver_config.gram_ratio)
-    return _Unit(
-        seed=seed,
-        dictionary=T,
-        cache=cache,
-        tests=tuple(faces[i] for i in tests),
-        labels=tuple(records[i].label for i in tests),
-    )
+    return T, tuple(faces[i] for i in tests), tuple(records[i].label for i in tests)
 
 
 def resolve_gamma(gamma: Optional[float], corrupted: bool) -> float:
@@ -358,8 +353,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         patch = dataio.load_pgm(config.patch) if config.patch else corruptions.textured_patch()
 
     if config.manifest is not None:
-        first = _manifest_unit(config, solver_config, config.seeds[0])
-        units = [first] + [replace(first, seed=seed) for seed in config.seeds[1:]]
+        T, tests, labels = enroll(dataio.load_manifest(config.manifest).records, config.geometry)
+        cache = solver.precompute_gram(T, solver_config.gram_ratio)
+        units = [_Unit(seed, T, cache, tests, labels) for seed in config.seeds]
     else:
         units = []
         for seed in config.seeds:

@@ -99,14 +99,15 @@ def matricize(v, geometry: ImageGeometry | None = None) -> np.ndarray:
     """Reshape a vectorized image back onto its rows x cols grid.
 
     Inverse of :func:`vectorize`; both use column stacking, so entry i of the
-    vector lands at grid position (i % rows, i // rows).
+    vector lands at grid position (i % rows, i // rows). The grid keeps the
+    vector's dtype (a bool mask stays bool).
     """
     if isinstance(v, FaceVector):
         geometry = v.geometry
         v = v.values
     if geometry is None:
         raise GeometryError("matricize needs a FaceVector or an explicit geometry")
-    arr = np.asarray(v, dtype=float)
+    arr = np.asarray(v)
     if arr.size != geometry.d:
         raise GeometryError(f"vector length {arr.size} does not match geometry d={geometry.d}")
     return arr.reshape(geometry.shape, order="F")

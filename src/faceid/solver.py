@@ -10,8 +10,9 @@ ridge). Method presets select the combinations by name.
 from __future__ import annotations
 
 import logging
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -92,6 +93,10 @@ class SolverConfig:
     weights: WeightFunction = field(default_factory=WeightFunction.logistic)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.regularizer not in REGULARIZERS:
             raise ConfigError(f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
         if self.lambda_star < 0.0 or self.lambda_reg < 0.0:
@@ -338,7 +343,8 @@ def coding_step(
 
 @dataclass
 class SolveResult:
-    """Final iterates plus per-iteration accounting for one solve."""
+    """Final iterates plus per-iteration accounting for one solve; stop is
+    "converged" or the cap that ended it, "t_max" or "s_max"."""
 
     a: np.ndarray
     e: np.ndarray
@@ -346,8 +352,12 @@ class SolveResult:
     outer_iterations: int
     inner_iterations: list
     inner_converged: list
-    converged: bool
+    stop: str
     wall_seconds: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
     @property
     def total_inner_iterations(self) -> int:
@@ -372,7 +382,7 @@ def solve(
     min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
     which lies in [INNER_TOL_RATIO * eps3, eps1]. T a is formed once for the
     flat start; every later weight residual reuses the product the coding
-    step carries. A solve that stops at t_max logs a warning.
+    step carries. A solve that stops at a cap logs one warning naming it.
 
     Args:
         y: observation (FaceVector or length-d array), typically unit l2.
@@ -397,7 +407,7 @@ def solve(
     change = float("nan")
     inner_iterations = []
     inner_converged = []
-    converged = False
+    stop = "t_max"
     for t in range(1, config.t_max + 1):
         wv = weight_update(yv - Ta, config.weights)
         w = wv.values
@@ -406,20 +416,22 @@ def solve(
         inner_iterations.append(step.iterations)
         inner_converged.append(step.converged)
         if config.weights.kind == "constant":
-            converged = step.converged
+            stop = "converged" if step.converged else "s_max"
             break
         if prev_w is not None:
             change = float(np.linalg.norm(w - prev_w) / np.linalg.norm(prev_w))
             if change < config.eps3:
-                converged = True
+                stop = "converged"
                 break
             tol = min(config.eps1, INNER_TOL_RATIO * change)
         prev_w = w
-    else:
-        log.warning(
-            "solve stopped at t_max=%d outer iterations; last relative weight change %.3g (eps3 %g)",
-            config.t_max, change, config.eps3,
-        )
+    if stop != "converged":
+        if stop == "t_max":
+            detail = f"outer iterations; last relative weight change {change:.3g} (eps3 {config.eps3:g})"
+        else:  # s_max: the one coding step of a constant-weight solve
+            detail = (f"inner iterations; last fit {step.fit_residual:.3g} (tol {tol:g}), "
+                      f"split {step.split_residual:.3g} (eps2 {config.eps2:g})")
+        log.warning("solve stopped at %s=%d %s", stop, getattr(config, stop), detail)
     return SolveResult(
         a=a,
         e=step.e,
@@ -427,7 +439,7 @@ def solve(
         outer_iterations=t,
         inner_iterations=inner_iterations,
         inner_converged=inner_converged,
-        converged=converged,
+        stop=stop,
         wall_seconds=time.perf_counter() - t0,
     )
 

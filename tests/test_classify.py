@@ -20,7 +20,7 @@ def _result(a, w, e=None):
         outer_iterations=1,
         inner_iterations=[1],
         inner_converged=[True],
-        converged=True,
+        stop="converged",
         wall_seconds=0.0,
     )
 

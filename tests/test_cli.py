@@ -158,6 +158,10 @@ def test_contradictory_bench_flags_exit_2(capsys):
         (["--patch", "/nonexistent.pgm"], "patch"),
         (["--seed", "1", "--seed", "1"], "distinct"),
         (["--lambda-reg", "0", "--occlusion", "0.3"], "lambda_reg"),
+        (["--eps1", "nan"], "eps1 must be finite"),
+        (["--rho1", "nan"], "rho1 must be finite"),
+        (["--rho2", "inf"], "rho2 must be finite"),
+        (["--eps3", "nan"], "eps3 must be finite"),
     ):
         assert main(base + extra) == 2
         assert message in capsys.readouterr().err

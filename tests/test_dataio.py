@@ -138,6 +138,15 @@ def test_resize_downsample_uses_floor_index_map():
         resize_nearest(grid, 0, 2)
 
 
+def test_resize_nearest_keeps_the_input_dtype():
+    codes = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    small = resize_nearest(codes, 5, 2)
+    assert small.dtype == np.uint8
+    floats = resize_nearest(codes / 255.0, 5, 2)
+    assert floats.dtype == np.float64
+    assert np.array_equal(floats, small / 255.0)
+
+
 def test_load_face_resizes_to_geometry(tmp_path):
     rng = np.random.default_rng(2)
     grid = rng.integers(0, 256, size=(4, 4)).astype(float) / 255.0

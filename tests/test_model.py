@@ -42,6 +42,13 @@ def test_matricize_row_geometry():
     assert np.array_equal(M[0], np.arange(4.0))
 
 
+def test_matricize_keeps_the_vector_dtype():
+    mask = np.array([True, False, False, True, True, False])
+    grid = matricize(mask, ImageGeometry(3, 2))
+    assert grid.dtype == bool
+    assert np.array_equal(grid, [[True, True], [False, True], [False, False]])
+
+
 def test_matricize_length_mismatch():
     with pytest.raises(GeometryError):
         matricize(np.arange(5.0), ImageGeometry(2, 3))

@@ -522,16 +522,30 @@ def test_constant_weight_solve_capped_at_s_max_is_not_converged(name):
     assert not res.converged
 
 
-def test_solve_warns_when_stopped_at_t_max(caplog):
+@pytest.mark.parametrize(
+    "name, cap", [("F-IRNNLS", "t_max"), ("SRC", "s_max"), ("CR-RLS", "s_max"), ("LR3", "s_max")]
+)
+def test_solve_warns_once_when_stopped_at_a_cap(name, cap, caplog):
+    """A capped solve, reweighted (t_max) or constant-weight (s_max), records
+    its cap in stop and logs exactly one warning naming the cap, its value and
+    the last measure that missed its tolerance; a converged solve logs none."""
     y, T = _occluded_column_instance()
+    value = 3 if cap == "t_max" else 1
     with caplog.at_level(logging.WARNING, logger="faceid.solver"):
-        res = solve(y, T, method_config("F-IRNNLS", gamma=0.6, t_max=3))
-        assert not res.converged and res.outer_iterations == 3
+        res = solve(y, T, method_config(name, gamma=0.6, **{cap: value}))
+        assert res.stop == cap and not res.converged
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
-        assert "t_max=3" in message and "weight change" in message
+        assert f"{cap}={value}" in message and "nan" not in message
+        if cap == "t_max":
+            assert res.outer_iterations == 3
+            assert "weight change" in message and "eps3" in message
+        else:
+            assert res.outer_iterations == 1 and res.inner_iterations == [1]
+            assert "fit" in message and "split" in message and "eps2" in message
         caplog.clear()
-        assert solve(y, T, method_config("F-IRNNLS", gamma=0.6)).converged
+        res = solve(y, T, method_config(name, gamma=0.6))
+        assert res.stop == "converged" and res.converged
         assert caplog.records == []
 
 
@@ -675,6 +689,15 @@ def test_solver_config_validation():
     assert SolverConfig(regularizer="l1", lambda_reg=0.0).gram_ratio == pytest.approx(0.1)
     assert SolverConfig(regularizer="l2", lambda_reg=0.3).gram_ratio == pytest.approx(0.6)
     assert SolverConfig(regularizer="nonneg").gram_ratio == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["lambda_star", "rho1", "rho2", "lambda_reg", "eps1", "eps2", "eps3"])
+def test_solver_config_rejects_non_finite_values(name, value):
+    """NaN compares false with every bound, so each float is checked for
+    finiteness before its range."""
+    with pytest.raises(ConfigError, match=name):
+        SolverConfig(**{name: value})
 
 
 def test_baseline_ridge_closed_form_on_orthonormal_dictionary():
