@@ -25,6 +25,8 @@ def class_residuals(y, T: Dictionary, result: SolveResult) -> np.ndarray:
 
     Residual i is ||sqrt(W) (y - T_i a_i)|| where W holds the final solver
     weights and (T_i, a_i) are the columns and coefficients of class i alone.
+    The arithmetic is float64 whatever the columns' dtype: a float32 slice is
+    promoted by the product with the float64 coefficients.
     """
     a = np.asarray(result.a, dtype=float).ravel()
     if a.size != T.n:

@@ -8,8 +8,14 @@ import numpy as np
 
 from .errors import DictionaryError, GeometryError
 
-# Max deviation of a dictionary column norm from 1.
+# Max deviation of a dictionary column norm from 1, per column dtype. The
+# float64 bound is a working slack for a column normalised in float64. A float32
+# column is normalised in float64 and then rounded: each entry becomes
+# x_i (1 + delta_i) with |delta_i| <= u = 2**-24, float32's unit roundoff, so
+# its norm lies in [1 - u, 1 + u]; the float64 slack covers the normalisation
+# and the float64 sum that measures the norm.
 NORM_TOL = 1e-9
+NORM_TOLS = {np.dtype(np.float64): NORM_TOL, np.dtype(np.float32): 2.0**-24 + NORM_TOL}
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,9 @@ def vectorize(image) -> FaceVector:
 class Dictionary:
     """Training faces as unit l2 columns, grouped contiguously by class.
 
+    Columns stay float32 when given as float32; any other dtype is stored as
+    float64. The solver forms its dictionary products in the columns' dtype.
+
     variation_start must equal the column count. It is kept only so that
     callers passing it positionally still construct the same dictionary;
     no appended block of non-class atoms is supported.
@@ -138,7 +147,8 @@ class Dictionary:
     variation_start: int
 
     def __post_init__(self):
-        cols = np.ascontiguousarray(np.asarray(self.columns, dtype=float))
+        cols = np.asarray(self.columns)
+        cols = np.ascontiguousarray(cols, dtype=np.float32 if cols.dtype == np.float32 else np.float64)
         if cols.ndim != 2:
             raise DictionaryError(f"columns must be 2-d, got shape {cols.shape}")
         if cols.shape[0] != self.geometry.d:
@@ -153,9 +163,10 @@ class Dictionary:
                 f"variation_start must equal the column count {cols.shape[1]}, "
                 f"got {self.variation_start}"
             )
-        # No d x n temporary; a non-finite norm fails the check too.
-        norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
-        bad = ~(np.abs(norms - 1.0) <= NORM_TOL)
+        # Summed in float64 through einsum's buffers, with no d x n temporary;
+        # a non-finite norm fails the check too.
+        norms = np.sqrt(np.einsum("ij,ij->j", cols, cols, dtype=np.float64))
+        bad = ~(np.abs(norms - 1.0) <= NORM_TOLS[cols.dtype])
         if bad.any():
             raise DictionaryError(
                 f"{int(bad.sum())} column(s) are not finite and unit norm (max deviation "
@@ -192,7 +203,9 @@ class Dictionary:
         return int(idx[0]), int(idx[-1]) + 1
 
 
-def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> Dictionary:
+def build_dictionary(
+    images, labels, geometry: ImageGeometry | None = None, dtype=np.float32
+) -> Dictionary:
     """Assemble a class dictionary from training images.
 
     Args:
@@ -200,13 +213,16 @@ def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> D
         labels: one hashable class label per image; sorted unique labels are
             remapped to dense ids 0..c-1 and columns are grouped per class.
         geometry: the images must match it when given.
+        dtype: float32 (the default) or float64, the dtype the columns are
+            stored in. float32 halves the bytes that every dictionary product
+            reads; float64 keeps the solver's products exact to float64.
 
     Returns:
         Dictionary with unit-normalized, class-contiguous columns.
 
     Memory: the input faces plus one d x n array. The columns are allocated
-    once, already in class order, filled face by face and normalized in place;
-    each face's float values are read once, so faces that hold 8-bit codes
+    once, already in class order, and filled face by face; each face is
+    normalized in float64 as it is stored, so faces that hold 8-bit codes
     (`dataio.load_face`) never exist as floats all at once.
     """
     images = list(images)
@@ -222,17 +238,21 @@ def build_dictionary(images, labels, geometry: ImageGeometry | None = None) -> D
     names = sorted(set(labels))
     dense = {name: i for i, name in enumerate(names)}
     order = np.argsort([dense[lab] for lab in labels], kind="stable")
-    cols = np.empty((geometry.d, len(images)))
+    dtype = np.dtype(dtype)
+    if dtype not in NORM_TOLS:
+        raise DictionaryError(f"dictionary dtype must be float32 or float64, got {dtype}")
+    cols = np.empty((geometry.d, len(images)), dtype=dtype)
     norms = np.empty(len(images))
-    for j, i in enumerate(order):
-        v = images[i].values
-        cols[:, j] = v
-        # Bit for bit the pairwise sum that np.linalg.norm(..., axis=0) takes per column.
-        norms[j] = np.sqrt(np.add.reduce(v * v))
+    # A zero or non-finite face leaves a column of nan or inf; it is refused below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, i in enumerate(order):
+            v = images[i].values
+            # Bit for bit the pairwise sum that np.linalg.norm(..., axis=0) takes per column.
+            norms[j] = np.sqrt(np.add.reduce(v * v))
+            np.divide(v, norms[j], out=cols[:, j])
     bad = ~(np.isfinite(norms) & (norms > 0.0))
     if bad.any():
         raise DictionaryError(f"{int(bad.sum())} all-zero or not finite column(s) cannot be normalized")
-    cols /= norms
     return Dictionary(
         columns=cols,
         labels=np.array([dense[labels[i]] for i in order], dtype=int),

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotri
 
 from .errors import ConfigError, GeometryError, NumericError
@@ -41,6 +42,10 @@ INNER_TOL_RATIO = 0.03
 # steps; on the low-rank path e_update shrinks and then thresholds singular
 # values, which is not the joint prox, so that path runs at alpha = 1.
 RELAX = 1.5
+
+# precompute_gram adds float32 columns to T'T in blocks of this share of n
+# rows, so that the float64 copy of a block stays a tenth of the n x n Gram.
+GRAM_BLOCK_SHARE = 0.1
 
 # Engine configurations behind the published method names. Entries are
 # (regularizer kind, low-rank flag, weight scheme). The presets without the
@@ -71,6 +76,13 @@ class SolverConfig:
     the loosest fit tolerance: solve tightens it as the weights settle (see
     INNER_TOL_RATIO). low_rank also sets the inner relaxation factor (see
     RELAX).
+
+    The dictionary products run in the dtype of T.columns. With float32
+    columns their roundoff puts a floor of roughly 1e-6 under the fit and
+    split residuals a coding step can reach; solve never asks for less than
+    INNER_TOL_RATIO * eps3 (3e-4 at the defaults), but an eps1 or eps2 near
+    that floor needs float64 columns (build_dictionary(..., dtype=np.float64))
+    or the loop runs to s_max.
 
     The penalties are in units of the engine's data term sum(w * e^2), twice
     the x^2 / 2 that phi (the reference objective in tests/oracle.py) charges
@@ -149,22 +161,33 @@ def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
     """Invert T'T + ratio * I once, so that every coefficient update is one
     matrix-vector product instead of a pair of triangular solves.
 
-    The Gram is factored once by Cholesky (cho_factor); LAPACK potri turns
-    the factor into the inverse in the same buffer, and the triangle it fills
-    is copied into the other one column by column, so nothing n x n is
-    allocated beyond T'T itself.
+    T'T is accumulated in float64 by BLAS dsyrk into one Fortran-ordered
+    buffer, the order LAPACK works in: float64 columns in one call, with no
+    copy, and float32 columns in blocks of GRAM_BLOCK_SHARE * n rows, each
+    copied to float64 as it is added. The buffer is factored in place by
+    Cholesky (cho_factor); LAPACK potri turns the factor into the inverse in
+    the same buffer, and the lower triangle it fills is copied into the upper
+    one column by column, so nothing n x n is allocated beyond the buffer.
     """
     A = T.columns
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
-    n = A.shape[1]
-    gram = A.T @ A
-    gram.flat[:: n + 1] += ratio
-    # numpy forms A.T @ A exactly symmetric, so its transpose is the same
-    # matrix in the Fortran order LAPACK works in: both steps overwrite it in
-    # place instead of copying it.
+    d, n = A.shape
+    # dsyrk forms a a' of its argument a; A.T is Fortran-ordered, so it is
+    # passed without a copy. Only the lower triangle is filled.
+    if A.dtype == np.float64:
+        gram = dsyrk(1.0, A.T, lower=1)
+    else:
+        gram = np.zeros((n, n), order="F")
+        buffer = np.empty((max(1, int(GRAM_BLOCK_SHARE * n)), n))
+        for r in range(0, d, buffer.shape[0]):
+            block = buffer[: min(buffer.shape[0], d - r)]
+            block[...] = A[r : r + block.shape[0]]
+            dsyrk(1.0, block.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    # A view of the diagonal: gram is Fortran-contiguous, so ravel copies nothing.
+    gram.ravel(order="F")[:: n + 1] += ratio
     try:
-        factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+        factor, lower = cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"gram matrix ({n}x{n}) is not positive definite") from exc
     inverse, info = dpotri(factor, lower=lower, overwrite_c=True)
@@ -202,6 +225,12 @@ class AdmmState:
     split_residual: float = float("inf")
 
 
+def _product(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v in M's dtype, returned in float64: a float32 dictionary reads
+    half the bytes of a float64 one, and both casts are no-ops at float64."""
+    return (M @ v.astype(M.dtype, copy=False)).astype(np.float64, copy=False)
+
+
 def e_update(state: AdmmState, y, T: Dictionary, config: SolverConfig) -> np.ndarray:
     """Residual-variable update: weighted shrink, then SVT on the grid when
     config.low_rank. Reads the carried product state.Ta; forms none."""
@@ -226,7 +255,7 @@ def z_update(state: AdmmState, config: SolverConfig) -> np.ndarray:
 def a_update(state: AdmmState, y, T: Dictionary, cache: GramCache, config: SolverConfig) -> np.ndarray:
     """Coefficient update through the cached Gram inverse, which must match T
     and config.gram_ratio (coding_step checks)."""
-    rhs = T.columns.T @ (y - state.e + state.u1 / config.rho1)
+    rhs = _product(T.columns.T, y - state.e + state.u1 / config.rho1)
     if config.regularizer != "l2":
         rhs = rhs + (config.rho2 / config.rho1) * state.z - state.u2 / config.rho1
     return cache.apply(rhs)
@@ -238,7 +267,7 @@ def dual_update(state: AdmmState, y, T: Dictionary, rho1: float, rho2: float):
     Returns (u1, u2, Ta): the product Ta = T.columns @ state.a is formed here
     once and handed back for the next e_update and the outer residual.
     """
-    Ta = T.columns @ state.a
+    Ta = _product(T.columns, state.a)
     u1 = state.u1 + rho1 * (y - Ta - state.e)
     if state.z is None:
         u2 = state.u2
@@ -267,6 +296,10 @@ def coding_step(
     a_update and dual_update read e and z relaxed by the factor alpha (RELAX
     on the plain path, 1 on the low-rank path); the state keeps the real e
     and z, and the residuals are measured on the iterates it returns.
+
+    Both products run in the dtype of T.columns and return float64; every
+    other quantity is float64. With float32 columns the reachable fit and
+    split residuals bottom out near 1e-6 (see SolverConfig).
 
     Args:
         y: observation array of length d.
@@ -400,7 +433,7 @@ def solve(
     if cache is None:
         cache = precompute_gram(T, config.gram_ratio)
     a = np.full(n, 1.0 / n)
-    Ta = T.columns @ a
+    Ta = _product(T.columns, a)
     prev_w = None
     duals = None
     tol = config.eps1
@@ -430,7 +463,8 @@ def solve(
             detail = f"outer iterations; last relative weight change {change:.3g} (eps3 {config.eps3:g})"
         else:  # s_max: the one coding step of a constant-weight solve
             detail = (f"inner iterations; last fit {step.fit_residual:.3g} (tol {tol:g}), "
-                      f"split {step.split_residual:.3g} (eps2 {config.eps2:g})")
+                      f"split {step.split_residual:.3g} (eps2 {config.eps2:g}), "
+                      f"{T.columns.dtype} dictionary")
         log.warning("solve stopped at %s=%d %s", stop, getattr(config, stop), detail)
     return SolveResult(
         a=a,

@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from faceid.model import FaceVector, ImageGeometry, build_dictionary
@@ -20,19 +22,29 @@ def random_faces(rng, geometry, count, lo=0.05, hi=1.0):
     return [FaceVector(rng.uniform(lo, hi, geometry.d), geometry) for _ in range(count)]
 
 
-def random_dictionary(rng, rows, cols, n, classes=1):
-    """Random positive dictionary with `classes` contiguous label groups."""
+def random_dictionary(rng, rows, cols, n, classes=1, dtype=np.float64):
+    """Random positive dictionary with `classes` contiguous label groups.
+
+    float64 by default, unlike build_dictionary: the tests that use it pin
+    bit identity or agreement to 1e-12, which float32 products cannot meet.
+    """
     geometry = ImageGeometry(rows, cols)
     labels = [i * classes // n for i in range(n)]
-    return build_dictionary(random_faces(rng, geometry, n), labels)
+    return build_dictionary(random_faces(rng, geometry, n), labels, dtype=dtype)
 
 
 def orthonormal_dictionary(rng, rows, cols, n):
-    """Dictionary whose columns are orthonormal (QR of a Gaussian draw)."""
+    """float64 dictionary whose columns are orthonormal (QR of a Gaussian draw)."""
     geometry = ImageGeometry(rows, cols)
     q, _ = np.linalg.qr(rng.normal(size=(geometry.d, n)))
     faces = [FaceVector(q[:, i], geometry) for i in range(n)]
-    return build_dictionary(faces, list(range(n)))
+    return build_dictionary(faces, list(range(n)), dtype=np.float64)
+
+
+def as_float32(T):
+    """T with its columns rounded to float32: the dictionary build_dictionary
+    makes by default from the same faces."""
+    return replace(T, columns=T.columns.astype(np.float32))
 
 
 def flat_start(T):

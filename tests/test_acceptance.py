@@ -9,6 +9,7 @@ FACEID_BABOON_PGM point at it.
 import copy
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from faceid.solver import (
     solve,
 )
 from faceid.weights import logistic_params
-from helpers import CountingMatmul, flat_start, random_dictionary
+from helpers import CountingMatmul, as_float32, flat_start, random_dictionary
 from oracle import (
     nnls_kkt_residual,
     objective_value,
@@ -78,9 +79,44 @@ def test_acceptance_1_zero_nuclear_weight_reduction(capsys, spy):
     )
 
 
+# float32 unit roundoff. A float32 product of length m is off by at most
+# GAMMA32(m) = m u / (1 - m u) times the product of the magnitudes (Higham,
+# Accuracy and Stability of Numerical Algorithms, 3.1), casts included.
+U32 = 2.0**-24
+
+
+def _gamma32(m):
+    return m * U32 / (1.0 - m * U32)
+
+
+def _float32_kkt_cap(y, T, z, rho1):
+    """Bound on the KKT residual of a coding-step fixed point that float32
+    products leave, for a nonnegative dictionary with unit columns and
+    weights in (0, 1].
+
+    At a fixed point, y - e = fl(T z), u1 = 2 W (y - fl(T z)) and
+    T'u1 - u2 = -rho1 (T'd1 + d2), where d1 = fl(T z) - T z and d2 is the error
+    of fl(T'v), v = fl(T z) + u1 / rho1. The KKT gradient 2 T'W(T z - y) is
+    then -u2, which satisfies the KKT sign conditions, plus
+    rho1 (T'd1 + d2) - 2 T'W d1. So each entry of the residual is at most
+    rho1 |d2| + (rho1 + 2) ||d1||, with |d2| <= GAMMA32(d + 1) ||v|| and
+    ||d1|| <= GAMMA32(n + 1) ||T z||.
+    """
+    d, n = T.columns.shape
+    Tz = T.columns @ z
+    v = Tz + 2.0 * (y - Tz) / rho1
+    return rho1 * _gamma32(d + 1) * np.linalg.norm(v) + (rho1 + 2.0) * _gamma32(n + 1) * np.linalg.norm(Tz)
+
+
 def test_acceptance_2_coding_step_matches_nnls_oracle(capsys):
+    """float64 to eps 1e-9 against the oracle; then the same instances with
+    float32 columns, to eps 1e-6, the float32 floor SolverConfig states (below
+    it the loop runs to s_max), under a KKT cap derived from float32 roundoff.
+    The float32 gap is taken to the oracle's float64 solution, so it covers
+    the rounding of the columns as well as the float32 products."""
     start = time.perf_counter()
     worst_gap = worst_step_kkt = worst_oracle_kkt = 0.0
+    worst_gap32 = worst_kkt32 = worst_cap32 = 0.0
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
         T = random_dictionary(rng, 5, 4, 8, classes=4)
@@ -97,17 +133,31 @@ def test_acceptance_2_coding_step_matches_nnls_oracle(capsys):
         worst_gap = max(worst_gap, float(np.abs(step.z - rep.solution).max()))
         worst_step_kkt = max(worst_step_kkt, nnls_kkt_residual(y, T, w, step.z))
         worst_oracle_kkt = max(worst_oracle_kkt, rep.gap)
+
+        T32 = as_float32(T)
+        config32 = replace(config, eps1=1e-6, eps2=1e-6)
+        cache32 = precompute_gram(T32, config32.gram_ratio)
+        step32 = coding_step(y, T32, w.values, cache32, config32, *flat_start(T32))
+        kkt32 = nnls_kkt_residual(y, T32, w, step32.z)
+        cap32 = _float32_kkt_cap(y, T32, step32.z, config32.rho1)
+        worst_gap32 = max(worst_gap32, float(np.abs(step32.z - rep.solution).max()))
+        worst_kkt32 = max(worst_kkt32, kkt32 / cap32)
+        worst_cap32 = max(worst_cap32, cap32)
     elapsed = time.perf_counter() - start
     ok = (
         worst_gap <= 1e-4
         and worst_step_kkt <= 1e-6
         and worst_oracle_kkt <= 1e-6
+        and worst_gap32 <= 1e-4
+        and worst_kkt32 <= 1.0
         and elapsed < 60.0
     )
     _verdict(
         capsys, 2, ok,
         f"coding step vs independent solver over 100 instances: max gap {worst_gap:.3g} "
-        f"(cap 1e-4), KKT {worst_step_kkt:.3g}/{worst_oracle_kkt:.3g} (cap 1e-6), "
+        f"(cap 1e-4), KKT {worst_step_kkt:.3g}/{worst_oracle_kkt:.3g} (cap 1e-6); "
+        f"float32 columns at eps 1e-6: max gap {worst_gap32:.3g} (cap 1e-4), "
+        f"KKT at most {worst_kkt32:.3g} of its roundoff cap (largest cap {worst_cap32:.3g}), "
         f"{elapsed:.1f}s < 60s",
     )
 

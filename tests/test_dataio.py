@@ -350,5 +350,16 @@ def test_loaded_faces_hold_one_byte_per_pixel(paper_pgms):
 
 def test_load_then_build_holds_one_dictionary(paper_pgms):
     paths, labels = paper_pgms
-    T, _, peak = _traced(lambda: build_dictionary([load_face(p) for p in paths], labels))
+    T, _, peak = _traced(lambda: build_dictionary([load_face(p) for p in paths], labels, dtype=np.float64))
     assert peak <= 1.2 * T.columns.nbytes, f"peak {peak / T.columns.nbytes:.2f}x the dictionary"
+
+
+def test_load_then_build_float32_holds_the_codes_and_one_dictionary(paper_pgms):
+    """The float32 twin: the uint8 codes alone are a quarter of the columns,
+    so the bound is on codes plus columns, 5 bytes per pixel; that is tighter
+    in bytes than the float64 bound of 1.2 x 8."""
+    paths, labels = paper_pgms
+    T, _, peak = _traced(lambda: build_dictionary([load_face(p) for p in paths], labels))
+    assert T.columns.dtype == np.float32
+    codes = T.d * T.n
+    assert peak <= 1.1 * (codes + T.columns.nbytes), f"peak {peak / codes:.2f} bytes per pixel"

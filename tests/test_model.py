@@ -8,6 +8,7 @@ import pytest
 from faceid.errors import DictionaryError, GeometryError
 from faceid.model import (
     NORM_TOL,
+    NORM_TOLS,
     Dictionary,
     FaceVector,
     ImageGeometry,
@@ -164,7 +165,7 @@ def test_build_dictionary_full_scale():
     rng = np.random.default_rng(1)
     geometry = ImageGeometry(96, 84)
     faces = random_faces(rng, geometry, 719)
-    T = build_dictionary(faces, [i % 38 for i in range(719)])
+    T = build_dictionary(faces, [i % 38 for i in range(719)], dtype=np.float64)
     assert T.d == 8064
     assert T.n == 719
     assert T.n_classes == 38
@@ -264,25 +265,33 @@ def _shuffled_paper_gallery():
 
 def test_build_dictionary_matches_stack_reorder_normalize_bit_for_bit():
     faces, labels = _shuffled_paper_gallery()
-    T = build_dictionary(faces, labels)
+    T = build_dictionary(faces, labels, dtype=np.float64)
     cols = np.column_stack([f.values for f in faces])
     cols = cols[:, np.argsort(labels, kind="stable")]
     expect = cols / np.linalg.norm(cols, axis=0)
     assert T.columns.flags.c_contiguous
     assert np.array_equal(T.columns, expect)
+    # The float32 default rounds the float64-normalized columns once.
+    T32 = build_dictionary(faces, labels)
+    assert T32.columns.dtype == np.float32 and T32.columns.flags.c_contiguous
+    assert np.array_equal(T32.columns, expect.astype(np.float32))
 
 
-def test_build_dictionary_holds_one_dictionary_copy():
+def test_build_dictionary_holds_one_dictionary_copy(dtype=np.float64):
     faces, labels = _shuffled_paper_gallery()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        T = build_dictionary(faces, labels)
+        T = build_dictionary(faces, labels, dtype=dtype)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * T.columns.nbytes, f"peak {peak / T.columns.nbytes:.2f}x the dictionary"
+
+
+def test_build_dictionary_float32_holds_one_dictionary_copy():
+    test_build_dictionary_holds_one_dictionary_copy(dtype=np.float32)
 
 
 def test_dictionary_unknown_class_id():
@@ -299,3 +308,46 @@ def test_dictionary_requires_variation_start_at_column_count():
     for start in (T.n - 1, T.n + 1):
         with pytest.raises(DictionaryError, match="variation_start"):
             Dictionary(T.columns, T.labels, T.geometry, T.class_names, start)
+
+
+def _unit_columns(dtype):
+    cols = np.eye(4)[:, :2].astype(dtype)
+    return Dictionary(cols, np.array([0, 1]), ImageGeometry(2, 2), ("a", "b"), 2)
+
+
+def test_dictionary_keeps_float32_and_stores_other_dtypes_as_float64():
+    assert _unit_columns(np.float32).columns.dtype == np.float32
+    for dtype in (np.float64, np.float16, np.int64, np.uint8):
+        assert _unit_columns(dtype).columns.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dictionary_norm_tolerance_follows_the_column_dtype(dtype):
+    """A column off-norm by twice its dtype's tolerance is refused; one off
+    by half of it is accepted. The float32 tolerance is about 6e-8, so a
+    float32 column may be off by more than float64's 1e-9."""
+    tol = NORM_TOLS[np.dtype(dtype)]
+    for factor, ok in ((0.5, True), (2.0, False)):
+        cols = np.zeros((4, 2), dtype=dtype)
+        cols[0, 0] = cols[1, 1] = 1.0
+        cols[2, 1] = np.sqrt((1.0 + factor * tol) ** 2 - 1.0)
+        off = abs(float(np.linalg.norm(cols[:, 1].astype(np.float64))) - 1.0)
+        assert (off <= tol) == ok
+        if ok:
+            _ = Dictionary(cols, np.array([0, 1]), ImageGeometry(2, 2), ("a", "b"), 2)
+        else:
+            with pytest.raises(DictionaryError, match="unit norm"):
+                Dictionary(cols, np.array([0, 1]), ImageGeometry(2, 2), ("a", "b"), 2)
+    assert NORM_TOLS[np.dtype(np.float64)] == NORM_TOL == 1e-9
+    assert NORM_TOL < NORM_TOLS[np.dtype(np.float32)] < 1e-7
+
+
+def test_build_dictionary_stores_float32_by_default_and_refuses_other_dtypes():
+    face = FaceVector(np.array([3.0, 4.0]), ImageGeometry(2, 1))
+    T = build_dictionary([face], ["only"])
+    assert T.columns.dtype == np.float32
+    assert np.array_equal(T.columns[:, 0], np.float32([0.6, 0.8]))
+    assert build_dictionary([face], ["only"], dtype=np.float64).columns.dtype == np.float64
+    for dtype in (np.float16, np.int64):
+        with pytest.raises(DictionaryError, match="float32 or float64"):
+            build_dictionary([face], ["only"], dtype=dtype)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from faceid.corruptions import occlude_block, textured_patch
 from faceid.errors import ConfigError, GeometryError
@@ -27,7 +28,7 @@ from faceid.solver import (
     z_update,
 )
 from faceid.weights import WeightFunction, logistic_params
-from helpers import CountingMatmul, flat_start, orthonormal_dictionary, random_dictionary
+from helpers import CountingMatmul, as_float32, flat_start, orthonormal_dictionary, random_dictionary
 from oracle import objective_value
 
 
@@ -113,23 +114,69 @@ def test_gram_apply_matches_cho_solve(gram_dictionary, regularizer):
         assert np.linalg.norm(cache.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("n", [50, 60])
+def test_float32_gram_apply_matches_cho_solve_in_float64(n):
+    """float32 columns: the inverse is that of the float64 Gram of the same
+    float32 values, to the float64 test's 1e-12, and exactly symmetric. At
+    d = 504 the blocks of n // 10 rows leave a short last block for n = 50 and
+    none for n = 60. The l2 ratio is the smallest, so its Gram is the worst
+    conditioned."""
+    T = as_float32(random_dictionary(np.random.default_rng(n), 24, 21, n, classes=10))
+    A = T.columns.astype(np.float64)
+    ratio = SolverConfig(regularizer="l2").gram_ratio
+    cache = precompute_gram(T, ratio)
+    factor = cho_factor(A.T @ A + ratio * np.eye(n), lower=True)
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        b = A.T @ rng.uniform(size=A.shape[0]) + rng.normal(size=n)
+        ref = cho_solve(factor, b)
+        assert np.linalg.norm(cache.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    inverse = cache.apply(np.eye(n))
+    assert inverse.dtype == np.float64 and np.array_equal(inverse, inverse.T)
+
+
 def test_gram_inverse_is_exactly_symmetric(gram_dictionary):
     n = gram_dictionary.columns.shape[1]
     inverse = precompute_gram(gram_dictionary, 0.1).apply(np.eye(n))
     assert np.array_equal(inverse, inverse.T)
 
 
-def test_precompute_gram_allocates_one_n_by_n_array(gram_dictionary):
-    """Apart from T'T, which the factor and then the inverse overwrite,
-    precompute_gram allocates nothing n x n."""
-    n = gram_dictionary.columns.shape[1]
+def test_precompute_gram_float64_inverse_is_that_of_numpys_gram(gram_dictionary):
+    """dsyrk's lower triangle of T'T is numpy's A.T @ A bit for bit, so the
+    float64 inverse is the one factored from numpy's Gram."""
+    A = gram_dictionary.columns
+    n = A.shape[1]
+    gram = A.T @ A
+    gram.flat[:: n + 1] += 0.1
+    factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+    inverse, _ = dpotri(factor, lower=lower, overwrite_c=True)
+    for i in range(1, n):
+        inverse[:i, i] = inverse[i, :i]
+    assert np.array_equal(precompute_gram(gram_dictionary, 0.1).apply(np.eye(n)), inverse)
+
+
+def _gram_peak_over_n_by_n(T):
+    """Peak bytes traced while precompute_gram runs, over 8 n^2."""
+    n = T.columns.shape[1]
     tracemalloc.start()
     try:
-        precompute_gram(gram_dictionary, 0.1)
+        precompute_gram(T, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n * n * 8
+    return peak / (n * n * 8)
+
+
+def test_precompute_gram_allocates_one_n_by_n_array(gram_dictionary):
+    """Apart from T'T, which the factor and then the inverse overwrite,
+    precompute_gram allocates nothing n x n."""
+    assert _gram_peak_over_n_by_n(gram_dictionary) <= 1.25
+
+
+def test_precompute_gram_float32_allocates_one_n_by_n_array(gram_dictionary):
+    """float32 columns add one float64 block of a tenth of n rows, under the
+    same bound."""
+    assert _gram_peak_over_n_by_n(as_float32(gram_dictionary)) <= 1.25
 
 
 def test_e_update_low_rank_off_equals_zero_threshold(spy):
@@ -543,10 +590,19 @@ def test_solve_warns_once_when_stopped_at_a_cap(name, cap, caplog):
         else:
             assert res.outer_iterations == 1 and res.inner_iterations == [1]
             assert "fit" in message and "split" in message and "eps2" in message
+            assert f"{T.columns.dtype} dictionary" in message
         caplog.clear()
         res = solve(y, T, method_config(name, gamma=0.6))
         assert res.stop == "converged" and res.converged
         assert caplog.records == []
+
+
+def test_s_max_warning_names_a_float32_dictionary(caplog):
+    y, T = _occluded_column_instance()
+    with caplog.at_level(logging.WARNING, logger="faceid.solver"):
+        res = solve(y, as_float32(T), method_config("SRC", s_max=1))
+    assert res.stop == "s_max"
+    assert [r.getMessage().endswith("float32 dictionary") for r in caplog.records] == [True]
 
 
 def test_solve_checks_observation_length():
@@ -567,12 +623,12 @@ def test_solve_reuses_supplied_gram_cache(spy):
     assert factorizations == []
 
 
-def test_solve_forms_two_products_per_inner_iteration():
+def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):
     """Each inner iteration forms T' v (a_update) and T a (dual_update); the
     carried T a serves the next e_update and the outer weight residual, so a
     solve forms 2 * inner + 1 products, the one extra for the flat start."""
     rng = np.random.default_rng(0)
-    T = random_dictionary(rng, 10, 10, 30, classes=6)
+    T = random_dictionary(rng, 10, 10, 30, classes=6, dtype=dtype)
     noise = np.random.default_rng(1).uniform(size=100)
     clean = FaceVector(T.columns[:, 7] + 0.05 * noise, T.geometry)
     y, _ = occlude_block(clean, textured_patch(), 0.3, seed=1)
@@ -586,6 +642,10 @@ def test_solve_forms_two_products_per_inner_iteration():
         res = solve(y, T, config, cache=caches[name])
         assert res.total_inner_iterations > res.outer_iterations > 1
         assert CountingMatmul.calls == 2 * res.total_inner_iterations + 1, name
+
+
+def test_float32_solve_forms_two_products_per_inner_iteration():
+    test_solve_forms_two_products_per_inner_iteration(dtype=np.float32)
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))
