@@ -64,43 +64,33 @@ def _corrupt_pixels(img: FaceVector, fraction: float, rng: np.random.Generator):
     return FaceVector(values, geom), matricize(flat_mask, geom)
 
 
-def occlude_block(img: FaceVector, patch, coverage: float, seed: int):
-    """Paste a resampled patch over one random square block.
+def corrupt(img: FaceVector, seed: int, pixel_fraction: float = 0.0, coverage=None, patch=None):
+    """Seeded corruption of a face: pixel noise, then an optional block.
 
-    The block side is round(sqrt(coverage * d)) clamped to the image sides,
-    its corner is uniform over feasible placements (top drawn before left),
-    and the patch is nearest-neighbor resampled to the block.
+    The pixel stage replaces floor(pixel_fraction * d) distinct pixels,
+    drawn uniformly without replacement, by integers 0..255 scaled to
+    [0, 1]; at fraction 0 it draws nothing. When coverage is given, the
+    block stage then pastes patch, nearest-neighbor resampled, over one
+    square block: its side is round(sqrt(coverage * d)) clamped to the image
+    sides, and its corner is uniform over feasible placements (top drawn
+    before left). Both stages draw from the one philox_stream(seed).
 
     Returns:
-        (corrupted FaceVector, CorruptionSpec with the boolean mask grid).
+        (corrupted FaceVector, CorruptionSpec with the union of both stages'
+        masks and, for a block, its (top, left, side)).
     """
     rng = philox_stream(seed)
-    out, mask, block = _occlude(img, patch, coverage, rng)
+    out, mask = _corrupt_pixels(img, pixel_fraction, rng)
+    block = None
+    if coverage is not None:
+        out, block_mask, block = _occlude(out, patch, coverage, rng)
+        mask = mask | block_mask
     return out, CorruptionSpec(mask=mask, block=block)
 
 
-def corrupt_pixels(img: FaceVector, fraction: float, seed: int):
-    """Replace floor(fraction * d) distinct pixels by uniform 8-bit noise.
-
-    Corrupted positions are a uniform draw without replacement; new values
-    are integers 0..255 scaled to [0, 1].
-    """
-    rng = philox_stream(seed)
-    out, mask = _corrupt_pixels(img, fraction, rng)
-    return out, CorruptionSpec(mask=mask)
-
-
-def mixture_noise(img: FaceVector, pixel_fraction: float, coverage: float, patch, seed: int):
-    """Pixel corruption followed by block occlusion from one Philox stream.
-
-    The pixel stage draws first; with pixel_fraction 0 it draws nothing, so
-    the result degenerates to occlude_block with the same seed. The reported
-    mask is the union of both stages.
-    """
-    rng = philox_stream(seed)
-    speckled, pixel_mask = _corrupt_pixels(img, pixel_fraction, rng)
-    out, block_mask, block = _occlude(speckled, patch, coverage, rng)
-    return out, CorruptionSpec(mask=pixel_mask | block_mask, block=block)
+def occlude_block(img: FaceVector, patch, coverage: float, seed: int):
+    """The block-only case of corrupt: no pixel noise."""
+    return corrupt(img, seed, coverage=coverage, patch=patch)
 
 
 def textured_patch(rows: int = 64, cols: int = 64, seed: int = 1234) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, ParseError
+from .errors import GeometryError, NumericError, ParseError
 from .model import FaceVector, ImageGeometry, matricize
 
 log = logging.getLogger(__name__)
@@ -66,11 +66,16 @@ def save_pgm(image, path) -> int:
     """Write a float grid in [0, 1] as a binary PGM with maxval 255.
 
     Values are scaled by 255 and rounded; anything landing outside [0, 255]
-    is clamped. Returns the number of clamped pixels (also logged).
+    is clamped. Returns the number of clamped pixels (also logged). A grid
+    with a NaN or infinite pixel has no 8-bit code: it raises NumericError
+    and writes no file.
     """
     arr = np.asarray(image, dtype=float)
     if arr.ndim != 2:
         raise GeometryError(f"expected a 2-d image grid, got shape {arr.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(arr)))
+    if bad:
+        raise NumericError(f"{path}: {bad} non-finite pixel(s), no 8-bit code to write")
     q = np.rint(arr * 255.0)
     clamped = int(np.count_nonzero((q < 0.0) | (q > 255.0)))
     if clamped:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -198,18 +198,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """One test image under one seed."""
+    """One test image under one seed; the outcome defaults are those of a
+    failed solve, which names its error instead."""
 
     image_id: str
     seed: int
     true_label: str
-    predicted_label: str
-    correct: bool
-    margin: float
-    solve_seconds: float
-    outer_iterations: int
-    inner_iterations: int
-    converged: bool
+    predicted_label: str = ""
+    correct: bool = False
+    margin: float = float("nan")
+    solve_seconds: float = 0.0
+    outer_iterations: int = 0
+    inner_iterations: int = 0
+    converged: bool = False
     error: str = ""
 
 
@@ -233,13 +234,7 @@ class ExperimentReport:
                 f"accuracy={self.accuracy:.9g} mean_seconds={self.mean_seconds:.9g}\n"
             )
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "image_id", "seed", "true_label", "predicted_label", "correct",
-                    "margin", "solve_seconds", "outer_iterations", "inner_iterations",
-                    "converged", "error",
-                ]
-            )
+            writer.writerow([f.name for f in fields(ExperimentRow)])
             for r in self.rows:
                 writer.writerow(
                     [
@@ -271,14 +266,10 @@ def _solve_one(unit, idx, config, solver_config, patch):
     raw_label = unit.labels[idx]
     image_id = f"s{unit.seed}-t{idx:04d}"
     try:
-        if config.occlusion is not None and config.pixel_fraction is not None:
-            img, _ = corruptions.mixture_noise(
-                img, config.pixel_fraction, config.occlusion, patch, _image_seed(unit.seed, idx)
+        if config.corrupted:
+            img, _ = corruptions.corrupt(
+                img, _image_seed(unit.seed, idx), config.pixel_fraction or 0.0, config.occlusion, patch
             )
-        elif config.occlusion is not None:
-            img, _ = corruptions.occlude_block(img, patch, config.occlusion, _image_seed(unit.seed, idx))
-        elif config.pixel_fraction is not None:
-            img, _ = corruptions.corrupt_pixels(img, config.pixel_fraction, _image_seed(unit.seed, idx))
         y = img.normalized()
         result = solver.solve(y, unit.dictionary, solver_config, cache=unit.cache)
         outcome = classify.identify(y, unit.dictionary, result)
@@ -300,19 +291,7 @@ def _solve_one(unit, idx, config, solver_config, patch):
             converged=result.converged,
         )
     except NumericError as exc:
-        return ExperimentRow(
-            image_id=image_id,
-            seed=unit.seed,
-            true_label=str(raw_label),
-            predicted_label="",
-            correct=False,
-            margin=float("nan"),
-            solve_seconds=0.0,
-            outer_iterations=0,
-            inner_iterations=0,
-            converged=False,
-            error=str(exc) or exc.__class__.__name__,
-        )
+        return ExperimentRow(image_id, unit.seed, str(raw_label), error=str(exc) or exc.__class__.__name__)
 
 
 def enroll(records, geometry: Optional[ImageGeometry] = None):

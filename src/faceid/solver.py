@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -107,8 +108,12 @@ class SolverConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("t_max", "s_max"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {cap!r}")
         if self.regularizer not in REGULARIZERS:
             raise ConfigError(f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
         if self.lambda_star < 0.0 or self.lambda_reg < 0.0:

@@ -1,15 +1,9 @@
-"""Seeded occlusion, pixel corruption, and their mixture."""
+"""Seeded occlusion, pixel corruption, and their mixture through one `corrupt`."""
 
 import numpy as np
 import pytest
 
-from faceid.corruptions import (
-    corrupt_pixels,
-    mixture_noise,
-    occlude_block,
-    philox_stream,
-    textured_patch,
-)
+from faceid.corruptions import corrupt, occlude_block, philox_stream, textured_patch
 from faceid.dataio import resize_nearest
 from faceid.errors import ConfigError, GeometryError
 from faceid.model import ImageGeometry, matricize
@@ -83,17 +77,26 @@ def test_block_rejects_bad_patch():
 def test_pixels_fraction_zero_and_one():
     rng = np.random.default_rng(6)
     img = _face(rng, 10, 10)
-    same, spec0 = corrupt_pixels(img, 0.0, seed=1)
+    same, spec0 = corrupt(img, seed=1, pixel_fraction=0.0)
     assert np.array_equal(same.values, img.values)
     assert spec0.mask.sum() == 0
-    _, spec1 = corrupt_pixels(img, 1.0, seed=1)
+    _, spec1 = corrupt(img, seed=1, pixel_fraction=1.0)
     assert spec1.mask.all()
+
+
+def test_corrupt_with_neither_stage_is_the_identity():
+    rng = np.random.default_rng(14)
+    img = _face(rng, 7, 5)
+    same, spec = corrupt(img, seed=3)
+    assert np.array_equal(same.values, img.values)
+    assert spec.mask.shape == (7, 5) and not spec.mask.any()
+    assert spec.block is None
 
 
 def test_pixels_exact_count_and_eight_bit_values():
     rng = np.random.default_rng(7)
     img = _face(rng, 10, 10)
-    out, spec = corrupt_pixels(img, 0.5, seed=2)
+    out, spec = corrupt(img, seed=2, pixel_fraction=0.5)
     assert spec.mask.sum() == 50
     flat_mask = spec.mask.reshape(-1, order="F")
     levels = out.values[flat_mask] * 255.0
@@ -106,14 +109,14 @@ def test_pixels_fraction_bounds():
     img = _face(rng, 6, 6)
     for bad in (-0.1, 1.01):
         with pytest.raises(ConfigError):
-            corrupt_pixels(img, bad, seed=0)
+            corrupt(img, seed=0, pixel_fraction=bad)
 
 
 def test_pixels_deterministic():
     rng = np.random.default_rng(9)
     img = _face(rng, 9, 7)
-    out1, spec1 = corrupt_pixels(img, 0.3, seed=21)
-    out2, spec2 = corrupt_pixels(img, 0.3, seed=21)
+    out1, spec1 = corrupt(img, seed=21, pixel_fraction=0.3)
+    out2, spec2 = corrupt(img, seed=21, pixel_fraction=0.3)
     assert out1.values.tobytes() == out2.values.tobytes()
     assert np.array_equal(spec1.mask, spec2.mask)
 
@@ -122,7 +125,7 @@ def test_mixture_zero_pixel_fraction_equals_block_only():
     rng = np.random.default_rng(10)
     img = _face(rng, 14, 10)
     patch = textured_patch()
-    mixed, mspec = mixture_noise(img, 0.0, 0.3, patch, seed=17)
+    mixed, mspec = corrupt(img, seed=17, pixel_fraction=0.0, coverage=0.3, patch=patch)
     solo, sspec = occlude_block(img, patch, 0.3, seed=17)
     assert mixed.values.tobytes() == solo.values.tobytes()
     assert mspec.block == sspec.block
@@ -133,7 +136,7 @@ def test_mixture_block_overwrites_pixel_noise():
     rng = np.random.default_rng(11)
     img = _face(rng, 16, 16)
     patch = textured_patch(rows=16, cols=16, seed=5)
-    mixed, spec = mixture_noise(img, 0.4, 0.25, patch, seed=29)
+    mixed, spec = corrupt(img, seed=29, pixel_fraction=0.4, coverage=0.25, patch=patch)
     top, left, side = spec.block
     grid = matricize(mixed)
     assert np.array_equal(
@@ -169,9 +172,9 @@ def test_dataset_style_mixtures_run():
     rng = np.random.default_rng(13)
     patch = textured_patch()
     tall = _face(rng, 96, 84)
-    out, spec = mixture_noise(tall, 0.3, 0.6, patch, seed=41)
+    out, spec = corrupt(tall, seed=41, pixel_fraction=0.3, coverage=0.6, patch=patch)
     assert spec.mask.sum() >= spec.block[2] ** 2
     assert out.values.min() >= 0.0 and out.values.max() <= 1.0
     wide = _face(rng, 55, 40)
-    out2, spec2 = mixture_noise(wide, 0.2, 0.5, patch, seed=42)
+    out2, spec2 = corrupt(wide, seed=42, pixel_fraction=0.2, coverage=0.5, patch=patch)
     assert 0.0 < spec2.mask.mean() < 1.0

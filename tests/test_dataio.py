@@ -14,7 +14,7 @@ from faceid.dataio import (
     resize_nearest,
     save_pgm,
 )
-from faceid.errors import GeometryError, ParseError
+from faceid.errors import GeometryError, NumericError, ParseError
 from faceid.model import ImageGeometry, build_dictionary, vectorize
 from faceid.weights import WeightVector
 
@@ -118,6 +118,17 @@ def test_save_pgm_clamps_and_counts(tmp_path):
 def test_save_pgm_rejects_non_grid(tmp_path):
     with pytest.raises(GeometryError):
         save_pgm(np.zeros(6), tmp_path / "j.pgm")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_save_pgm_refuses_non_finite_pixels_and_writes_nothing(tmp_path, bad):
+    # A NaN would otherwise be cast to code 0 and not counted as clamped.
+    grid = np.full((3, 3), 0.5)
+    grid[1, 2] = bad
+    p = tmp_path / "k.pgm"
+    with pytest.raises(NumericError, match="1 non-finite pixel"):
+        save_pgm(grid, p)
+    assert not p.exists()
 
 
 def test_resize_identity_and_replication():

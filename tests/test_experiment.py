@@ -121,6 +121,12 @@ def _small_config(**kw):
     return ExperimentConfig(**base)
 
 
+def test_run_experiment_refuses_a_float_cap_before_any_solve():
+    # Refused by method_config before the pool starts, not inside every worker.
+    with pytest.raises(ConfigError, match="t_max"):
+        run_experiment(_small_config(solver_kwargs={"t_max": 2.5}))
+
+
 def test_run_experiment_report_shape():
     report = run_experiment(_small_config())
     assert report.method == "F-LR-IRNNLS"
@@ -197,22 +203,24 @@ def test_run_experiment_gamma_defaults(monkeypatch):
 
 def test_run_experiment_corruption_dispatch(monkeypatch):
     calls = []
-    for name in ("occlude_block", "corrupt_pixels", "mixture_noise"):
-        original = getattr(faceid.corruptions, name)
+    original = faceid.corruptions.corrupt
 
-        def spy(*args, _name=name, _fn=original, **kw):
-            calls.append(_name)
-            return _fn(*args, **kw)
+    def spy(img, seed, pixel_fraction=0.0, coverage=None, patch=None):
+        calls.append((pixel_fraction, coverage))
+        return original(img, seed, pixel_fraction, coverage, patch)
 
-        monkeypatch.setattr(faceid.corruptions, name, spy)
+    monkeypatch.setattr(faceid.corruptions, "corrupt", spy)
     run_experiment(_small_config(seeds=(0,), occlusion=0.3))
-    assert set(calls) == {"occlude_block"} and len(calls) == 3
+    assert calls == [(0.0, 0.3)] * 3
     calls.clear()
     run_experiment(_small_config(seeds=(0,), pixel_fraction=0.2))
-    assert set(calls) == {"corrupt_pixels"} and len(calls) == 3
+    assert calls == [(0.2, None)] * 3
     calls.clear()
     run_experiment(_small_config(seeds=(0,), occlusion=0.3, pixel_fraction=0.2))
-    assert set(calls) == {"mixture_noise"} and len(calls) == 3
+    assert calls == [(0.2, 0.3)] * 3
+    calls.clear()
+    run_experiment(_small_config(seeds=(0,)))
+    assert calls == []
 
 
 def _manifest_from_synthetic(tmp_path):
@@ -303,6 +311,27 @@ def test_single_failed_solve_is_reported_not_fatal(monkeypatch):
     assert not bad[0].correct
     assert bad[0].predicted_label == ""
     assert len(report.rows) == 3
+
+
+def test_non_finite_weight_map_is_an_error_row(monkeypatch, tmp_path):
+    original = faceid.dataio.export_weight_map
+    hits = {"n": 0}
+
+    def nan_pixel(w, geometry, path):
+        hits["n"] += 1
+        values = w.values.copy()
+        if hits["n"] == 2:
+            values[0] = np.nan
+        return original(values, geometry, path)
+
+    monkeypatch.setattr(faceid.dataio, "export_weight_map", nan_pixel)
+    report = run_experiment(_small_config(seeds=(0,), out_dir=tmp_path, export_weights=True))
+    bad = [r for r in report.rows if r.error]
+    assert len(bad) == 1 and len(report.rows) == 3
+    assert "1 non-finite pixel" in bad[0].error
+    assert bad[0].predicted_label == "" and not bad[0].correct
+    assert not (tmp_path / f"{bad[0].image_id}_w.pgm").exists()
+    assert len(list(tmp_path.glob("*_w.pgm"))) == 2
 
 
 def test_all_failed_solves_raise(monkeypatch):

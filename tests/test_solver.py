@@ -760,6 +760,29 @@ def test_solver_config_rejects_non_finite_values(name, value):
         SolverConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "overrides, rejected",
+    [
+        ({"t_max": 2.5}, "t_max"),
+        ({"s_max": 3.0}, "s_max"),
+        ({"t_max": True}, "t_max"),
+        ({"eps3": np.float32("nan")}, "eps3"),
+        ({"rho1": np.float32("inf")}, "rho1"),
+        ({"t_max": np.int64(3), "s_max": np.int64(7)}, None),
+    ],
+    ids=["float-t_max", "float-s_max", "bool-t_max", "float32-nan-eps3", "float32-inf-rho1", "int64-caps"],
+)
+def test_solver_config_caps_are_integers_and_numpy_scalars_finite(overrides, rejected):
+    """A float cap would reach range() inside solve, and a numpy float32 is
+    no Python float, so each check goes by the numbers ABCs."""
+    if rejected is None:
+        config = method_config("F-IRNNLS", **overrides)
+        assert (config.t_max, config.s_max) == (3, 7)
+        return
+    with pytest.raises(ConfigError, match=rejected):
+        method_config("F-IRNNLS", **overrides)
+
+
 def test_baseline_ridge_closed_form_on_orthonormal_dictionary():
     rng = np.random.default_rng(30)
     T = orthonormal_dictionary(rng, 6, 4, 8)
