@@ -87,7 +87,6 @@ def _add_experiment_flags(p):
     _add_solver_flags(p)
     _add_corruption_flags(p)
     p.add_argument("--seed", type=int, action="append", default=None, help="repeatable run seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--out", type=Path, default=None, help="output directory")
 
 
@@ -125,7 +124,6 @@ def _cmd_bench(args) -> int:
         patch=args.patch,
         pixel_fraction=args.pixel_corruption,
         seeds=tuple(args.seed) if args.seed else (0,),
-        jobs=args.jobs,
         out_dir=args.out,
         export_weights=args.export_weights,
         gamma=args.gamma,

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -12,9 +14,15 @@ import numpy as np
 
 from . import classify, corruptions, dataio, solver
 from .errors import ConfigError, NumericError
-from .model import Dictionary, ImageGeometry, build_dictionary, vectorize
+from .model import ImageGeometry, build_dictionary, vectorize
 
 REPORT_VERSION = 1
+# Below this many dictionary values (d x n), solves mostly run Python code that holds the
+# interpreter lock; pinned, 2 workers lost to 1 at 1.29e6 and won from 1.45e6 up (README).
+THREADED_MIN_ENTRIES = 1_400_000
+# OpenBLAS fixes its thread count from these when numpy loads it, so read them once.
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_BLAS_SETTINGS = {name: os.environ[name] for name in _BLAS_VARIABLES if name in os.environ}
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,6 @@ class ExperimentConfig:
     patch: Optional[Path] = None
     pixel_fraction: Optional[float] = None
     seeds: tuple = (0,)
-    jobs: int = 1
     out_dir: Optional[Path] = None
     export_weights: bool = False
     gamma: Optional[float] = None
@@ -186,8 +193,8 @@ class ExperimentConfig:
             raise ConfigError("an occluder patch needs an occlusion fraction")
         if self.pixel_fraction is not None and not 0.0 <= self.pixel_fraction <= 1.0:
             raise ConfigError(f"pixel fraction must be in [0, 1], got {self.pixel_fraction}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
+        if self.manifest is not None and len(self.seeds) > 1 and not (self.occlusion or self.pixel_fraction):
+            raise ConfigError("each seed would solve the same probes: add a corruption flag that draws")
         if self.export_weights and self.out_dir is None:
             raise ConfigError("exporting weight maps needs an output directory")
 
@@ -216,7 +223,7 @@ class ExperimentRow:
 
 @dataclass
 class ExperimentReport:
-    """All rows of one experiment plus the headline aggregates."""
+    """All rows of one experiment, its aggregates, and the threads it ran on."""
 
     method: str
     rows: list
@@ -224,14 +231,16 @@ class ExperimentReport:
     n_train: int
     accuracy: float
     mean_seconds: float
+    workers: int
+    blas_threads: Optional[int]
 
     def write_csv(self, path):
-        path = Path(path)
         with open(path, "w", newline="") as fh:
             fh.write(
                 f"# faceid report v{REPORT_VERSION} method={self.method} "
                 f"seeds={','.join(str(s) for s in self.seeds)} "
-                f"accuracy={self.accuracy:.9g} mean_seconds={self.mean_seconds:.9g}\n"
+                f"accuracy={self.accuracy:.9g} mean_seconds={self.mean_seconds:.9g} "
+                f"workers={self.workers} blas_threads={self.blas_threads or 'unset'}\n"
             )
             writer = csv.writer(fh)
             writer.writerow([f.name for f in fields(ExperimentRow)])
@@ -250,37 +259,25 @@ def _image_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class _Unit:
-    """One (seed, dictionary) slice of work."""
-
-    seed: int
-    dictionary: Dictionary
-    cache: solver.GramCache
-    tests: tuple
-    labels: tuple
-
-
-def _solve_one(unit, idx, config, solver_config, patch):
-    img = unit.tests[idx]
-    raw_label = unit.labels[idx]
-    image_id = f"s{unit.seed}-t{idx:04d}"
+def _solve_one(config, solver_config, patch, gallery, seed, idx):
+    T, cache, tests, labels = gallery
+    img = tests[idx]
+    raw_label = labels[idx]
+    image_id = f"s{seed}-t{idx:04d}"
     try:
         if config.corrupted:
             img, _ = corruptions.corrupt(
-                img, _image_seed(unit.seed, idx), config.pixel_fraction or 0.0, config.occlusion, patch
+                img, _image_seed(seed, idx), config.pixel_fraction or 0.0, config.occlusion, patch
             )
         y = img.normalized()
-        result = solver.solve(y, unit.dictionary, solver_config, cache=unit.cache)
-        outcome = classify.identify(y, unit.dictionary, result)
-        predicted = unit.dictionary.class_names[outcome.predicted]
+        result = solver.solve(y, T, solver_config, cache=cache)
+        outcome = classify.identify(y, T, result)
+        predicted = T.class_names[outcome.predicted]
         if config.export_weights:
-            dataio.export_weight_map(
-                result.w, unit.dictionary.geometry, Path(config.out_dir) / f"{image_id}_w.pgm"
-            )
+            dataio.export_weight_map(result.w, T.geometry, Path(config.out_dir) / f"{image_id}_w.pgm")
         return ExperimentRow(
             image_id=image_id,
-            seed=unit.seed,
+            seed=seed,
             true_label=str(raw_label),
             predicted_label=str(predicted),
             correct=str(predicted) == str(raw_label),
@@ -291,7 +288,7 @@ def _solve_one(unit, idx, config, solver_config, patch):
             converged=result.converged,
         )
     except NumericError as exc:
-        return ExperimentRow(image_id, unit.seed, str(raw_label), error=str(exc) or exc.__class__.__name__)
+        return ExperimentRow(image_id, seed, str(raw_label), error=str(exc) or exc.__class__.__name__)
 
 
 def enroll(records, geometry: Optional[ImageGeometry] = None):
@@ -313,14 +310,29 @@ def resolve_gamma(gamma: Optional[float], corrupted: bool) -> float:
     return 0.6 if corrupted else 0.8
 
 
+def _workers(environ, cpus: int, entries: int):
+    """Return (worker threads, BLAS threads or None when unset) on `cpus` CPUs
+    for a dictionary of `entries` values. OpenBLAS takes the first of
+    _BLAS_VARIABLES that is a positive integer, else threads over every CPU;
+    workers get the CPUs it leaves, or one below THREADED_MIN_ENTRIES."""
+    settings = (environ.get(name, "") for name in _BLAS_VARIABLES)
+    blas = next((int(v) for v in settings if v.isdecimal() and int(v) >= 1), None)
+    if blas is None or entries < THREADED_MIN_ENTRIES:
+        return 1, blas
+    return max(1, cpus // blas), blas
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one identification experiment and aggregate a report.
 
-    For a manifest dataset the dictionary is built once and every seed only
-    re-randomizes the corruption; the synthetic benchmark is regenerated per
-    seed, dictionary included. Each test image is corrupted (if requested),
-    normalized to unit l2, solved, and classified. Rows are ordered by
-    (seed, image index) whatever the number of worker threads.
+    Seeds run in ascending order. A manifest dictionary is built once and
+    every seed only re-randomizes the corruption; the synthetic benchmark is
+    regenerated per seed, dictionary included, and released before the next
+    seed builds its own. Each test image is corrupted (if requested),
+    normalized to unit l2, solved, and classified, on the worker threads that
+    `_workers` works out for the gallery. Rows come out in (seed, image index)
+    order. The BLAS variables are those this module saw when it loaded,
+    which is when OpenBLAS read them unless numpy was imported earlier.
 
     Returns:
         ExperimentReport; report.csv and weight maps land in out_dir if set.
@@ -330,31 +342,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     patch = None
     if config.occlusion is not None:
         patch = dataio.load_pgm(config.patch) if config.patch else corruptions.textured_patch()
-
     if config.manifest is not None:
         T, tests, labels = enroll(dataio.load_manifest(config.manifest).records, config.geometry)
-        cache = solver.precompute_gram(T, solver_config.gram_ratio)
-        units = [_Unit(seed, T, cache, tests, labels) for seed in config.seeds]
-    else:
-        units = []
-        for seed in config.seeds:
-            ds = make_synthetic_benchmark(
-                classes=config.synthetic.classes,
-                per_class=config.synthetic.per_class,
-                geometry=config.synthetic.geometry,
-                seed=seed,
-                extra_tests=config.synthetic.extra_tests,
-            )
-            T = build_dictionary(ds.train, ds.train_labels)
-            cache = solver.precompute_gram(T, solver_config.gram_ratio)
-            units.append(_Unit(seed, T, cache, ds.test, ds.test_labels))
-
+        gallery = T, solver.precompute_gram(T, solver_config.gram_ratio), tests, labels
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    tasks = [(unit, idx) for unit in units for idx in range(len(unit.tests))]
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        rows = list(pool.map(lambda ui: _solve_one(ui[0], ui[1], config, solver_config, patch), tasks))
-    rows.sort(key=lambda r: r.seed)  # stable: tasks are already in test-index order
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    rows, solve = [], partial(_solve_one, config, solver_config, patch)
+    for seed in sorted(config.seeds):
+        if config.synthetic is not None:
+            ds = T = gallery = None  # so this seed's gallery is not built beside the last one
+            spec = config.synthetic
+            ds = make_synthetic_benchmark(spec.classes, spec.per_class, spec.geometry, seed, spec.extra_tests)
+            T = build_dictionary(ds.train, ds.train_labels)
+            gallery = T, solver.precompute_gram(T, solver_config.gram_ratio), ds.test, ds.test_labels
+        workers, blas_threads = _workers(_BLAS_SETTINGS, cpus, T.columns.size)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows += pool.map(partial(solve, gallery, seed), range(len(gallery[2])))
     failed = sum(1 for r in rows if r.error)
     if rows and failed == len(rows):
         raise NumericError(f"all {failed} solves failed; first: {rows[0].error}")
@@ -363,12 +368,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     solved = [r for r in rows if not r.error]
     mean_seconds = float(np.mean([r.solve_seconds for r in solved])) if solved else 0.0
     report = ExperimentReport(
-        method=config.method,
-        rows=rows,
-        seeds=tuple(config.seeds),
-        n_train=units[0].dictionary.n,
-        accuracy=float(accuracy),
-        mean_seconds=mean_seconds,
+        method=config.method, rows=rows, seeds=tuple(config.seeds), n_train=T.n, accuracy=float(accuracy),
+        mean_seconds=mean_seconds, workers=workers, blas_threads=blas_threads,
     )
     if config.out_dir is not None:
         report.write_csv(Path(config.out_dir) / "report.csv")

@@ -165,6 +165,9 @@ def test_contradictory_bench_flags_exit_2(capsys):
     ):
         assert main(base + extra) == 2
         assert message in capsys.readouterr().err
+    # Refused before the manifest is read: every seed would solve the same probes.
+    assert main(["bench", "--manifest", "/nonexistent.txt", "--seed", "0", "--seed", "1"]) == 2
+    assert "corruption flag" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):
@@ -201,6 +204,9 @@ def test_argparse_rejections():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["bench"])  # no dataset source
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--synthetic", "3,3,12x10", "--jobs", "2"])  # the worker count is worked out
     assert exc.value.code == 2
 
 

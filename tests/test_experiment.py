@@ -1,6 +1,8 @@
 """Synthetic benchmark generation and the batch experiment runner."""
 
 import csv
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +10,16 @@ import pytest
 
 import faceid.corruptions
 import faceid.dataio
+import faceid.experiment
 import faceid.solver
 from faceid.dataio import load_pgm, resize_nearest, save_pgm
 from faceid.errors import ConfigError, NumericError
 from faceid.experiment import (
+    THREADED_MIN_ENTRIES,
     ExperimentConfig,
     SyntheticSpec,
     _image_seed,
+    _workers,
     make_synthetic_benchmark,
     run_experiment,
 )
@@ -96,8 +101,6 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(synthetic=SyntheticSpec(), occlusion=1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(synthetic=SyntheticSpec(), pixel_fraction=1.5)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(synthetic=SyntheticSpec(), jobs=0)
     with pytest.raises(ConfigError, match="resize"):
         ExperimentConfig(synthetic=SyntheticSpec(), geometry=ImageGeometry(6, 5))
     with pytest.raises(ConfigError, match="patch"):
@@ -106,6 +109,11 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(synthetic=SyntheticSpec(), seeds=(1, 1))
     with pytest.raises(ConfigError, match="nonnegative"):
         ExperimentConfig(synthetic=SyntheticSpec(), seeds=(0, -1))
+    for clean in ({}, {"pixel_fraction": 0.0}):  # a zero fraction draws nothing
+        with pytest.raises(ConfigError, match="corruption flag"):
+            ExperimentConfig(manifest=tmp_path / "m.csv", seeds=(0, 1), **clean)
+    ExperimentConfig(manifest=tmp_path / "m.csv", seeds=(0, 1), pixel_fraction=0.1)
+    ExperimentConfig(manifest=tmp_path / "m.csv", seeds=(1,))
     assert not ExperimentConfig(synthetic=SyntheticSpec()).corrupted
     assert ExperimentConfig(synthetic=SyntheticSpec(), occlusion=0.3).corrupted
 
@@ -141,6 +149,14 @@ def test_run_experiment_report_shape():
     assert all(r.inner_iterations >= r.outer_iterations for r in report.rows)
 
 
+def test_run_experiment_rows_follow_ascending_seeds():
+    report = run_experiment(_small_config(seeds=(2, 0)))
+    assert [r.image_id for r in report.rows] == [
+        "s0-t0000", "s0-t0001", "s0-t0002", "s2-t0000", "s2-t0001", "s2-t0002",
+    ]
+    assert report.seeds == (2, 0)
+
+
 def test_run_experiment_rows_keep_test_index_order_past_9999():
     # Five-digit indices sort before four-digit ones as strings ("t10000" < "t1001").
     report = run_experiment(ExperimentConfig(
@@ -151,9 +167,46 @@ def test_run_experiment_rows_keep_test_index_order_past_9999():
     assert [r.image_id for r in report.rows] == [f"s0-t{i:04d}" for i in range(10002)]
 
 
-def test_run_experiment_thread_count_does_not_change_results():
+@pytest.mark.parametrize(
+    "environ, cpus, entries, expected",
+    [
+        ({}, 4, THREADED_MIN_ENTRIES, (1, None)),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES, (4, 1)),
+        ({"OMP_NUM_THREADS": "2"}, 4, THREADED_MIN_ENTRIES, (2, 2)),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES, (1, 4)),
+        ({"OPENBLAS_NUM_THREADS": "one"}, 4, THREADED_MIN_ENTRIES, (1, None)),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, THREADED_MIN_ENTRIES, (2, 2)),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 2, THREADED_MIN_ENTRIES, (1, 8)),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, THREADED_MIN_ENTRIES, (4, 1)),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES, (2, 2)),
+        # Below the gate; the benchmark and paper shapes, and the measured
+        # 96x84 galleries that bracket the gate, on either side of it.
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES - 1, (1, 1)),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 24 * 21 * 60, (1, 1)),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 96 * 84 * 160, (1, 1)),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 96 * 84 * 180, (4, 1)),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 96 * 84 * 722, (4, 1)),
+    ],
+)
+def test_workers_leave_the_cpus_blas_threads_take(environ, cpus, entries, expected):
+    assert _workers(environ, cpus, entries) == expected
+
+
+def test_run_experiment_reads_the_blas_variables_once(monkeypatch):
+    # OpenBLAS read them when numpy loaded; a later change does not reach it.
+    seen = []
+    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: seen.append(environ) or (1, None))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "13")
+    run_experiment(_small_config())
+    assert seen == [faceid.experiment._BLAS_SETTINGS] * 2
+    assert "13" not in seen[0].values()
+
+
+def test_run_experiment_thread_count_does_not_change_results(monkeypatch):
+    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: (1, None))
     solo = run_experiment(_small_config(occlusion=0.3))
-    pooled = run_experiment(_small_config(occlusion=0.3, jobs=3))
+    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: (3, None))
+    pooled = run_experiment(_small_config(occlusion=0.3))
     strip = lambda rows: [
         (r.image_id, r.seed, r.true_label, r.predicted_label, r.correct, r.margin,
          r.outer_iterations, r.inner_iterations, r.converged, r.error)
@@ -163,11 +216,31 @@ def test_run_experiment_thread_count_does_not_change_results():
     assert solo.accuracy == pooled.accuracy
 
 
-def test_run_experiment_writes_versioned_csv(tmp_path):
+def test_run_experiment_holds_one_synthetic_gallery_at_a_time():
+    def peak(seeds):
+        config = ExperimentConfig(
+            method="CR-RLS", synthetic=SyntheticSpec(10, 7, 48, 42, extra_tests=0), seeds=seeds
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak((0,)), peak((3, 1, 0, 2))
+    assert four <= 1.5 * one, f"4 seeds peak at {four / one:.2f}x 1 seed"
+
+
+def test_run_experiment_writes_versioned_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: (2, 1))
     report = run_experiment(_small_config(out_dir=tmp_path))
     text = (tmp_path / "report.csv").read_text().splitlines()
     assert text[0].startswith("# faceid report v1 method=F-LR-IRNNLS seeds=0,1 accuracy=")
     assert f"accuracy={report.accuracy:.9g}" in text[0]
+    assert text[0].endswith(" workers=2 blas_threads=1")
+    replace(report, workers=1, blas_threads=None).write_csv(tmp_path / "unset.csv")
+    assert (tmp_path / "unset.csv").read_text().splitlines()[0].endswith(" workers=1 blas_threads=unset")
     rows = list(csv.reader(text[1:]))
     assert rows[0][:3] == ["image_id", "seed", "true_label"]
     assert len(rows) == 1 + len(report.rows)
