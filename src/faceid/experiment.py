@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -17,12 +15,20 @@ from .errors import ConfigError, NumericError
 from .model import ImageGeometry, build_dictionary, vectorize
 
 REPORT_VERSION = 1
-# Below this many dictionary values (d x n), solves mostly run Python code that holds the
-# interpreter lock; pinned, 2 workers lost to 1 at 1.29e6 and won from 1.45e6 up (README).
-THREADED_MIN_ENTRIES = 1_400_000
-# OpenBLAS fixes its thread count from these when numpy loads it, so read them once.
-_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_BLAS_SETTINGS = {name: os.environ[name] for name in _BLAS_VARIABLES if name in os.environ}
+# Probes per solve_batch call: each batch turns the dictionary products into
+# matrix-matrix products. Picked from a pinned sweep of 16, 32 and 64 (README).
+BATCH = 64
+
+
+def _blas_threads(environ) -> Optional[int]:
+    """OpenBLAS's thread count under environ: the first of its variables that
+    is a positive integer, or None when none is (it then uses every CPU)."""
+    settings = (environ.get(k, "") for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    return next((int(v) for v in settings if v.isdecimal() and int(v) >= 1), None)
+
+
+# OpenBLAS reads its variables once, when numpy loads it; so does this module.
+_BLAS_THREADS = _blas_threads(os.environ)
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,7 @@ class ExperimentRow:
 
 @dataclass
 class ExperimentReport:
-    """All rows of one experiment, its aggregates, and the threads it ran on."""
+    """All rows of one experiment, its aggregates, and the BLAS threads it ran on."""
 
     method: str
     rows: list
@@ -231,7 +237,6 @@ class ExperimentReport:
     n_train: int
     accuracy: float
     mean_seconds: float
-    workers: int
     blas_threads: Optional[int]
 
     def write_csv(self, path):
@@ -240,7 +245,7 @@ class ExperimentReport:
                 f"# faceid report v{REPORT_VERSION} method={self.method} "
                 f"seeds={','.join(str(s) for s in self.seeds)} "
                 f"accuracy={self.accuracy:.9g} mean_seconds={self.mean_seconds:.9g} "
-                f"workers={self.workers} blas_threads={self.blas_threads or 'unset'}\n"
+                f"blas_threads={self.blas_threads or 'unset'}\n"
             )
             writer = csv.writer(fh)
             writer.writerow([f.name for f in fields(ExperimentRow)])
@@ -259,36 +264,23 @@ def _image_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _solve_one(config, solver_config, patch, gallery, seed, idx):
-    T, cache, tests, labels = gallery
-    img = tests[idx]
-    raw_label = labels[idx]
+def _row(config, T, seed, idx, label, y, outcome) -> ExperimentRow:
+    """The report row of one probe: its classification and weight map, or the
+    NumericError that its solve (outcome) or its export raised."""
     image_id = f"s{seed}-t{idx:04d}"
     try:
-        if config.corrupted:
-            img, _ = corruptions.corrupt(
-                img, _image_seed(seed, idx), config.pixel_fraction or 0.0, config.occlusion, patch
-            )
-        y = img.normalized()
-        result = solver.solve(y, T, solver_config, cache=cache)
-        outcome = classify.identify(y, T, result)
-        predicted = T.class_names[outcome.predicted]
+        if isinstance(outcome, NumericError):
+            raise outcome
+        classified = classify.identify(y, T, outcome)
+        predicted = T.class_names[classified.predicted]
         if config.export_weights:
-            dataio.export_weight_map(result.w, T.geometry, Path(config.out_dir) / f"{image_id}_w.pgm")
+            dataio.export_weight_map(outcome.w, T.geometry, Path(config.out_dir) / f"{image_id}_w.pgm")
         return ExperimentRow(
-            image_id=image_id,
-            seed=seed,
-            true_label=str(raw_label),
-            predicted_label=str(predicted),
-            correct=str(predicted) == str(raw_label),
-            margin=outcome.margin,
-            solve_seconds=result.wall_seconds,
-            outer_iterations=result.outer_iterations,
-            inner_iterations=result.total_inner_iterations,
-            converged=result.converged,
+            image_id, seed, str(label), str(predicted), str(predicted) == str(label), classified.margin,
+            outcome.wall_seconds, outcome.outer_iterations, outcome.total_inner_iterations, outcome.converged,
         )
     except NumericError as exc:
-        return ExperimentRow(image_id, seed, str(raw_label), error=str(exc) or exc.__class__.__name__)
+        return ExperimentRow(image_id, seed, str(label), error=str(exc) or exc.__class__.__name__)
 
 
 def enroll(records, geometry: Optional[ImageGeometry] = None):
@@ -310,29 +302,17 @@ def resolve_gamma(gamma: Optional[float], corrupted: bool) -> float:
     return 0.6 if corrupted else 0.8
 
 
-def _workers(environ, cpus: int, entries: int):
-    """Return (worker threads, BLAS threads or None when unset) on `cpus` CPUs
-    for a dictionary of `entries` values. OpenBLAS takes the first of
-    _BLAS_VARIABLES that is a positive integer, else threads over every CPU;
-    workers get the CPUs it leaves, or one below THREADED_MIN_ENTRIES."""
-    settings = (environ.get(name, "") for name in _BLAS_VARIABLES)
-    blas = next((int(v) for v in settings if v.isdecimal() and int(v) >= 1), None)
-    if blas is None or entries < THREADED_MIN_ENTRIES:
-        return 1, blas
-    return max(1, cpus // blas), blas
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one identification experiment and aggregate a report.
 
     Seeds run in ascending order. A manifest dictionary is built once and
     every seed only re-randomizes the corruption; the synthetic benchmark is
     regenerated per seed, dictionary included, and released before the next
-    seed builds its own. Each test image is corrupted (if requested),
-    normalized to unit l2, solved, and classified, on the worker threads that
-    `_workers` works out for the gallery. Rows come out in (seed, image index)
-    order. The BLAS variables are those this module saw when it loaded,
-    which is when OpenBLAS read them unless numpy was imported earlier.
+    seed builds its own. Each test image is corrupted (if requested) and
+    normalized to unit l2; a gallery's probes are solved in index order, in
+    batches of BATCH, and each is classified. Rows come out in (seed, image
+    index) order. The BLAS thread count is the one this module read when it
+    loaded, which is when OpenBLAS read it unless numpy was imported earlier.
 
     Returns:
         ExperimentReport; report.csv and weight maps land in out_dir if set.
@@ -344,22 +324,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         patch = dataio.load_pgm(config.patch) if config.patch else corruptions.textured_patch()
     if config.manifest is not None:
         T, tests, labels = enroll(dataio.load_manifest(config.manifest).records, config.geometry)
-        gallery = T, solver.precompute_gram(T, solver_config.gram_ratio), tests, labels
+        cache = solver.precompute_gram(T, solver_config.gram_ratio)
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    rows, solve = [], partial(_solve_one, config, solver_config, patch)
+    rows = []
     for seed in sorted(config.seeds):
         if config.synthetic is not None:
-            ds = T = gallery = None  # so this seed's gallery is not built beside the last one
+            ds = T = cache = tests = labels = None  # so this seed's gallery is not built beside the last one
             spec = config.synthetic
             ds = make_synthetic_benchmark(spec.classes, spec.per_class, spec.geometry, seed, spec.extra_tests)
             T = build_dictionary(ds.train, ds.train_labels)
-            gallery = T, solver.precompute_gram(T, solver_config.gram_ratio), ds.test, ds.test_labels
-        workers, blas_threads = _workers(_BLAS_SETTINGS, cpus, T.columns.size)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows += pool.map(partial(solve, gallery, seed), range(len(gallery[2])))
+            cache = solver.precompute_gram(T, solver_config.gram_ratio)
+            tests, labels = ds.test, ds.test_labels
+        for start in range(0, len(tests), BATCH):
+            indices = range(start, min(start + BATCH, len(tests)))
+            ys = []
+            for idx in indices:
+                img = tests[idx]
+                if config.corrupted:
+                    img, _ = corruptions.corrupt(
+                        img, _image_seed(seed, idx), config.pixel_fraction or 0.0, config.occlusion, patch
+                    )
+                ys.append(img.normalized())
+            for idx, y, outcome in zip(indices, ys, solver.solve_batch(ys, T, solver_config, cache)):
+                rows.append(_row(config, T, seed, idx, labels[idx], y, outcome))
     failed = sum(1 for r in rows if r.error)
     if rows and failed == len(rows):
         raise NumericError(f"all {failed} solves failed; first: {rows[0].error}")
@@ -369,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     mean_seconds = float(np.mean([r.solve_seconds for r in solved])) if solved else 0.0
     report = ExperimentReport(
         method=config.method, rows=rows, seeds=tuple(config.seeds), n_train=T.n, accuracy=float(accuracy),
-        mean_seconds=mean_seconds, workers=workers, blas_threads=blas_threads,
+        mean_seconds=mean_seconds, blas_threads=_BLAS_THREADS,
     )
     if config.out_dir is not None:
         report.write_csv(Path(config.out_dir) / "report.csv")

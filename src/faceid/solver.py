@@ -150,7 +150,7 @@ class GramCache:
     columns is the array the inverse was built from; coding_step accepts the
     cache only with that same array (an O(1) identity check), so a cache built
     for another dictionary of the same size is refused. The inverse is a full,
-    exactly symmetric array, so that apply is one matrix-vector product.
+    exactly symmetric array, so that apply is one product.
     """
 
     ratio: float
@@ -158,13 +158,15 @@ class GramCache:
     _inverse: np.ndarray
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """x = (T'T + ratio I)^-1 b, as one product with the stored inverse."""
-        return self._inverse @ b
+        """x = (T'T + ratio I)^-1 b for b of shape (n,) or (n, B), as one
+        product with the stored inverse, formed as (b' inverse')' so that
+        the columns of x come out contiguous, as _product's do."""
+        return (b.T @ self._inverse.T).T
 
 
 def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
     """Invert T'T + ratio * I once, so that every coefficient update is one
-    matrix-vector product instead of a pair of triangular solves.
+    product instead of a pair of triangular solves.
 
     T'T is accumulated in float64 by BLAS dsyrk into one Fortran-ordered
     buffer, the order LAPACK works in: float64 columns in one call, with no
@@ -205,16 +207,21 @@ def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
 
 @dataclass
 class AdmmState:
-    """Inner-loop state; z is None when the l2 kind drops the split.
+    """Inner-loop state of a batch of probes, one column per probe: a, z and
+    u2 are (n, B), e, u1, w and Ta are (d, B); z is None when the l2 kind
+    drops the split. The step functions are elementwise apart from their
+    products, so a state of 1-d vectors is the one-probe case without the
+    column axis.
 
     Ta carries the product T.columns @ a for the current a, so that each
     product is formed once: dual_update forms it, e_update and the outer
     weight residual read it. coding_step keeps Ta == T.columns @ a at every
     e_update; a state that only meets z_update and a_update may leave it None.
 
-    coding_step returns its final state: the iteration count, whether it
-    converged, and the last fit ||y - Ta - e|| and split ||a - z|| residuals
-    (split stays 0.0 on the l2 path).
+    coding_step returns its final state, with one entry per column in each
+    of: the iteration count, whether the column converged, and its last fit
+    ||y - Ta - e|| and split ||a - z|| residuals (split stays 0.0 on the l2
+    path).
     """
 
     a: np.ndarray
@@ -224,26 +231,35 @@ class AdmmState:
     u2: np.ndarray
     w: np.ndarray
     Ta: Optional[np.ndarray] = None
-    iterations: int = 0
-    converged: bool = False
-    fit_residual: float = float("inf")
-    split_residual: float = float("inf")
+    iterations: Optional[np.ndarray] = None
+    converged: Optional[np.ndarray] = None
+    fit_residual: Optional[np.ndarray] = None
+    split_residual: Optional[np.ndarray] = None
 
 
-def _product(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v in M's dtype, returned in float64: a float32 dictionary reads
-    half the bytes of a float64 one, and both casts are no-ops at float64."""
-    return (M @ v.astype(M.dtype, copy=False)).astype(np.float64, copy=False)
+def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M @ V in M's dtype, returned in float64: a float32 dictionary reads
+    half the bytes of a float64 one, and both casts are no-ops at float64.
+    V of one column is a matrix-vector product, of B columns one
+    matrix-matrix product. It is formed as (V' M')', which gives the bits of
+    M @ V and a Fortran-ordered result: each probe's column is contiguous."""
+    return (V.T.astype(M.dtype, copy=False) @ M.T).T.astype(np.float64, copy=False)
 
 
 def e_update(state: AdmmState, y, T: Dictionary, config: SolverConfig) -> np.ndarray:
-    """Residual-variable update: weighted shrink, then SVT on the grid when
-    config.low_rank. Reads the carried product state.Ta; forms none."""
+    """Residual-variable update: weighted shrink, then, when config.low_rank,
+    SVT of each column's grid. Reads the carried product state.Ta; forms
+    none."""
     r = y - state.Ta + state.u1 / config.rho1
     e = shrink_weighted(r, state.w, config.rho1)
     if config.low_rank:
-        E = svt(e.reshape(T.geometry.shape, order="F"), config.lambda_star / config.rho1)
-        e = E.reshape(-1, order="F")
+        tau = config.lambda_star / config.rho1
+        # Column j's grid is grids[:, :, j], a view laid out as a single
+        # probe's; e is Fortran-ordered (coding_step keeps it so), else copied.
+        e = np.asfortranarray(e)
+        grids = e.reshape(T.geometry.shape + (-1,), order="F")
+        for j in range(grids.shape[2]):
+            grids[:, :, j] = svt(grids[:, :, j], tau)
     return e
 
 
@@ -290,37 +306,43 @@ def coding_step(
     a0,
     Ta0,
     duals=None,
-    tol: Optional[float] = None,
+    tol=None,
 ) -> AdmmState:
-    """Code y against T under fixed weights w by inner ADMM.
+    """Code the B columns of y against T under fixed weights w by inner ADMM,
+    in lockstep.
 
-    Each inner iteration forms two dictionary products, T' v in a_update and
-    T a in dual_update; the state carries the latter, Ta == T.columns @ a,
-    into the next e_update and out to the caller.
+    Each inner iteration forms two dictionary products over the columns still
+    iterating, T' V in a_update and T A in dual_update; the state carries the
+    latter, Ta == T.columns @ a, into the next e_update and out to the caller.
+    A column leaves the loop when it converges: the working arrays are
+    compacted, so no product is formed for it afterwards.
 
     a_update and dual_update read e and z relaxed by the factor alpha (RELAX
     on the plain path, 1 on the low-rank path); the state keeps the real e
-    and z, and the residuals are measured on the iterates it returns.
+    and z, and the residuals are measured on the iterates it returns, each
+    column's by its own vector norm.
 
     Both products run in the dtype of T.columns and return float64; every
     other quantity is float64. With float32 columns the reachable fit and
     split residuals bottom out near 1e-6 (see SolverConfig).
 
     Args:
-        y: observation array of length d.
-        w: pixel weight array of length d.
+        y: (d, B) observations, one probe per column.
+        w: (d, B) pixel weights.
         cache: GramCache built from T.columns at config.gram_ratio.
-        a0: starting coefficients of length n.
-        Ta0: the product T.columns @ a0, of length d; the caller forms it
-            (solve carries it from the previous step).
-        duals: optional (u1, u2) warm start of lengths d and n; both default
-            to zero.
-        tol: fit tolerance; defaults to config.eps1.
+        a0: (n, B) starting coefficients.
+        Ta0: (d, B) product T.columns @ a0; the caller forms it (solve_batch
+            carries it from the previous step).
+        duals: optional (u1, u2) warm start of shapes (d, B) and (n, B); both
+            default to zero.
+        tol: one fit tolerance for every column, or (B,) of them, one per
+            column; defaults to config.eps1.
 
     Returns:
-        The final AdmmState; convergence means ||y - Ta - e|| <= tol and,
-        unless the l2 kind dropped the split, ||a - z|| <= eps2. Its Ta is
-        T.columns @ a for the returned a.
+        The final AdmmState with every column in its place; column j has
+        converged when ||y_j - Ta_j - e_j|| <= tol_j and, unless the l2 kind
+        dropped the split, ||a_j - z_j|| <= eps2. Its Ta is T.columns @ a for
+        the returned a.
 
     Raises:
         ConfigError: the cache was built for other columns than T's, or at
@@ -332,32 +354,45 @@ def coding_step(
     expected = config.gram_ratio
     if abs(cache.ratio - expected) > 1e-12 * max(1.0, expected):
         raise ConfigError(f"gram cache ratio {cache.ratio} does not match the configuration's {expected}")
-    y = np.asarray(y, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    if y.size != d or w.size != d:
-        raise GeometryError(f"y and w must have length d={d}")
-    a = np.array(a0, dtype=float).ravel()
-    if a.size != n:
-        raise GeometryError(f"a0 must have length n={n}")
-    Ta = np.asarray(Ta0, dtype=float).ravel()
-    if Ta.size != d:
-        raise GeometryError(f"Ta0 must have length d={d}")
-    tol = config.eps1 if tol is None else tol
+    # Fortran order throughout: every column (probe) is contiguous, for svt,
+    # the column norms and the compaction below.
+    y = np.asfortranarray(y, dtype=float)
+    w = np.asfortranarray(w, dtype=float)
+    if y.ndim != 2 or y.shape[0] != d or w.shape != y.shape:
+        raise GeometryError(f"y and w must be (d={d}, B) arrays of one shape")
+    m = y.shape[1]
+    # Every iteration replaces a, u1 and u2 with new arrays, so the starting
+    # ones are read, never written, and need no copy.
+    a = np.asfortranarray(a0, dtype=float)
+    if a.shape != (n, m):
+        raise GeometryError(f"a0 must have shape (n={n}, B={m})")
+    Ta = np.asfortranarray(Ta0, dtype=float)
+    if Ta.shape != (d, m):
+        raise GeometryError(f"Ta0 must have shape (d={d}, B={m})")
+    # Per-column scalars are Python floats: the one-probe case is the hot
+    # path, and a list is cheaper than an array there.
+    tol = np.asarray(config.eps1 if tol is None else tol, dtype=float)
+    if tol.ndim > 1 or tol.size not in (1, m):
+        raise GeometryError(f"tol must be one value or B={m} values")
+    tol = tol.ravel().tolist() * (m if tol.size == 1 else 1)
     drop_split = config.regularizer == "l2"
+    if duals is None:
+        u1, u2 = np.zeros((d, m), order="F"), np.zeros((n, m), order="F")
+    else:
+        u1, u2 = (np.asfortranarray(u, dtype=float) for u in duals)
+        if u1.shape != (d, m) or u2.shape != (n, m):
+            raise GeometryError(f"duals must have shapes (d={d}, B={m}) and (n={n}, B={m})")
     state = AdmmState(
         a=a,
-        z=None if drop_split else np.zeros(n),
-        e=np.zeros(d),
-        u1=np.zeros(d),
-        u2=np.zeros(n),
+        z=None if drop_split else np.zeros((n, m), order="F"),
+        e=np.zeros((d, m), order="F"),
+        u1=u1,
+        u2=u2,
         w=w,
         Ta=Ta,
     )
-    if duals is not None:
-        state.u1 = np.array(duals[0], dtype=float).ravel()
-        state.u2 = np.array(duals[1], dtype=float).ravel()
-        if state.u1.size != d or state.u2.size != n:
-            raise GeometryError(f"duals must have lengths d={d} and n={n}")
+    live = np.arange(m)  # the column of y that each working column codes
+    out = None  # the returned state, filled in as columns leave
     alpha = 1.0 if config.low_rank else RELAX
     for s in range(1, config.s_max + 1):
         e = e_update(state, y, T, config)
@@ -370,19 +405,54 @@ def coding_step(
         state.a = a_update(state, y, T, cache, config)
         state.u1, state.u2, state.Ta = dual_update(state, y, T, config.rho1, config.rho2)
         state.e, state.z = e, z
-        fit = float(np.linalg.norm(y - state.Ta - e))
-        split = 0.0 if drop_split else float(np.linalg.norm(state.a - z))
-        state.iterations, state.fit_residual, state.split_residual = s, fit, split
-        if fit <= tol and (drop_split or split <= config.eps2):
-            state.converged = True
-            break
-    return state
+        fit = _column_norms(y - state.Ta - e)
+        split = [0.0] * len(fit) if drop_split else _column_norms(state.a - z)
+        done = [f <= t and g <= config.eps2 for f, g, t in zip(fit, split, tol)]
+        last = s == config.s_max or all(done)
+        if not (last or any(done)):
+            continue
+        fit, split, done = np.array(fit), np.array(split), np.array(done)
+        if out is None and last:  # every column leaves at once, in its place
+            state.iterations, state.converged = np.full(m, s), done
+            state.fit_residual, state.split_residual = fit, split
+            return state
+        if out is None:
+            out = AdmmState(**{k: None if v is None else np.empty(v.shape[:-1] + (m,), order="F")
+                               for k, v in vars(state).items() if k != "w"}, w=w)
+            out.iterations, out.converged = np.empty(m, int), np.empty(m, bool)
+            out.fit_residual, out.split_residual = np.empty(m), np.empty(m)
+        leave = slice(None) if last else done
+        cols = live[leave]
+        for k, v in vars(state).items():
+            if v is not None and k != "w":
+                getattr(out, k)[:, cols] = v[:, leave]
+        out.iterations[cols], out.converged[cols] = s, done[leave]
+        out.fit_residual[cols], out.split_residual[cols] = fit[leave], split[leave]
+        if last:
+            return out
+        keep = ~done
+        live, y, tol = live[keep], y[:, keep], [t for t, kept in zip(tol, keep) if kept]
+        # The next iteration reads only these; it computes e and z afresh.
+        state = AdmmState(
+            a=state.a[:, keep], z=None, e=None, u1=state.u1[:, keep], u2=state.u2[:, keep],
+            w=state.w[:, keep], Ta=state.Ta[:, keep],
+        )
+
+
+def _column_norms(M: np.ndarray) -> list:
+    """The 2-norm of each column of the Fortran-ordered M, taken as
+    np.linalg.norm takes it of that column alone, sqrt(v.dot(v)); a norm
+    along an axis can round differently."""
+    return [math.sqrt(v.dot(v)) for v in M.T]
 
 
 @dataclass
 class SolveResult:
     """Final iterates plus per-iteration accounting for one solve; stop is
-    "converged" or the cap that ended it, "t_max" or "s_max"."""
+    "converged" or the cap that ended it, "t_max" or "s_max". wall_seconds
+    charges the probe, for each outer step it took part in, that step's wall
+    time over the number of probes in it, so a batch's wall_seconds sum to
+    its wall time."""
 
     a: np.ndarray
     e: np.ndarray
@@ -402,85 +472,174 @@ class SolveResult:
         return int(sum(self.inner_iterations))
 
 
+@dataclass
+class _Columns:
+    """The probes solve_batch is coding, one column (or entry) each: probe is
+    the index in ys of each column; y, Ta and u1 are (d, B), a and u2 (n, B),
+    w holds each probe's last weights, tol its fit tolerance and change its
+    last relative weight change. All (d, B) and (n, B) arrays are
+    Fortran-ordered, as coding_step keeps them; tol and change are lists of
+    floats, which cost less than arrays in the one-probe case."""
+
+    probe: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    Ta: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    w: np.ndarray
+    tol: list
+    change: list
+
+    def take(self, keep: np.ndarray) -> "_Columns":
+        """The columns that the boolean mask keep selects, in every field."""
+        return _Columns(**{
+            k: v[..., keep] if isinstance(v, np.ndarray) else [x for x, kept in zip(v, keep) if kept]
+            for k, v in vars(self).items()
+        })
+
+
+def solve_batch(
+    ys,
+    T: Dictionary,
+    config: SolverConfig,
+    cache: Optional[GramCache] = None,
+) -> list:
+    """Full reweighted solves of several observations against one dictionary,
+    coded in lockstep as the columns of (d, B) arrays.
+
+    Each probe alternates weight updates (from the residual of its current
+    coefficients) with inner ADMM coding steps until the relative change of
+    its weight vector drops below eps3 or t_max outer iterations have run;
+    constant weights never change, so their solve stops after one coding step
+    and has converged when that step has (it stops at s_max otherwise).
+    Coefficients and the scaled duals (u1, u2) warm-start each coding step.
+    A probe's first two steps run to eps1, every later one to
+    min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
+    which lies in [INNER_TOL_RATIO * eps3, eps1]. T a is formed once for the
+    flat start, which every probe shares; every later weight residual reuses
+    the product the coding step carries. A probe leaves the batch when its
+    solve stops, and each one that stops at a cap logs one warning naming it.
+
+    A NumericError ends only its own probe's solve: a residual that is not
+    finite fails its probe at the weight update. A coding step that raises
+    does not say which column did, so each probe in it is solved again on
+    its own.
+
+    The products of a batch are matrix-matrix products, which round each
+    column differently from the matrix-vector products of a one-probe batch:
+    a probe's iterates can differ in the last bits with the batch it is in.
+
+    Args:
+        ys: observations (FaceVector or length-d arrays), typically unit l2.
+        T: Dictionary of training faces.
+        cache: optional GramCache from precompute_gram; built here when absent.
+
+    Returns:
+        One outcome per observation, in order: a SolveResult with final a, e,
+        w and the iteration bookkeeping, or the NumericError that ended that
+        probe's solve.
+    """
+    clock = time.perf_counter()
+    d, n = T.columns.shape
+    m = len(ys)
+    Y = np.empty((d, m), order="F")
+    for j, y in enumerate(ys):
+        values = np.asarray(getattr(y, "values", y), dtype=float).ravel()
+        if values.size != d:
+            raise GeometryError(f"observation length {values.size} does not match dictionary d={d}")
+        Y[:, j] = values
+    if cache is None:
+        cache = precompute_gram(T, config.gram_ratio)
+    a0 = np.full((n, 1), 1.0 / n)
+    cols = _Columns(
+        probe=np.arange(m), y=Y, a=np.asfortranarray(np.repeat(a0, m, axis=1)),
+        Ta=np.asfortranarray(np.repeat(_product(T.columns, a0), m, axis=1)),
+        u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=np.empty((d, m), order="F"),
+        tol=[config.eps1] * m, change=[math.nan] * m,
+    )
+    outcomes = [None] * m
+    inner = [[] for _ in ys]
+    inner_converged = [[] for _ in ys]
+    seconds = [0.0] * m
+    t = 0
+    while cols.probe.size:
+        W = np.empty_like(cols.y)
+        failed = []
+        for k, r in enumerate((cols.y - cols.Ta).T):
+            try:
+                W[:, k] = weight_update(r, config.weights).values
+            except NumericError as exc:
+                outcomes[cols.probe[k]] = exc
+                failed.append(k)
+        if failed:
+            keep = np.ones(cols.probe.size, bool)
+            keep[failed] = False
+            cols, W = cols.take(keep), W[:, keep]
+            if not cols.probe.size:
+                break
+        t += 1
+        if t > 1:
+            cols.change = [a / b for a, b in zip(_column_norms(W - cols.w), _column_norms(cols.w))]
+        try:
+            step = coding_step(cols.y, T, W, cache, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
+                               tol=cols.tol)
+        except NumericError as exc:
+            # Which column raised is not known: each probe is solved again alone.
+            for j in cols.probe:
+                outcomes[j] = exc if cols.probe.size == 1 else solve_batch([ys[j]], T, config, cache)[0]
+            break
+        cols.a, cols.Ta, cols.u1, cols.u2, cols.w = step.a, step.Ta, step.u1, step.u2, W
+        probes, converged = cols.probe.tolist(), step.converged.tolist()
+        for j, its, ok in zip(probes, step.iterations.tolist(), converged):
+            inner[j].append(its)
+            inner_converged[j].append(ok)
+        if config.weights.kind == "constant":
+            stops = ["converged" if ok else "s_max" for ok in converged]
+        elif t == 1:
+            stops = ["t_max" if t == config.t_max else ""] * len(probes)
+        else:
+            stops = ["converged" if c < config.eps3 else "t_max" if t == config.t_max else "" for c in cols.change]
+            cols.tol = [tol if c < config.eps3 else min(config.eps1, INNER_TOL_RATIO * c)
+                        for tol, c in zip(cols.tol, cols.change)]
+        now = time.perf_counter()
+        for j in probes:
+            seconds[j] += (now - clock) / len(probes)
+        clock = now
+        for k, (j, stop) in enumerate(zip(probes, stops)):
+            if not stop:
+                continue
+            if stop == "t_max":
+                detail = f"outer iterations; last relative weight change {cols.change[k]:.3g} (eps3 {config.eps3:g})"
+                log.warning("solve stopped at %s=%d %s", stop, config.t_max, detail)
+            elif stop == "s_max":  # the one coding step of a constant-weight solve
+                detail = (f"inner iterations; last fit {step.fit_residual[k]:.3g} (tol {cols.tol[k]:g}), "
+                          f"split {step.split_residual[k]:.3g} (eps2 {config.eps2:g}), "
+                          f"{T.columns.dtype} dictionary")
+                log.warning("solve stopped at %s=%d %s", stop, config.s_max, detail)
+            outcomes[j] = SolveResult(
+                a=cols.a[:, k].copy(), e=step.e[:, k].copy(), w=WeightVector(W[:, k].copy()),
+                outer_iterations=t, inner_iterations=inner[j], inner_converged=inner_converged[j],
+                stop=stop, wall_seconds=seconds[j],
+            )
+        if any(stops):
+            cols = cols.take(np.array([not stop for stop in stops]))
+    return outcomes
+
+
 def solve(
     y,
     T: Dictionary,
     config: SolverConfig,
     cache: Optional[GramCache] = None,
 ) -> SolveResult:
-    """Full reweighted solve of one observation against a dictionary.
-
-    Alternates weight updates (from the residual of the current coefficients)
-    with inner ADMM coding steps until the relative change of the weight
-    vector drops below eps3 or t_max outer iterations have run; constant
-    weights never change, so their solve stops after one coding step and has
-    converged when that step has (it stops at s_max otherwise).
-    Coefficients and the scaled duals (u1, u2) warm-start each coding step.
-    The first two steps run to eps1, every later one to
-    min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
-    which lies in [INNER_TOL_RATIO * eps3, eps1]. T a is formed once for the
-    flat start; every later weight residual reuses the product the coding
-    step carries. A solve that stops at a cap logs one warning naming it.
-
-    Args:
-        y: observation (FaceVector or length-d array), typically unit l2.
-        T: Dictionary of training faces.
-        cache: optional GramCache from precompute_gram; built here when absent.
-
-    Returns:
-        SolveResult with final a, e, w and the iteration bookkeeping.
-    """
-    t0 = time.perf_counter()
-    d, n = T.columns.shape
-    yv = np.asarray(getattr(y, "values", y), dtype=float).ravel()
-    if yv.size != d:
-        raise GeometryError(f"observation length {yv.size} does not match dictionary d={d}")
-    if cache is None:
-        cache = precompute_gram(T, config.gram_ratio)
-    a = np.full(n, 1.0 / n)
-    Ta = _product(T.columns, a)
-    prev_w = None
-    duals = None
-    tol = config.eps1
-    change = float("nan")
-    inner_iterations = []
-    inner_converged = []
-    stop = "t_max"
-    for t in range(1, config.t_max + 1):
-        wv = weight_update(yv - Ta, config.weights)
-        w = wv.values
-        step = coding_step(yv, T, w, cache, config, a0=a, Ta0=Ta, duals=duals, tol=tol)
-        a, Ta, duals = step.a, step.Ta, (step.u1, step.u2)
-        inner_iterations.append(step.iterations)
-        inner_converged.append(step.converged)
-        if config.weights.kind == "constant":
-            stop = "converged" if step.converged else "s_max"
-            break
-        if prev_w is not None:
-            change = float(np.linalg.norm(w - prev_w) / np.linalg.norm(prev_w))
-            if change < config.eps3:
-                stop = "converged"
-                break
-            tol = min(config.eps1, INNER_TOL_RATIO * change)
-        prev_w = w
-    if stop != "converged":
-        if stop == "t_max":
-            detail = f"outer iterations; last relative weight change {change:.3g} (eps3 {config.eps3:g})"
-        else:  # s_max: the one coding step of a constant-weight solve
-            detail = (f"inner iterations; last fit {step.fit_residual:.3g} (tol {tol:g}), "
-                      f"split {step.split_residual:.3g} (eps2 {config.eps2:g}), "
-                      f"{T.columns.dtype} dictionary")
-        log.warning("solve stopped at %s=%d %s", stop, getattr(config, stop), detail)
-    return SolveResult(
-        a=a,
-        e=step.e,
-        w=wv,
-        outer_iterations=t,
-        inner_iterations=inner_iterations,
-        inner_converged=inner_converged,
-        stop=stop,
-        wall_seconds=time.perf_counter() - t0,
-    )
+    """Full reweighted solve of one observation: the one-probe batch of
+    solve_batch, whose products are matrix-vector products. Raises the
+    NumericError that ended the solve."""
+    outcome = solve_batch([y], T, config, cache)[0]
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome
 
 
 def method_config(name: str, gamma: Optional[float] = None, **overrides) -> SolverConfig:

@@ -8,14 +8,23 @@ from faceid.model import FaceVector, ImageGeometry, build_dictionary
 
 
 class CountingMatmul(np.ndarray):
-    """ndarray view that counts its `@` products (transposed views count too):
-    put `T.columns.view(CountingMatmul)` in place with object.__setattr__."""
+    """ndarray view that counts its `@` products and the columns they form,
+    as the left operand (M @ V) or the right one (V' @ M'); transposed views
+    count too. Put `T.columns.view(CountingMatmul)` in place with
+    object.__setattr__."""
 
     calls = 0
+    columns = 0
 
     def __matmul__(self, other):
         CountingMatmul.calls += 1
+        CountingMatmul.columns += 1 if np.ndim(other) == 1 else np.shape(other)[1]
         return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        CountingMatmul.calls += 1
+        CountingMatmul.columns += 1 if np.ndim(other) == 1 else np.shape(other)[0]
+        return other @ np.asarray(self)
 
 
 def random_faces(rng, geometry, count, lo=0.05, hi=1.0):
@@ -48,8 +57,9 @@ def as_float32(T):
 
 
 def flat_start(T):
-    """(a0, Ta0) for coding_step: the flat coefficients 1/n that solve starts
-    from, and their product T.columns @ a0."""
+    """(a0, Ta0) for a one-probe coding_step: the flat coefficients 1/n that
+    solve_batch starts from, as an (n, 1) column, and their product
+    T.columns @ a0, (d, 1)."""
     n = T.columns.shape[1]
-    a0 = np.full(n, 1.0 / n)
+    a0 = np.full((n, 1), 1.0 / n)
     return a0, T.columns @ a0

@@ -128,19 +128,19 @@ def test_acceptance_2_coding_step_matches_nnls_oracle(capsys):
             regularizer="nonneg", lambda_star=0.0, eps1=1e-9, eps2=1e-9, s_max=5000,
         )
         cache = precompute_gram(T, config.gram_ratio)
-        step = coding_step(y, T, w.values, cache, config, *flat_start(T))
+        z = coding_step(y[:, None], T, w.values[:, None], cache, config, *flat_start(T)).z[:, 0]
         rep = oracle_weighted_nnls(y, T, w, tol=1e-8)
-        worst_gap = max(worst_gap, float(np.abs(step.z - rep.solution).max()))
-        worst_step_kkt = max(worst_step_kkt, nnls_kkt_residual(y, T, w, step.z))
+        worst_gap = max(worst_gap, float(np.abs(z - rep.solution).max()))
+        worst_step_kkt = max(worst_step_kkt, nnls_kkt_residual(y, T, w, z))
         worst_oracle_kkt = max(worst_oracle_kkt, rep.gap)
 
         T32 = as_float32(T)
         config32 = replace(config, eps1=1e-6, eps2=1e-6)
         cache32 = precompute_gram(T32, config32.gram_ratio)
-        step32 = coding_step(y, T32, w.values, cache32, config32, *flat_start(T32))
-        kkt32 = nnls_kkt_residual(y, T32, w, step32.z)
-        cap32 = _float32_kkt_cap(y, T32, step32.z, config32.rho1)
-        worst_gap32 = max(worst_gap32, float(np.abs(step32.z - rep.solution).max()))
+        z32 = coding_step(y[:, None], T32, w.values[:, None], cache32, config32, *flat_start(T32)).z[:, 0]
+        kkt32 = nnls_kkt_residual(y, T32, w, z32)
+        cap32 = _float32_kkt_cap(y, T32, z32, config32.rho1)
+        worst_gap32 = max(worst_gap32, float(np.abs(z32 - rep.solution).max()))
         worst_kkt32 = max(worst_kkt32, kkt32 / cap32)
         worst_cap32 = max(worst_cap32, cap32)
     elapsed = time.perf_counter() - start
@@ -198,11 +198,11 @@ def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy, frozen_weigh
         T = random_dictionary(rng, 5, 4, 8, classes=4)
         y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
         a0, Ta0 = flat_start(T)
-        mu, eta = logistic_params(y.values - Ta0, 0.6)
+        mu, eta = logistic_params(y.values - Ta0[:, 0], 0.6)
         frozen_weights(mu, eta)
         steps.clear()
         solve(y, T, config)
-        trace = [objective_value(a, y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
+        trace = [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
         worst_rise = max(worst_rise, float(np.diff(trace).max()))
     ok = worst_rise <= 1e-9
     _verdict(

@@ -15,15 +15,14 @@ import faceid.solver
 from faceid.dataio import load_pgm, resize_nearest, save_pgm
 from faceid.errors import ConfigError, NumericError
 from faceid.experiment import (
-    THREADED_MIN_ENTRIES,
     ExperimentConfig,
     SyntheticSpec,
+    _blas_threads,
     _image_seed,
-    _workers,
     make_synthetic_benchmark,
     run_experiment,
 )
-from faceid.model import ImageGeometry, matricize, vectorize
+from faceid.model import FaceVector, ImageGeometry, matricize, vectorize
 
 
 SMALL = dict(classes=3, per_class=3, rows=12, cols=10, extra_tests=0)
@@ -130,7 +129,7 @@ def _small_config(**kw):
 
 
 def test_run_experiment_refuses_a_float_cap_before_any_solve():
-    # Refused by method_config before the pool starts, not inside every worker.
+    # Refused by method_config before any gallery is built, not inside every solve.
     with pytest.raises(ConfigError, match="t_max"):
         run_experiment(_small_config(solver_kwargs={"t_max": 2.5}))
 
@@ -168,52 +167,41 @@ def test_run_experiment_rows_keep_test_index_order_past_9999():
 
 
 @pytest.mark.parametrize(
-    "environ, cpus, entries, expected",
+    "environ, expected",
     [
-        ({}, 4, THREADED_MIN_ENTRIES, (1, None)),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES, (4, 1)),
-        ({"OMP_NUM_THREADS": "2"}, 4, THREADED_MIN_ENTRIES, (2, 2)),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES, (1, 4)),
-        ({"OPENBLAS_NUM_THREADS": "one"}, 4, THREADED_MIN_ENTRIES, (1, None)),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, THREADED_MIN_ENTRIES, (2, 2)),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 2, THREADED_MIN_ENTRIES, (1, 8)),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, THREADED_MIN_ENTRIES, (4, 1)),
-        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES, (2, 2)),
-        # Below the gate; the benchmark and paper shapes, and the measured
-        # 96x84 galleries that bracket the gate, on either side of it.
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4, THREADED_MIN_ENTRIES - 1, (1, 1)),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 24 * 21 * 60, (1, 1)),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 96 * 84 * 160, (1, 1)),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 96 * 84 * 180, (4, 1)),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 96 * 84 * 722, (4, 1)),
+        ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "one"}, None),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 2),
     ],
 )
-def test_workers_leave_the_cpus_blas_threads_take(environ, cpus, entries, expected):
-    assert _workers(environ, cpus, entries) == expected
+def test_blas_threads_follow_openblas_order(environ, expected):
+    assert _blas_threads(environ) == expected
 
 
 def test_run_experiment_reads_the_blas_variables_once(monkeypatch):
     # OpenBLAS read them when numpy loaded; a later change does not reach it.
-    seen = []
-    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: seen.append(environ) or (1, None))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "13")
-    run_experiment(_small_config())
-    assert seen == [faceid.experiment._BLAS_SETTINGS] * 2
-    assert "13" not in seen[0].values()
+    report = run_experiment(_small_config())
+    assert report.blas_threads == faceid.experiment._BLAS_THREADS != 13
 
 
-def test_run_experiment_thread_count_does_not_change_results(monkeypatch):
-    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: (1, None))
-    solo = run_experiment(_small_config(occlusion=0.3))
-    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: (3, None))
-    pooled = run_experiment(_small_config(occlusion=0.3))
-    strip = lambda rows: [
-        (r.image_id, r.seed, r.true_label, r.predicted_label, r.correct, r.margin,
-         r.outer_iterations, r.inner_iterations, r.converged, r.error)
-        for r in rows
-    ]
-    assert strip(solo.rows) == strip(pooled.rows)
-    assert solo.accuracy == pooled.accuracy
+def test_run_experiment_batch_size_does_not_change_results(monkeypatch):
+    """Probes solved one at a time and in batches of 3 (4 probes per seed, so
+    a batch of 3 and one of 1) give the same predictions in the same rows."""
+    spec = SyntheticSpec(**dict(SMALL, classes=4))
+    monkeypatch.setattr(faceid.experiment, "BATCH", 1)
+    solo = run_experiment(_small_config(synthetic=spec, occlusion=0.3))
+    monkeypatch.setattr(faceid.experiment, "BATCH", 3)
+    batched = run_experiment(_small_config(synthetic=spec, occlusion=0.3))
+    strip = lambda rows: [(r.image_id, r.seed, r.true_label, r.predicted_label, r.correct, r.error) for r in rows]
+    assert len(solo.rows) == 8
+    assert strip(solo.rows) == strip(batched.rows)
+    assert solo.accuracy == batched.accuracy
 
 
 def test_run_experiment_holds_one_synthetic_gallery_at_a_time():
@@ -233,14 +221,14 @@ def test_run_experiment_holds_one_synthetic_gallery_at_a_time():
 
 
 def test_run_experiment_writes_versioned_csv(tmp_path, monkeypatch):
-    monkeypatch.setattr(faceid.experiment, "_workers", lambda environ, cpus, entries: (2, 1))
+    monkeypatch.setattr(faceid.experiment, "_BLAS_THREADS", 1)
     report = run_experiment(_small_config(out_dir=tmp_path))
     text = (tmp_path / "report.csv").read_text().splitlines()
     assert text[0].startswith("# faceid report v1 method=F-LR-IRNNLS seeds=0,1 accuracy=")
     assert f"accuracy={report.accuracy:.9g}" in text[0]
-    assert text[0].endswith(" workers=2 blas_threads=1")
-    replace(report, workers=1, blas_threads=None).write_csv(tmp_path / "unset.csv")
-    assert (tmp_path / "unset.csv").read_text().splitlines()[0].endswith(" workers=1 blas_threads=unset")
+    assert text[0].endswith(f" mean_seconds={report.mean_seconds:.9g} blas_threads=1")
+    replace(report, blas_threads=None).write_csv(tmp_path / "unset.csv")
+    assert (tmp_path / "unset.csv").read_text().splitlines()[0].endswith(" blas_threads=unset")
     rows = list(csv.reader(text[1:]))
     assert rows[0][:3] == ["image_id", "seed", "true_label"]
     assert len(rows) == 1 + len(report.rows)
@@ -367,16 +355,14 @@ def test_image_seed_is_stable_and_spread():
 
 
 def test_single_failed_solve_is_reported_not_fatal(monkeypatch):
-    original = faceid.solver.solve
-    hits = {"n": 0}
+    original = faceid.solver.solve_batch
 
-    def flaky(*args, **kw):
-        hits["n"] += 1
-        if hits["n"] == 2:
-            raise NumericError("synthetic blowup")
-        return original(*args, **kw)
+    def flaky(ys, *args, **kw):
+        outcomes = original(ys, *args, **kw)
+        outcomes[1] = NumericError("synthetic blowup")
+        return outcomes
 
-    monkeypatch.setattr(faceid.solver, "solve", flaky)
+    monkeypatch.setattr(faceid.solver, "solve_batch", flaky)
     report = run_experiment(_small_config(seeds=(0,)))
     bad = [r for r in report.rows if r.error]
     assert len(bad) == 1
@@ -407,10 +393,41 @@ def test_non_finite_weight_map_is_an_error_row(monkeypatch, tmp_path):
     assert len(list(tmp_path.glob("*_w.pgm"))) == 2
 
 
-def test_all_failed_solves_raise(monkeypatch):
-    def broken(*args, **kw):
-        raise NumericError("nope")
+def test_failed_probe_costs_only_its_own_row(monkeypatch):
+    """The second of 3 clean probes has a NaN pixel, so its weight update
+    raises inside their batch. That probe gets the error row, and each other
+    row is the one a run without that probe gives: it leaves the batch before
+    the first coding step."""
+    original = faceid.experiment.make_synthetic_benchmark
 
-    monkeypatch.setattr(faceid.solver, "solve", broken)
+    def second_probe(change):
+        def make(*args, **kw):
+            ds = original(*args, **kw)
+            return replace(ds, **change(ds))
+        return make
+
+    def nan_pixel(ds):
+        values = ds.test[1].values.copy()
+        values[0] = np.nan
+        return {"test": (ds.test[0], FaceVector(values, ds.geometry)) + ds.test[2:]}
+
+    def dropped(ds):
+        return {"test": ds.test[:1] + ds.test[2:], "test_labels": ds.test_labels[:1] + ds.test_labels[2:]}
+
+    monkeypatch.setattr(faceid.experiment, "make_synthetic_benchmark", second_probe(dropped))
+    clean = run_experiment(_small_config(seeds=(0,)))
+    monkeypatch.setattr(faceid.experiment, "make_synthetic_benchmark", second_probe(nan_pixel))
+    report = run_experiment(_small_config(seeds=(0,)))
+    assert [r.error for r in report.rows] == ["", "residual contains non-finite entries", ""]
+    assert report.rows[1].predicted_label == "" and not report.rows[1].correct
+    for r, ref in zip(report.rows[::2], clean.rows):
+        assert replace(r, image_id="", solve_seconds=0.0) == replace(ref, image_id="", solve_seconds=0.0)
+
+
+def test_all_failed_solves_raise(monkeypatch):
+    def broken(ys, *args, **kw):
+        return [NumericError("nope") for _ in ys]
+
+    monkeypatch.setattr(faceid.solver, "solve_batch", broken)
     with pytest.raises(NumericError, match="all 3"):
         run_experiment(_small_config(seeds=(0,)))

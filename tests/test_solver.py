@@ -2,15 +2,19 @@
 
 import logging
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
-from faceid.corruptions import occlude_block, textured_patch
-from faceid.errors import ConfigError, GeometryError
-from faceid.model import Dictionary, FaceVector, ImageGeometry
+import faceid.solver as solver
+from faceid.classify import identify
+from faceid.corruptions import corrupt, occlude_block, textured_patch
+from faceid.errors import ConfigError, GeometryError, NumericError
+from faceid.experiment import _image_seed, make_synthetic_benchmark
+from faceid.model import Dictionary, FaceVector, ImageGeometry, build_dictionary
 from faceid.prox import shrink_weighted
 from faceid.solver import (
     INNER_TOL_RATIO,
@@ -25,6 +29,7 @@ from faceid.solver import (
     method_config,
     precompute_gram,
     solve,
+    solve_batch,
     z_update,
 )
 from faceid.weights import WeightFunction, logistic_params
@@ -304,7 +309,7 @@ def test_coding_step_rejects_mismatched_cache():
     small = random_dictionary(rng, 4, 5, 4, classes=2)
     for foreign in (precompute_gram(T, 5.0), precompute_gram(small, config.gram_ratio)):
         with pytest.raises(ConfigError, match="gram cache"):
-            coding_step(y, T, np.ones(20), foreign, config, *flat_start(T))
+            coding_step(y[:, None], T, np.ones((20, 1)), foreign, config, *flat_start(T))
         with pytest.raises(ConfigError, match="gram cache"):
             solve(y, T, config, cache=foreign)
 
@@ -317,9 +322,9 @@ def test_coding_step_rejects_cache_of_same_sized_dictionary():
     config = method_config("F-LR-IRNNLS")
     y = FaceVector(rng.uniform(0.0, 1.0, T1.d), T1.geometry).normalized()
     cache1 = precompute_gram(T1, config.gram_ratio)
-    coding_step(y.values, T1, np.ones(T1.d), cache1, config, *flat_start(T1))
+    coding_step(y.values[:, None], T1, np.ones((T1.d, 1)), cache1, config, *flat_start(T1))
     with pytest.raises(ConfigError, match="gram cache was built for another dictionary"):
-        coding_step(y.values, T2, np.ones(T2.d), cache1, config, *flat_start(T2))
+        coding_step(y.values[:, None], T2, np.ones((T2.d, 1)), cache1, config, *flat_start(T2))
     with pytest.raises(ConfigError, match="gram cache was built for another dictionary"):
         solve(y, T2, config, cache=cache1)
 
@@ -368,11 +373,11 @@ def test_coding_step_reaches_feasible_reconstruction():
         regularizer="nonneg", lambda_star=0.0, weights=WeightFunction.constant_one()
     )
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y, T, np.ones(25), cache, config, *flat_start(T))
-    assert res.converged
-    assert res.fit_residual <= config.eps1
-    assert res.split_residual <= config.eps2
-    assert np.linalg.norm(y - T.columns @ res.a) <= config.eps1
+    res = coding_step(y[:, None], T, np.ones((25, 1)), cache, config, *flat_start(T))
+    assert res.converged.tolist() == [True]
+    assert res.fit_residual[0] <= config.eps1
+    assert res.split_residual[0] <= config.eps2
+    assert np.linalg.norm(y - T.columns @ res.a[:, 0]) <= config.eps1
 
 
 def test_coding_step_dimension_checks():
@@ -381,13 +386,28 @@ def test_coding_step_dimension_checks():
     config = SolverConfig(lambda_star=0.0)
     cache = precompute_gram(T, config.gram_ratio)
     a0, Ta0 = flat_start(T)
+    y, w = np.zeros((20, 1)), np.ones((20, 1))
     with pytest.raises(GeometryError):
-        coding_step(np.zeros(7), T, np.ones(7), cache, config, a0, Ta0)
+        coding_step(np.zeros((7, 1)), T, np.ones((7, 1)), cache, config, a0, Ta0)
+    with pytest.raises(GeometryError):  # one probe is still a column
+        coding_step(np.zeros(20), T, np.ones(20), cache, config, a0, Ta0)
     with pytest.raises(GeometryError):
-        coding_step(np.zeros(20), T, np.ones(20), cache, config, np.zeros(3), Ta0)
-    for duals in [(0.0, 0.0), (np.zeros(3), np.zeros(6)), (np.zeros(20), np.zeros(3))]:
+        coding_step(y, T, np.ones((20, 2)), cache, config, a0, Ta0)
+    with pytest.raises(GeometryError):
+        coding_step(y, T, w, cache, config, np.zeros((3, 1)), Ta0)
+    with pytest.raises(GeometryError):
+        coding_step(np.zeros((20, 2)), T, np.ones((20, 2)), cache, config, a0, Ta0)
+    for duals in [(0.0, 0.0), (np.zeros((3, 1)), np.zeros((6, 1))), (np.zeros((20, 1)), np.zeros((3, 1))),
+                  (np.zeros(20), np.zeros(6))]:
         with pytest.raises(GeometryError, match="duals"):
-            coding_step(np.zeros(20), T, np.ones(20), cache, config, a0, Ta0, duals=duals)
+            coding_step(y, T, w, cache, config, a0, Ta0, duals=duals)
+    y2, w2, a2, Ta2 = (np.repeat(x, 2, axis=1) for x in (y, w, a0, Ta0))
+    for tol in (np.full(3, 1e-2), np.full((2, 1), 1e-2)):
+        with pytest.raises(GeometryError, match="tol"):
+            coding_step(y2, T, w2, cache, config, a2, Ta2, tol=tol)
+    # One tolerance serves every column, as a list of one per column does.
+    assert np.array_equal(coding_step(y2, T, w2, cache, config, a2, Ta2, tol=0.5).a,
+                          coding_step(y2, T, w2, cache, config, a2, Ta2, tol=[0.5, 0.5]).a)
 
 
 def test_coding_step_warm_start_carries_its_product():
@@ -395,13 +415,13 @@ def test_coding_step_warm_start_carries_its_product():
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     config = SolverConfig(lambda_star=0.0)
     cache = precompute_gram(T, config.gram_ratio)
-    y = rng.uniform(0.0, 1.0, 20)
-    a0 = rng.uniform(0.0, 0.5, 6)
+    y = rng.uniform(0.0, 1.0, (20, 1))
+    a0 = rng.uniform(0.0, 0.5, (6, 1))
     with pytest.raises(GeometryError, match="Ta0"):
-        coding_step(y, T, np.ones(20), cache, config, a0, np.zeros(7))
+        coding_step(y, T, np.ones((20, 1)), cache, config, a0, np.zeros((7, 1)))
     for step in (
-        coding_step(y, T, np.ones(20), cache, config, *flat_start(T)),
-        coding_step(y, T, np.ones(20), cache, config, a0, T.columns @ a0),
+        coding_step(y, T, np.ones((20, 1)), cache, config, *flat_start(T)),
+        coding_step(y, T, np.ones((20, 1)), cache, config, a0, T.columns @ a0),
     ):
         assert np.array_equal(step.Ta, T.columns @ step.a)
 
@@ -412,9 +432,9 @@ def test_coding_step_reports_nonconvergence():
     y = rng.uniform(0.0, 1.0, 25)
     config = SolverConfig(lambda_star=0.0, s_max=2, eps1=1e-12, eps2=1e-12)
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y, T, np.ones(25), cache, config, *flat_start(T))
-    assert not res.converged
-    assert res.iterations == 2
+    res = coding_step(y[:, None], T, np.ones((25, 1)), cache, config, *flat_start(T))
+    assert res.converged.tolist() == [False]
+    assert res.iterations.tolist() == [2]
 
 
 def test_solve_single_ridge_step_is_regularized_least_squares():
@@ -477,7 +497,7 @@ def test_solve_frozen_trace_monotone(spy, frozen_weights):
     T = random_dictionary(rng, 5, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
     a0, Ta0 = flat_start(T)
-    mu, eta = logistic_params(y.values - Ta0, 0.6)
+    mu, eta = logistic_params(y.values - Ta0[:, 0], 0.6)
     frozen_weights(mu, eta)
     config = SolverConfig(
         regularizer="nonneg", lambda_star=0.0,
@@ -487,7 +507,7 @@ def test_solve_frozen_trace_monotone(spy, frozen_weights):
     res = solve(y, T, config)
     assert len(steps) == res.outer_iterations
     trace = np.array(
-        [objective_value(a, y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
+        [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
     )
     assert np.isfinite(trace).all()
     assert float(np.diff(trace).max()) <= 1e-9
@@ -512,7 +532,7 @@ def test_solve_warm_started_duals_still_converge(spy):
     assert res.converged
     assert np.isfinite(res.a).all()
     assert len(calls) == res.outer_iterations > 2
-    assert calls[0][1]["duals"] is None
+    assert not any(u.any() for u in calls[0][1]["duals"])
     for (_, _, before), (_, kwargs, _) in zip(calls, calls[1:]):
         u1, u2 = kwargs["duals"]
         assert np.array_equal(u1, before.u1) and np.array_equal(u2, before.u2)
@@ -525,8 +545,8 @@ def test_solve_inner_tolerance_follows_weight_change(spy):
     config = method_config("F-LR-IRNNLS", gamma=0.6)
     calls = spy("coding_step", with_args=True)
     solve(y, T, config)
-    tols = [kwargs["tol"] for _, kwargs, _ in calls]
-    weights = [args[2] for args, _, _ in calls]
+    tols = [kwargs["tol"][0] for _, kwargs, _ in calls]
+    weights = [args[2][:, 0] for args, _, _ in calls]
     assert tols[:2] == [config.eps1, config.eps1]
     for t in range(2, len(calls)):
         change = np.linalg.norm(weights[t - 1] - weights[t - 2]) / np.linalg.norm(weights[t - 2])
@@ -534,7 +554,7 @@ def test_solve_inner_tolerance_follows_weight_change(spy):
         assert tols[t] == min(config.eps1, INNER_TOL_RATIO * change)
         assert INNER_TOL_RATIO * config.eps3 <= tols[t] <= config.eps1
     for (_, kwargs, step) in calls:
-        assert step.converged and step.fit_residual <= kwargs["tol"]
+        assert step.converged.item() and step.fit_residual.item() <= kwargs["tol"][0]
     assert min(tols) < config.eps1
 
 
@@ -648,6 +668,120 @@ def test_float32_solve_forms_two_products_per_inner_iteration():
     test_solve_forms_two_products_per_inner_iteration(dtype=np.float32)
 
 
+def _half_occluded_benchmark(count, dtype=np.float64):
+    """The seed-3 synthetic benchmark's dictionary (24x21, n = 60) and its
+    first `count` test images, each half covered by the textured block, at
+    unit l2."""
+    ds = make_synthetic_benchmark(seed=3)
+    T = build_dictionary(ds.train, ds.train_labels, dtype=dtype)
+    patch = textured_patch()
+    ys = [corrupt(img, _image_seed(3, i), 0.0, 0.5, patch)[0].normalized() for i, img in enumerate(ds.test[:count])]
+    return T, ys
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_batch_agrees_with_one_probe_solves(name):
+    """With float64 columns, a batch of all 12 probes and batches of 5 (5, 5,
+    2) give each probe the prediction, iteration counts and stop of its
+    one-probe solve, and a and e within 1e-9. A product over B columns rounds
+    each column differently from a matrix-vector product, so the iterates
+    agree only to roundoff; a solve stopped at t_max (probe 10 under both
+    LR presets), whose weights still drift, carries that roundoff through 100
+    outer steps and gets 1e-8."""
+    T, ys = _half_occluded_benchmark(12)
+    config = method_config(name, gamma=0.6)
+    cache = precompute_gram(T, config.gram_ratio)
+    single = [solve(y, T, config, cache) for y in ys]
+    for size in (12, 5):
+        batched = [r for s in range(0, len(ys), size) for r in solve_batch(ys[s : s + size], T, config, cache)]
+        for y, one, many in zip(ys, single, batched):
+            assert identify(y, T, one).predicted == identify(y, T, many).predicted
+            counts = lambda r: (r.outer_iterations, r.inner_iterations, r.inner_converged, r.stop)
+            assert counts(one) == counts(many)
+            bound = 1e-8 if one.stop == "t_max" else 1e-9
+            assert np.abs(one.a - many.a).max() <= bound
+            assert np.abs(one.e - many.e).max() <= bound
+
+
+@pytest.mark.parametrize("name", ["F-IRNNLS", "F-LR-IRNNLS", "F-IRLS", "SRC"])
+def test_batch_forms_two_product_columns_per_inner_iteration(name):
+    """A batch forms one product column for the flat start, which every probe
+    shares, and two per inner iteration of each probe: a probe that has left
+    the inner loop, or the batch, forms none."""
+    T, ys = _half_occluded_benchmark(6, dtype=np.float32)
+    object.__setattr__(T, "columns", T.columns.view(CountingMatmul))
+    config = method_config(name, gamma=0.6)
+    cache = precompute_gram(T, config.gram_ratio)
+    CountingMatmul.calls = CountingMatmul.columns = 0
+    results = solve_batch(ys, T, config, cache)
+    inner = [r.total_inner_iterations for r in results]
+    assert len(set(inner)) > 1  # the probes leave at different iterations
+    assert all(len(r.inner_iterations) == r.outer_iterations for r in results)
+    assert CountingMatmul.columns == 2 * sum(inner) + 1
+    assert CountingMatmul.calls < CountingMatmul.columns
+
+
+def test_batch_charges_each_outer_step_to_its_probes(monkeypatch):
+    """solve_seconds: each outer step's wall time is shared by the probes in
+    it, so a batch's wall_seconds sum to its wall time, and a one-probe solve
+    reads its own wall time. A fake clock that advances 1 s per reading gives
+    every outer step 1 s."""
+    ticks = iter(range(10_000))
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    T, ys = _half_occluded_benchmark(5)
+    config = method_config("F-IRNNLS", gamma=0.6)
+    cache = precompute_gram(T, config.gram_ratio)
+    results = solve_batch(ys, T, config, cache)
+    outer = [r.outer_iterations for r in results]
+    assert len(set(outer)) > 1
+    in_step = [sum(o >= t for o in outer) for t in range(1, max(outer) + 1)]
+    for r in results:
+        assert r.wall_seconds == pytest.approx(sum(1.0 / m for m in in_step[: r.outer_iterations]))
+    assert sum(r.wall_seconds for r in results) == pytest.approx(max(outer))
+    one = solve(ys[0], T, config, cache)
+    assert one.wall_seconds == one.outer_iterations
+
+
+def test_batch_failure_ends_only_its_own_probe(monkeypatch, caplog):
+    """Probe 1 has a NaN pixel: its weight update raises, and it leaves the
+    batch before the first coding step with that error. The second coding
+    step of the other three raises on the batch, which does not say which
+    column did, so each of them is solved again on its own: its outcome is
+    its one-probe solve, bit for bit. t_max = 3 caps every clean probe, and
+    each capped solve warns once."""
+    T, ys = _half_occluded_benchmark(4)
+    values = ys[1].values.copy()
+    values[5] = np.nan
+    ys[1] = FaceVector(values, T.geometry)
+    config = method_config("F-IRNNLS", gamma=0.6, t_max=3)
+    cache = precompute_gram(T, config.gram_ratio)
+    single = {k: solve(ys[k], T, config, cache) for k in (0, 2, 3)}
+    original, widths = solver.coding_step, []
+
+    def flaky(y, *args, **kw):
+        widths.append(y.shape[1])
+        if len(widths) == 2:
+            raise NumericError("batch blowup")
+        return original(y, *args, **kw)
+
+    monkeypatch.setattr(solver, "coding_step", flaky)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="faceid.solver"):
+        outcomes = solve_batch(ys, T, config, cache)
+    assert widths == [3, 3] + [1] * 9
+    assert isinstance(outcomes[1], NumericError) and str(outcomes[1]) == "residual contains non-finite entries"
+    for k, one in single.items():
+        got = outcomes[k]
+        assert got.stop == one.stop == "t_max"
+        assert (got.inner_iterations, got.inner_converged) == (one.inner_iterations, one.inner_converged)
+        for field in ("a", "e"):
+            assert np.array_equal(getattr(got, field), getattr(one, field))
+        assert np.array_equal(got.w.values, one.w.values)
+    assert [r.message.startswith("solve stopped at t_max=3") for r in caplog.records] == [True] * 3
+    with pytest.raises(NumericError, match="non-finite"):
+        solve(ys[1], T, config, cache)
+
+
 @pytest.mark.parametrize("name", sorted(METHODS))
 def test_coding_step_residuals_are_those_of_its_iterates(name, spy):
     """Every step reports exactly ||y - Ta - e|| and ||a - z|| of the Ta, a,
@@ -659,11 +793,11 @@ def test_coding_step_residuals_are_those_of_its_iterates(name, spy):
     assert steps
     for step in steps:
         assert np.array_equal(step.Ta, T.columns @ step.a)
-        assert step.fit_residual == np.linalg.norm(y.values - step.Ta - step.e)
+        assert step.fit_residual.tolist() == [np.linalg.norm(y.values - step.Ta[:, 0] - step.e[:, 0])]
         if step.z is None:
-            assert step.split_residual == 0.0
+            assert step.split_residual.tolist() == [0.0]
         else:
-            assert step.split_residual == np.linalg.norm(step.a - step.z)
+            assert step.split_residual.tolist() == [np.linalg.norm(step.a[:, 0] - step.z[:, 0])]
 
 
 @pytest.mark.parametrize(
@@ -682,14 +816,14 @@ def test_a_update_reads_relaxed_iterates_only_at_zero_nuclear_weight(name, spy):
     read = spy("a_update", record=lambda args, kwargs, a: (args[0].e.copy(), copy(args[0].z)))
     steps = spy("coding_step")
     solve(y, T, config)
-    assert len(es) == len(read) == sum(s.iterations for s in steps) > 0
+    assert len(es) == len(read) == sum(s.iterations.item() for s in steps) > 0
     if config.regularizer == "l2":
         assert zs == [] and all(z is None for _, z in read)
         zs = [(None, None)] * len(read)
     relax = not METHODS[name][1]  # the presets without the low-rank flag
     for (e, Ta_prev), (z, a_prev), (e_read, z_read) in zip(es, zs, read):
         if relax:
-            assert np.array_equal(e_read, RELAX * e + (1.0 - RELAX) * (y.values - Ta_prev))
+            assert np.array_equal(e_read, RELAX * e + (1.0 - RELAX) * (y.values[:, None] - Ta_prev))
             if z is not None:
                 assert np.array_equal(z_read, RELAX * z + (1.0 - RELAX) * a_prev)
         else:
@@ -697,7 +831,7 @@ def test_a_update_reads_relaxed_iterates_only_at_zero_nuclear_weight(name, spy):
             assert z is None or np.array_equal(z_read, z)
     last = 0
     for step in steps:
-        last += step.iterations
+        last += step.iterations.item()
         assert np.array_equal(step.e, es[last - 1][0])
         if step.z is not None:
             assert np.array_equal(step.z, zs[last - 1][0])
