@@ -26,7 +26,10 @@ def class_residuals(y, T: Dictionary, result: SolveResult) -> np.ndarray:
     Residual i is ||sqrt(W) (y - T_i a_i)|| where W holds the final solver
     weights and (T_i, a_i) are the columns and coefficients of class i alone.
     The arithmetic is float64 whatever the columns' dtype: a float32 slice is
-    promoted by the product with the float64 coefficients.
+    promoted by the product with the float64 coefficients. A class whose
+    coefficients are all exactly 0 gets ||sqrt(W) y|| with no product, the
+    same bits, since T_i a_i is then exactly 0; after a working-set solve
+    (SolverConfig.working_set) that is most classes.
     """
     a = np.asarray(result.a, dtype=float).ravel()
     if a.size != T.n:
@@ -37,9 +40,15 @@ def class_residuals(y, T: Dictionary, result: SolveResult) -> np.ndarray:
     y = np.asarray(getattr(y, "values", y), dtype=float).ravel()
     sw = np.sqrt(w)
     out = np.empty(T.n_classes)
+    unexplained = None
     for i in range(T.n_classes):
         lo, hi = T.class_range(i)
-        out[i] = np.linalg.norm(sw * (y - T.columns[:, lo:hi] @ a[lo:hi]))
+        if a[lo:hi].any():
+            out[i] = np.linalg.norm(sw * (y - T.columns[:, lo:hi] @ a[lo:hi]))
+        else:
+            if unexplained is None:
+                unexplained = np.linalg.norm(sw * y)
+            out[i] = unexplained
     return out
 
 

@@ -134,6 +134,8 @@ class Dictionary:
 
     Columns stay float32 when given as float32; any other dtype is stored as
     float64. The solver forms its dictionary products in the columns' dtype.
+    The array is column-major (Fortran order): each atom is contiguous, so
+    the solver gathers the columns of a working set as contiguous copies.
 
     variation_start must equal the column count. It is kept only so that
     callers passing it positionally still construct the same dictionary;
@@ -148,7 +150,7 @@ class Dictionary:
 
     def __post_init__(self):
         cols = np.asarray(self.columns)
-        cols = np.ascontiguousarray(cols, dtype=np.float32 if cols.dtype == np.float32 else np.float64)
+        cols = np.asfortranarray(cols, dtype=np.float32 if cols.dtype == np.float32 else np.float64)
         if cols.ndim != 2:
             raise DictionaryError(f"columns must be 2-d, got shape {cols.shape}")
         if cols.shape[0] != self.geometry.d:
@@ -218,7 +220,8 @@ def build_dictionary(
             reads; float64 keeps the solver's products exact to float64.
 
     Returns:
-        Dictionary with unit-normalized, class-contiguous columns.
+        Dictionary with unit-normalized, class-contiguous columns, stored
+        column-major.
 
     Memory: the input faces plus one d x n array. The columns are allocated
     once, already in class order, and filled face by face; each face is
@@ -241,7 +244,7 @@ def build_dictionary(
     dtype = np.dtype(dtype)
     if dtype not in NORM_TOLS:
         raise DictionaryError(f"dictionary dtype must be float32 or float64, got {dtype}")
-    cols = np.empty((geometry.d, len(images)), dtype=dtype)
+    cols = np.empty((geometry.d, len(images)), dtype=dtype, order="F")
     norms = np.empty(len(images))
     # A zero or non-finite face leaves a column of nan or inf; it is refused below.
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import ConfigError, GeometryError, NumericError
-from .model import Dictionary
+from .model import Dictionary, ImageGeometry
 from .prox import project_nonneg, shrink_weighted, soft_threshold, svt
 from .weights import WeightFunction, WeightVector, weight_update
 
@@ -47,6 +46,33 @@ RELAX = 1.5
 # precompute_gram adds float32 columns to T'T in blocks of this share of n
 # rows, so that the float64 copy of a block stays a tenth of the n x n Gram.
 GRAM_BLOCK_SHARE = 0.1
+# GramCache.restrict forms the Gram entries of a working set's new atoms from
+# its gathered float32 columns in blocks of this many rows (192 KiB of
+# float64 at 48 atoms).
+RESTRICT_BLOCK_ROWS = 512
+
+# Working sets (SolverConfig.working_set). From its second outer step on, a
+# probe codes only the atoms of its working set S; one full product
+# g = T'(W r), r = y - T a, per outer step checks the atoms outside S. In the
+# engine's units the gradient of the data term sum(w (y - T a)^2) is -2 g, so
+# an atom at zero violates its KKT condition when 2 g_j > tol (nonneg) or
+# |2 g_j| > lambda_reg + tol (l1), with tol = KKT_TOL * max_j |2 g_j|.
+KKT_TOL = 1e-3
+# A working set takes in at most max(GROW_MIN, |supp z|) violators per outer
+# step, the largest first.
+GROW_MIN = 8
+# An atom that has entered S this many times as a violator is not dropped
+# again; without it an atom can cycle in and out of S until t_max.
+STICKY_ENTRIES = 3
+# A working set is coded on its gathered columns only while they take at most
+# this many bytes; a larger set codes every atom, with the full cache. The
+# copy is the memory a working set adds per probe: 1.5 MiB is 48 float32
+# atoms at 96x84, and more atoms than a 24x21 dictionary has.
+GATHER_MAX_BYTES = 3 * 2**19
+# Entries of W r below float32's smallest normal are zeroed before the KKT
+# product: the logistic weights reach that range, and subnormal operands slow
+# a float32 product several times over.
+SUBNORMAL_FLUSH = float(np.finfo(np.float32).tiny)
 
 # Engine configurations behind the published method names. Entries are
 # (regularizer kind, low-rank flag, weight scheme). The presets without the
@@ -135,6 +161,15 @@ class SolverConfig:
         return self.lambda_star > 0.0
 
     @property
+    def working_set(self) -> bool:
+        """Whether solve codes each outer step after the first on a working
+        set (see KKT_TOL): the sparse kinds, nonneg and l1, on the plain path
+        (lambda_star = 0). The l2 kind has no sparsity, and the KKT test of
+        the weighted data term is not the low-rank path's optimality
+        condition, so both keep every atom."""
+        return not self.low_rank and self.regularizer != "l2"
+
+    @property
     def gram_ratio(self) -> float:
         """Diagonal shift of the cached Gram system for this configuration."""
         if self.regularizer == "l2":
@@ -163,6 +198,79 @@ class GramCache:
         the columns of x come out contiguous, as _product's do."""
         return (b.T @ self._inverse.T).T
 
+    def restrict(self, atoms: np.ndarray, last: Optional[tuple] = None) -> tuple:
+        """The cache of the atoms (ascending column indices) alone: their
+        columns gathered into a column-major copy, and the inverse (_invert)
+        of T_S'T_S + ratio I. Nothing of the full n x n size is kept or
+        allocated.
+
+        The Gram entries are formed in float64 from the gathered columns
+        (_gram_columns), except those that last, the system an earlier call
+        returned for this cache, already holds: then only the entries of the
+        atoms new to the set are formed, and an unchanged set reuses last's
+        inverse.
+
+        Returns:
+            (cache, system), system being (atoms, T_S'T_S, inverse) for the
+            next call's last.
+        """
+        columns = self.columns[:, atoms]
+        k = atoms.size
+        gram = np.empty((k, k), order="F")
+        known = np.zeros(k, bool)
+        if last is not None:
+            last_atoms, last_gram, last_inverse = last
+            if np.array_equal(last_atoms, atoms):
+                return GramCache(ratio=self.ratio, columns=columns, _inverse=last_inverse), last
+            where = np.minimum(np.searchsorted(last_atoms, atoms), last_atoms.size - 1)
+            known = last_atoms[where] == atoms
+            gram[np.ix_(known, known)] = last_gram[np.ix_(where[known], where[known])]
+        new = np.flatnonzero(~known)
+        if new.size:
+            cross = _gram_columns(columns, new, RESTRICT_BLOCK_ROWS)
+            gram[:, new] = cross
+            gram[new, :] = cross.T
+        system = gram.copy(order="F")
+        system.ravel(order="F")[:: k + 1] += self.ratio
+        inverse = _invert(system)
+        return GramCache(ratio=self.ratio, columns=columns, _inverse=inverse), (atoms, gram, inverse)
+
+
+def _gram_columns(A: np.ndarray, new: np.ndarray, rows: int) -> np.ndarray:
+    """A'A[:, new] in float64: one product for float64 columns, and for
+    float32 columns a sum over blocks of the given number of rows, each
+    copied to float64 as it is added."""
+    A = np.asarray(A)
+    if A.dtype == np.float64:
+        return A.T @ A[:, new]
+    d, k = A.shape
+    out = np.zeros((k, new.size))
+    buffer = np.empty((min(rows, d), k), order="F")
+    for r in range(0, d, rows):
+        block = buffer[: min(rows, d - r)]
+        block[...] = A[r : r + block.shape[0]]
+        out += block.T @ block[:, new]
+    return out
+
+
+def _invert(system: np.ndarray) -> np.ndarray:
+    """The inverse of the symmetric positive definite matrix whose lower
+    triangle the Fortran-ordered system holds, formed in its buffer: LAPACK
+    potrf factors it by Cholesky, potri turns the factor into the inverse's
+    lower triangle, which is copied into the upper one column by column, so
+    nothing of the matrix's size is allocated and the inverse is exactly
+    symmetric."""
+    k = system.shape[0]
+    factor, info = dpotrf(system, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise NumericError(f"gram matrix ({k}x{k}) is not positive definite")
+    inverse, info = dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericError(f"gram matrix ({k}x{k}) could not be inverted (potri info {info})")
+    for i in range(1, k):
+        inverse[:i, i] = inverse[i, :i]
+    return inverse
+
 
 def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
     """Invert T'T + ratio * I once, so that every coefficient update is one
@@ -170,39 +278,29 @@ def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
 
     T'T is accumulated in float64 by BLAS dsyrk into one Fortran-ordered
     buffer, the order LAPACK works in: float64 columns in one call, with no
-    copy, and float32 columns in blocks of GRAM_BLOCK_SHARE * n rows, each
-    copied to float64 as it is added. The buffer is factored in place by
-    Cholesky (cho_factor); LAPACK potri turns the factor into the inverse in
-    the same buffer, and the lower triangle it fills is copied into the upper
-    one column by column, so nothing n x n is allocated beyond the buffer.
+    copy (dsyrk forms a'a of its column-major argument a at trans=1), and
+    float32 columns in blocks of GRAM_BLOCK_SHARE * n rows, each copied to
+    float64 as it is added. The buffer is shifted by ratio and inverted in
+    place (_invert), so nothing n x n is allocated beyond it.
     """
     A = T.columns
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
     d, n = A.shape
-    # dsyrk forms a a' of its argument a; A.T is Fortran-ordered, so it is
-    # passed without a copy. Only the lower triangle is filled.
+    # Only the lower triangle is filled.
     if A.dtype == np.float64:
-        gram = dsyrk(1.0, A.T, lower=1)
+        gram = dsyrk(1.0, A, trans=1, lower=1)
     else:
         gram = np.zeros((n, n), order="F")
-        buffer = np.empty((max(1, int(GRAM_BLOCK_SHARE * n)), n))
-        for r in range(0, d, buffer.shape[0]):
-            block = buffer[: min(buffer.shape[0], d - r)]
+        rows = max(1, int(GRAM_BLOCK_SHARE * n))
+        buffer = np.empty((rows, n), order="F")
+        for r in range(0, d, rows):
+            block = buffer if r + rows <= d else np.empty((d - r, n), order="F")
             block[...] = A[r : r + block.shape[0]]
-            dsyrk(1.0, block.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
+            dsyrk(1.0, block, trans=1, beta=1.0, c=gram, lower=1, overwrite_c=1)
     # A view of the diagonal: gram is Fortran-contiguous, so ravel copies nothing.
     gram.ravel(order="F")[:: n + 1] += ratio
-    try:
-        factor, lower = cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"gram matrix ({n}x{n}) is not positive definite") from exc
-    inverse, info = dpotri(factor, lower=lower, overwrite_c=True)
-    if info != 0:
-        raise NumericError(f"gram matrix ({n}x{n}) could not be inverted (potri info {info})")
-    for i in range(1, n):
-        inverse[:i, i] = inverse[i, :i]
-    return GramCache(ratio=float(ratio), columns=A, _inverse=inverse)
+    return GramCache(ratio=float(ratio), columns=A, _inverse=_invert(gram))
 
 
 @dataclass
@@ -235,6 +333,18 @@ class AdmmState:
     converged: Optional[np.ndarray] = None
     fit_residual: Optional[np.ndarray] = None
     split_residual: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class WorkingSet:
+    """Some of a Dictionary's atoms, as the step functions read a dictionary:
+    columns holds the atoms' columns, gathered in ascending order of the
+    indices atoms, and geometry is the dictionary's. solve_batch codes a
+    probe on one with the restricted GramCache over the same columns."""
+
+    columns: np.ndarray
+    geometry: ImageGeometry
+    atoms: np.ndarray
 
 
 def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -325,6 +435,9 @@ def coding_step(
     Both products run in the dtype of T.columns and return float64; every
     other quantity is float64. With float32 columns the reachable fit and
     split residuals bottom out near 1e-6 (see SolverConfig).
+
+    T may be a WorkingSet, with the GramCache restricted to it: n is then the
+    size of the set, and a, z and u2 hold the set's coefficients only.
 
     Args:
         y: (d, B) observations, one probe per column.
@@ -452,7 +565,10 @@ class SolveResult:
     "converged" or the cap that ended it, "t_max" or "s_max". wall_seconds
     charges the probe, for each outer step it took part in, that step's wall
     time over the number of probes in it, so a batch's wall_seconds sum to
-    its wall time."""
+    its wall time. working_set_sizes holds, per outer step, the number of
+    atoms that step coded: n for a step on every atom, fewer for a step on a
+    working set (SolverConfig.working_set); a is exactly 0 outside the last
+    step's set."""
 
     a: np.ndarray
     e: np.ndarray
@@ -462,6 +578,7 @@ class SolveResult:
     inner_converged: list
     stop: str
     wall_seconds: float
+    working_set_sizes: list = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -475,11 +592,17 @@ class SolveResult:
 @dataclass
 class _Columns:
     """The probes solve_batch is coding, one column (or entry) each: probe is
-    the index in ys of each column; y, Ta and u1 are (d, B), a and u2 (n, B),
-    w holds each probe's last weights, tol its fit tolerance and change its
-    last relative weight change. All (d, B) and (n, B) arrays are
-    Fortran-ordered, as coding_step keeps them; tol and change are lists of
-    floats, which cost less than arrays in the one-probe case."""
+    the index in ys of each column; y, Ta and u1 are (d, B); a, u2 and z (the
+    last split variable, zero on the l2 path) are (n, B) over every atom, 0
+    outside a probe's working set; inside marks each probe's working set and
+    entries counts how often each atom has entered it as a violator, both
+    (n, B); systems holds, per probe, the system (GramCache.restrict) of its
+    last step on a working set (None before one), and stale marks the probes
+    whose Ta no longer equals T a since atoms left their sets. w holds each
+    probe's last weights, tol its fit tolerance and change its last relative
+    weight change. All (d, B) and (n, B) arrays are Fortran-ordered,
+    as coding_step keeps them; tol and change are lists of floats, which cost
+    less than arrays in the one-probe case."""
 
     probe: np.ndarray
     y: np.ndarray
@@ -487,6 +610,11 @@ class _Columns:
     Ta: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
+    z: np.ndarray
+    inside: np.ndarray
+    entries: np.ndarray
+    systems: list
+    stale: np.ndarray
     w: np.ndarray
     tol: list
     change: list
@@ -497,6 +625,96 @@ class _Columns:
             k: v[..., keep] if isinstance(v, np.ndarray) else [x for x, kept in zip(v, keep) if kept]
             for k, v in vars(self).items()
         })
+
+
+def _kkt_check(cols: _Columns, T: Dictionary, config: SolverConfig):
+    """The KKT check of every probe in cols at its coefficients a and the
+    weights w its last coding step ran under: one full product g = T'(W r),
+    r = y - T a, over the batch, with the entries of W r below
+    SUBNORMAL_FLUSH zeroed first. Returns (score, violator), both (n, B):
+    score is 2 g (nonneg) or |2 g| - lambda_reg (l1), and an atom violates
+    when its score exceeds KKT_TOL * max |2 g| (see KKT_TOL)."""
+    V = cols.w * (cols.y - cols.Ta)
+    V[np.abs(V) < SUBNORMAL_FLUSH] = 0.0
+    H = 2.0 * _product(T.columns.T, V)
+    score = H if config.regularizer == "nonneg" else np.abs(H) - config.lambda_reg
+    return score, score > KKT_TOL * np.abs(H).max(axis=0)
+
+
+def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray, T: Dictionary):
+    """Grow and shrink every probe's working set (cols.inside) from its KKT
+    check (_kkt_check).
+
+    A probe's next set keeps the atoms of its set with z != 0, those that
+    violate, and those that have entered STICKY_ENTRIES times, and adds at
+    most max(GROW_MIN, |supp z|) violators from outside it, the largest
+    first, as far as GATHER_MAX_BYTES leaves room. A set that would be empty
+    stays as it is, and every atom is coded when the kept atoms alone exceed
+    that room or leave none for a violator. Atoms that leave get
+    a = u2 = z = 0, so Ta no longer equals T a (cols.stale) until
+    _coding_steps re-forms it; the arrays of cols are replaced, not written,
+    since a coding step returned them.
+    """
+    cols.a, cols.u2, cols.z = (np.array(x, order="F") for x in (cols.a, cols.u2, cols.z))
+    gather_max = GATHER_MAX_BYTES // (T.columns.shape[0] * T.columns.itemsize)
+    for k in range(cols.probe.size):
+        inside, support = cols.inside[:, k], cols.z[:, k] != 0.0
+        candidates = np.flatnonzero(violator[:, k] & ~inside)
+        new = inside & (support | violator[:, k] | (cols.entries[:, k] >= STICKY_ENTRIES))
+        room = gather_max - int(np.count_nonzero(new))
+        cap = min(max(GROW_MIN, int(np.count_nonzero(support))), room)
+        chosen = candidates[np.argsort(-score[candidates, k], kind="stable")[: max(cap, 0)]]
+        if room < 0 or (candidates.size and not chosen.size):
+            new[:] = True
+        elif not new.any() and not chosen.size:
+            new = inside.copy()
+        new[chosen] = True
+        cols.entries[chosen, k] += 1
+        leaving = inside & ~new
+        cols.a[leaving, k] = cols.u2[leaving, k] = cols.z[leaving, k] = 0.0
+        cols.stale[k] = leaving.any()
+        cols.inside[:, k] = new
+
+
+def _coding_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache, config: SolverConfig):
+    """One coding step of every probe in cols under its weights W: the probes
+    whose working set is every atom as one batch, each other probe alone on
+    its set. A set's columns are gathered (GramCache.restrict, from the
+    probe's last system in cols.systems) just before its step, so one
+    gathered copy is alive at a time, and a stale Ta is re-formed there as
+    T_S a_S. Returns the AdmmState of all of them, with a, z and u2 over
+    every atom, 0 outside each set."""
+    full = cols.inside.all(axis=0)
+    if full.all():
+        return coding_step(cols.y, T, W, cache, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
+                           tol=cols.tol)
+    (d, n), m = T.columns.shape, cols.probe.size
+    out = AdmmState(
+        a=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"), e=np.empty((d, m), order="F"),
+        u1=np.empty((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=W, Ta=np.empty((d, m), order="F"),
+        iterations=np.empty(m, int), converged=np.empty(m, bool), fit_residual=np.empty(m),
+        split_residual=np.empty(m),
+    )
+    tols = np.array(cols.tol)
+    groups = [np.flatnonzero(full)] if full.any() else []
+    for ks in groups + [slice(k, k + 1) for k in np.flatnonzero(~full)]:
+        if isinstance(ks, slice):
+            rows = np.flatnonzero(cols.inside[:, ks.start])
+            atoms_cache, cols.systems[ks.start] = cache.restrict(rows, cols.systems[ks.start])
+            atoms = WorkingSet(atoms_cache.columns, T.geometry, rows)
+            Ta0 = _product(atoms_cache.columns, cols.a[rows, ks]) if cols.stale[ks.start] else cols.Ta[:, ks]
+        else:
+            rows, atoms, atoms_cache, Ta0 = slice(None), T, cache, cols.Ta[:, ks]
+        step = coding_step(cols.y[:, ks], atoms, W[:, ks], atoms_cache, config, a0=cols.a[rows, ks],
+                           Ta0=Ta0, duals=(cols.u1[:, ks], cols.u2[rows, ks]), tol=tols[ks])
+        for name in ("a", "z", "u2"):
+            getattr(out, name)[rows, ks] = getattr(step, name)
+        for name in ("e", "u1", "Ta"):
+            getattr(out, name)[:, ks] = getattr(step, name)
+        for name in ("iterations", "converged", "fit_residual", "split_residual"):
+            getattr(out, name)[ks] = getattr(step, name)
+    cols.stale[:] = False
+    return out
 
 
 def solve_batch(
@@ -520,6 +738,15 @@ def solve_batch(
     flat start, which every probe shares; every later weight residual reuses
     the product the coding step carries. A probe leaves the batch when its
     solve stops, and each one that stops at a cap logs one warning naming it.
+
+    Under SolverConfig.working_set (reweighted solves only), every outer step
+    ends with one full product over the batch, the KKT check of each probe's
+    new coefficients under the weights it was coded with (_kkt_check). Such a
+    solve has converged only when eps3 holds and no atom outside its working
+    set violates; otherwise the check grows and shrinks the set for the next
+    step (_update_working_sets). The first step codes every atom, and each
+    later one codes each probe's own set as a one-column coding step (a set
+    of every atom codes with the batch).
 
     A NumericError ends only its own probe's solve: a residual that is not
     finite fails its probe at the weight update. A coding step that raises
@@ -555,13 +782,19 @@ def solve_batch(
     cols = _Columns(
         probe=np.arange(m), y=Y, a=np.asfortranarray(np.repeat(a0, m, axis=1)),
         Ta=np.asfortranarray(np.repeat(_product(T.columns, a0), m, axis=1)),
-        u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=np.empty((d, m), order="F"),
-        tol=[config.eps1] * m, change=[math.nan] * m,
+        u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"),
+        inside=np.ones((n, m), bool, order="F"), entries=np.zeros((n, m), np.int8, order="F"), systems=[None] * m,
+        stale=np.zeros(m, bool),
+        w=np.empty((d, m), order="F"), tol=[config.eps1] * m, change=[math.nan] * m,
     )
     outcomes = [None] * m
     inner = [[] for _ in ys]
     inner_converged = [[] for _ in ys]
+    sizes = [[] for _ in ys]
     seconds = [0.0] * m
+    # A constant-weight solve stops after its one coding step, so only a
+    # reweighted one checks its working set.
+    check = config.working_set and config.weights.kind != "constant"
     t = 0
     while cols.probe.size:
         W = np.empty_like(cols.y)
@@ -582,24 +815,31 @@ def solve_batch(
         if t > 1:
             cols.change = [a / b for a, b in zip(_column_norms(W - cols.w), _column_norms(cols.w))]
         try:
-            step = coding_step(cols.y, T, W, cache, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
-                               tol=cols.tol)
+            step = _coding_steps(cols, W, T, cache, config)
         except NumericError as exc:
             # Which column raised is not known: each probe is solved again alone.
             for j in cols.probe:
                 outcomes[j] = exc if cols.probe.size == 1 else solve_batch([ys[j]], T, config, cache)[0]
             break
         cols.a, cols.Ta, cols.u1, cols.u2, cols.w = step.a, step.Ta, step.u1, step.u2, W
+        if step.z is not None:
+            cols.z = step.z
         probes, converged = cols.probe.tolist(), step.converged.tolist()
-        for j, its, ok in zip(probes, step.iterations.tolist(), converged):
+        for j, its, ok, size in zip(probes, step.iterations.tolist(), converged, cols.inside.sum(axis=0).tolist()):
             inner[j].append(its)
             inner_converged[j].append(ok)
+            sizes[j].append(size)
+        violated = [False] * len(probes)
+        if check:
+            score, violator = _kkt_check(cols, T, config)
+            violated = (violator & ~cols.inside).any(axis=0).tolist()
         if config.weights.kind == "constant":
             stops = ["converged" if ok else "s_max" for ok in converged]
         elif t == 1:
             stops = ["t_max" if t == config.t_max else ""] * len(probes)
         else:
-            stops = ["converged" if c < config.eps3 else "t_max" if t == config.t_max else "" for c in cols.change]
+            stops = ["converged" if c < config.eps3 and not v else "t_max" if t == config.t_max else ""
+                     for c, v in zip(cols.change, violated)]
             cols.tol = [tol if c < config.eps3 else min(config.eps1, INNER_TOL_RATIO * c)
                         for tol, c in zip(cols.tol, cols.change)]
         now = time.perf_counter()
@@ -611,6 +851,8 @@ def solve_batch(
                 continue
             if stop == "t_max":
                 detail = f"outer iterations; last relative weight change {cols.change[k]:.3g} (eps3 {config.eps3:g})"
+                if violated[k]:
+                    detail += "; an atom outside the working set still violates its KKT test"
                 log.warning("solve stopped at %s=%d %s", stop, config.t_max, detail)
             elif stop == "s_max":  # the one coding step of a constant-weight solve
                 detail = (f"inner iterations; last fit {step.fit_residual[k]:.3g} (tol {cols.tol[k]:g}), "
@@ -620,10 +862,15 @@ def solve_batch(
             outcomes[j] = SolveResult(
                 a=cols.a[:, k].copy(), e=step.e[:, k].copy(), w=WeightVector(W[:, k].copy()),
                 outer_iterations=t, inner_iterations=inner[j], inner_converged=inner_converged[j],
-                stop=stop, wall_seconds=seconds[j],
+                stop=stop, wall_seconds=seconds[j], working_set_sizes=sizes[j],
             )
         if any(stops):
-            cols = cols.take(np.array([not stop for stop in stops]))
+            keep = np.array([not stop for stop in stops])
+            cols = cols.take(keep)
+            if check:
+                score, violator = score[:, keep], violator[:, keep]
+        if check and cols.probe.size:
+            _update_working_sets(cols, score, violator, T)
     return outcomes
 
 

@@ -1,30 +1,97 @@
 """Shared instance builders for the test suite."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
+import faceid.solver as solver
 from faceid.model import FaceVector, ImageGeometry, build_dictionary
+from faceid.solver import WorkingSet
 
 
 class CountingMatmul(np.ndarray):
     """ndarray view that counts its `@` products and the columns they form,
     as the left operand (M @ V) or the right one (V' @ M'); transposed views
-    count too. Put `T.columns.view(CountingMatmul)` in place with
-    object.__setattr__."""
+    count too, and so do the columns a working set gathers from it (fancy
+    indexing keeps the subclass). atoms tallies the products by the view's
+    shorter side, the number of atoms it holds when d > n. Put
+    `T.columns.view(CountingMatmul)` in place with object.__setattr__, and
+    call reset() before counting."""
 
     calls = 0
     columns = 0
+    atoms = Counter()
+
+    @classmethod
+    def reset(cls):
+        cls.calls = cls.columns = 0
+        cls.atoms = Counter()
 
     def __matmul__(self, other):
         CountingMatmul.calls += 1
         CountingMatmul.columns += 1 if np.ndim(other) == 1 else np.shape(other)[1]
+        CountingMatmul.atoms[min(self.shape)] += 1
         return np.asarray(self) @ other
 
     def __rmatmul__(self, other):
         CountingMatmul.calls += 1
         CountingMatmul.columns += 1 if np.ndim(other) == 1 else np.shape(other)[0]
+        CountingMatmul.atoms[min(self.shape)] += 1
         return other @ np.asarray(self)
+
+
+def coded_coefficients(n, args, step):
+    """The coefficients a coding_step call (args, its returned state step)
+    coded, over all n atoms: a call on a WorkingSet codes its atoms only, and
+    the others are 0."""
+    if isinstance(args[1], WorkingSet):
+        a = np.zeros((n, step.a.shape[1]))
+        a[args[1].atoms] = step.a
+        return a
+    return step.a
+
+
+def record_factorizations(monkeypatch):
+    """Wrap faceid.solver.dpotrf, the routine the solver factors its Gram
+    systems with, and faceid.solver.coding_step for the test. Returns a dict
+    filled in as the solver runs: "orders" lists the order of each system
+    factored, "in_step" counts those factored inside a coding step, and
+    "steps" lists the dictionary or WorkingSet each coding step coded on."""
+    log = {"orders": [], "in_step": 0, "steps": []}
+    depth = [0]
+    factor, step = solver.dpotrf, solver.coding_step
+
+    def counted_factor(a, *args, **kwargs):
+        log["orders"].append(np.shape(a)[0])
+        log["in_step"] += depth[0] > 0
+        return factor(a, *args, **kwargs)
+
+    def counted_step(y, T, *args, **kwargs):
+        log["steps"].append(T)
+        depth[0] += 1
+        try:
+            return step(y, T, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(solver, "dpotrf", counted_factor)
+    monkeypatch.setattr(solver, "coding_step", counted_step)
+    return log
+
+
+def new_systems(steps):
+    """The orders of the systems a one-probe solve that coded on steps (as
+    record_factorizations lists them) must factor: one for each step on a
+    working set whose atoms differ from those of its last such step, which
+    reuses the inverse otherwise."""
+    orders, last = [], None
+    for T in steps:
+        if isinstance(T, WorkingSet):
+            if last is None or not np.array_equal(last, T.atoms):
+                orders.append(T.atoms.size)
+            last = T.atoms
+    return orders
 
 
 def random_faces(rng, geometry, count, lo=0.05, hi=1.0):

@@ -28,6 +28,7 @@ from faceid.prox import svt
 from faceid.solver import (
     AdmmState,
     SolverConfig,
+    WorkingSet,
     a_update,
     coding_step,
     method_config,
@@ -35,7 +36,15 @@ from faceid.solver import (
     solve,
 )
 from faceid.weights import logistic_params
-from helpers import CountingMatmul, as_float32, flat_start, random_dictionary
+from helpers import (
+    CountingMatmul,
+    as_float32,
+    coded_coefficients,
+    flat_start,
+    random_dictionary,
+    new_systems,
+    record_factorizations,
+)
 from oracle import (
     nnls_kkt_residual,
     objective_value,
@@ -187,7 +196,8 @@ def test_acceptance_3_svt_certified_by_prox_oracle(capsys):
 
 
 def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy, frozen_weights):
-    steps = spy("coding_step")
+    # A step on a working set returns the coefficients of its atoms only.
+    steps = spy("coding_step", record=lambda args, kwargs, step: coded_coefficients(T.n, args, step))
     worst_rise = -np.inf
     config = SolverConfig(
         regularizer="nonneg", lambda_star=0.0,
@@ -202,7 +212,7 @@ def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy, frozen_weigh
         frozen_weights(mu, eta)
         steps.clear()
         solve(y, T, config)
-        trace = [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
+        trace = [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + steps]
         worst_rise = max(worst_rise, float(np.diff(trace).max()))
     ok = worst_rise <= 1e-9
     _verdict(
@@ -329,7 +339,7 @@ def test_acceptance_8_licensed_dataset_golden_accuracy(capsys):
     )
 
 
-def test_acceptance_9_code_update_scales_linearly(capsys, spy):
+def test_acceptance_9_code_update_scales_linearly(capsys, monkeypatch):
     geometry = ImageGeometry(50, 40)
     config = method_config("F-LR-IRNNLS")
     rng = np.random.default_rng(9000)
@@ -374,16 +384,29 @@ def test_acceptance_9_code_update_scales_linearly(capsys, spy):
         t400 = min(t400, block(*large))
     ratio = t400 / t100
     per_update = {n: products(*inst) for n, inst in ((100, small), (400, large))}
+    # Every call of the factoring routine is counted: after the cache is
+    # built, a solve factors no n x n system and nothing inside a coding step,
+    # and one |S| x |S| system before each step on a working set that differs
+    # from the last one, at most one per outer step.
     _, T400, cache400 = large
-    factorizations = spy("cho_factor")
-    solve(
-        FaceVector(y, geometry).normalized(), T400, method_config("F-IRNNLS"), cache=cache400
+    log = record_factorizations(monkeypatch)
+    res = solve(FaceVector(y, geometry).normalized(), T400, method_config("F-IRNNLS"), cache=cache400)
+    restricted = [step.atoms.size for step in log["steps"] if isinstance(step, WorkingSet)]
+    full_factorizations = log["orders"].count(400)
+    factorizations_ok = (
+        full_factorizations == 0
+        and log["in_step"] == 0
+        and len(restricted) > 0
+        and log["orders"] == new_systems(log["steps"]) != []
+        and len(log["orders"]) < res.outer_iterations
     )
-    new_factorizations = len(factorizations)
-    ok = ratio <= 8.0 and new_factorizations == 0 and set(per_update.values()) == {1.0}
+    ok = ratio <= 8.0 and factorizations_ok and set(per_update.values()) == {1.0}
     _verdict(
         capsys, 9, ok,
         f"code update CPU time n=400 vs n=100: ratio {ratio:.2f} (cap 8.0); "
         f"d x n products per update: {per_update[100]:g} at n=100, {per_update[400]:g} at n=400 "
-        f"(must be 1); factorizations after cache construction: {new_factorizations} (must be 0)",
+        f"(must be 1); factorizations after cache construction: {full_factorizations} of the n x n "
+        f"system (must be 0), {log['in_step']} inside a coding step (must be 0), "
+        f"{len(log['orders'])} of |S| x |S| systems for {len(restricted)} working-set steps in "
+        f"{res.outer_iterations} outer steps (one per new set)",
     )

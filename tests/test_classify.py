@@ -8,7 +8,7 @@ from faceid.errors import DictionaryError
 from faceid.model import ImageGeometry, build_dictionary
 from faceid.solver import SolveResult
 from faceid.weights import WeightVector
-from helpers import random_dictionary, random_faces
+from helpers import CountingMatmul, as_float32, random_dictionary, random_faces
 
 
 def _result(a, w, e=None):
@@ -114,3 +114,26 @@ def test_rejects_mismatched_code_or_weight_lengths():
     with pytest.raises(DictionaryError):
         class_residuals(np.zeros(12), T, _result(np.zeros(6), np.ones(11)))
     assert class_residuals(np.zeros(12), T, good).shape == (2,)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_all_zero_classes_form_no_product(dtype):
+    """A class whose coefficients are all exactly 0 (-0.0 included) gets
+    ||sqrt(W) y|| without a product, bit for bit the per-class formula; only
+    the classes with a nonzero coefficient form one."""
+    rng = np.random.default_rng(7)
+    T = random_dictionary(rng, 6, 5, 12, classes=4)
+    if dtype == "float32":
+        T = as_float32(T)
+    a = np.zeros(12)
+    lo, hi = T.class_range(2)
+    a[lo:hi] = rng.uniform(0.1, 1.0, hi - lo)
+    a[T.class_range(0)[0]] = -0.0
+    y, w = rng.uniform(0.0, 1.0, 30), rng.uniform(0.2, 1.0, 30)
+    sw = np.sqrt(w)
+    expect = [np.linalg.norm(sw * (y - T.columns[:, lo:hi] @ a[lo:hi])) for lo, hi in map(T.class_range, range(4))]
+    object.__setattr__(T, "columns", T.columns.view(CountingMatmul))
+    CountingMatmul.reset()
+    got = class_residuals(y, T, _result(a, w))
+    assert got.tolist() == expect
+    assert CountingMatmul.calls == 1

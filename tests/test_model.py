@@ -269,11 +269,11 @@ def test_build_dictionary_matches_stack_reorder_normalize_bit_for_bit():
     cols = np.column_stack([f.values for f in faces])
     cols = cols[:, np.argsort(labels, kind="stable")]
     expect = cols / np.linalg.norm(cols, axis=0)
-    assert T.columns.flags.c_contiguous
+    assert T.columns.flags.f_contiguous
     assert np.array_equal(T.columns, expect)
     # The float32 default rounds the float64-normalized columns once.
     T32 = build_dictionary(faces, labels)
-    assert T32.columns.dtype == np.float32 and T32.columns.flags.c_contiguous
+    assert T32.columns.dtype == np.float32 and T32.columns.flags.f_contiguous
     assert np.array_equal(T32.columns, expect.astype(np.float32))
 
 

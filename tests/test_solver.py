@@ -22,6 +22,7 @@ from faceid.solver import (
     RELAX,
     AdmmState,
     SolverConfig,
+    WorkingSet,
     a_update,
     coding_step,
     dual_update,
@@ -33,7 +34,16 @@ from faceid.solver import (
     z_update,
 )
 from faceid.weights import WeightFunction, logistic_params
-from helpers import CountingMatmul, as_float32, flat_start, orthonormal_dictionary, random_dictionary
+from helpers import (
+    CountingMatmul,
+    as_float32,
+    coded_coefficients,
+    flat_start,
+    orthonormal_dictionary,
+    random_dictionary,
+    new_systems,
+    record_factorizations,
+)
 from oracle import objective_value
 
 
@@ -88,7 +98,7 @@ def test_precompute_gram_rejects_nonpositive_ratio():
 
 
 def test_precompute_gram_counts_factorizations(spy):
-    factorizations = spy("cho_factor")
+    factorizations = spy("dpotrf")
     precompute_gram(_one_class_per_column(np.eye(4)), 0.5)
     assert len(factorizations) == 1
 
@@ -503,11 +513,11 @@ def test_solve_frozen_trace_monotone(spy, frozen_weights):
         regularizer="nonneg", lambda_star=0.0,
         eps1=1e-8, eps2=1e-8, eps3=1e-10, t_max=8, s_max=5000,
     )
-    steps = spy("coding_step")
+    steps = spy("coding_step", record=lambda args, kwargs, step: coded_coefficients(T.n, args, step))
     res = solve(y, T, config)
     assert len(steps) == res.outer_iterations
     trace = np.array(
-        [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + [s.a for s in steps]]
+        [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + steps]
     )
     assert np.isfinite(trace).all()
     assert float(np.diff(trace).max()) <= 1e-9
@@ -525,17 +535,21 @@ def _occluded_column_instance():
 
 def test_solve_warm_started_duals_still_converge(spy):
     """Each coding step starts from the scaled duals (u1, u2) the previous one
-    ended with; the first starts from zero."""
+    ended with; the first starts from zero. A step on a working set starts
+    from the previous u2 at the set's atoms, 0 for an atom that entered it."""
     y, T = _occluded_column_instance()
     calls = spy("coding_step", with_args=True)
     res = solve(y, T, method_config("F-IRNNLS", gamma=0.6))
     assert res.converged
     assert np.isfinite(res.a).all()
     assert len(calls) == res.outer_iterations > 2
+    assert min(res.working_set_sizes) < T.n
     assert not any(u.any() for u in calls[0][1]["duals"])
-    for (_, _, before), (_, kwargs, _) in zip(calls, calls[1:]):
+    full_u2 = lambda args, step: coded_coefficients(T.n, args, SimpleNamespace(a=step.u2))
+    for (before_args, _, before), (args, kwargs, _) in zip(calls, calls[1:]):
         u1, u2 = kwargs["duals"]
-        assert np.array_equal(u1, before.u1) and np.array_equal(u2, before.u2)
+        atoms = args[1].atoms if isinstance(args[1], WorkingSet) else slice(None)
+        assert np.array_equal(u1, before.u1) and np.array_equal(u2, full_u2(before_args, before)[atoms])
 
 
 def test_solve_inner_tolerance_follows_weight_change(spy):
@@ -632,21 +646,35 @@ def test_solve_checks_observation_length():
         solve(np.zeros(7), T, SolverConfig(lambda_star=0.0))
 
 
-def test_solve_reuses_supplied_gram_cache(spy):
+def test_solve_reuses_supplied_gram_cache(monkeypatch):
+    """With a supplied cache, a solve factors no n x n system, and nothing
+    inside a coding step; it factors one |S| x |S| system just before each
+    step on a working set that differs from the probe's last one (a set
+    that does not change reuses its inverse). Every call of the factoring
+    routine is counted, so a solver that factored elsewhere would miss the
+    count."""
     rng = np.random.default_rng(29)
     T = random_dictionary(rng, 6, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
     config = method_config("F-IRNNLS")
     cache = precompute_gram(T, config.gram_ratio)
-    factorizations = spy("cho_factor")
-    solve(y, T, config, cache=cache)
-    assert factorizations == []
+    log = record_factorizations(monkeypatch)
+    res = solve(y, T, config, cache=cache)
+    assert any(isinstance(step, WorkingSet) for step in log["steps"])
+    assert len(log["steps"]) == res.outer_iterations
+    assert log["in_step"] == 0 and T.n not in log["orders"]
+    assert log["orders"] == new_systems(log["steps"]) != []
 
 
 def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):
     """Each inner iteration forms T' v (a_update) and T a (dual_update); the
     carried T a serves the next e_update and the outer weight residual, so a
-    solve forms 2 * inner + 1 products, the one extra for the flat start."""
+    solve forms 2 * inner + 1 products, the one extra for the flat start.
+    Under a working set (F-IRNNLS, F-IRSC) the products of a step on the set
+    use its gathered columns: 2 per inner iteration, plus one that re-forms
+    T a over the set after atoms left it. The full products are then 2 per
+    inner iteration of a step on every atom, the flat start, and one KKT
+    check per outer step."""
     rng = np.random.default_rng(0)
     T = random_dictionary(rng, 10, 10, 30, classes=6, dtype=dtype)
     noise = np.random.default_rng(1).uniform(size=100)
@@ -658,10 +686,19 @@ def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):
     # After the swap: a cache serves only the columns object it was built from.
     caches = {name: precompute_gram(T, config.gram_ratio) for name, config in configs.items()}
     for name, config in configs.items():
-        CountingMatmul.calls = 0
+        CountingMatmul.reset()
         res = solve(y, T, config, cache=caches[name])
         assert res.total_inner_iterations > res.outer_iterations > 1
-        assert CountingMatmul.calls == 2 * res.total_inner_iterations + 1, name
+        n = T.n
+        full = [i for i, size in zip(res.inner_iterations, res.working_set_sizes) if size == n]
+        restricted = [i for i, size in zip(res.inner_iterations, res.working_set_sizes) if size < n]
+        if config.working_set:
+            assert restricted, name
+            assert CountingMatmul.atoms[n] == 1 + 2 * sum(full) + res.outer_iterations, name
+            gathered = CountingMatmul.calls - CountingMatmul.atoms[n]
+            assert 2 * sum(restricted) < gathered <= 2 * sum(restricted) + len(restricted), name
+        else:
+            assert CountingMatmul.calls == CountingMatmul.atoms[n] == 2 * res.total_inner_iterations + 1, name
 
 
 def test_float32_solve_forms_two_products_per_inner_iteration():
@@ -707,18 +744,30 @@ def test_batch_agrees_with_one_probe_solves(name):
 def test_batch_forms_two_product_columns_per_inner_iteration(name):
     """A batch forms one product column for the flat start, which every probe
     shares, and two per inner iteration of each probe: a probe that has left
-    the inner loop, or the batch, forms none."""
+    the inner loop, or the batch, forms none. Under a working set (F-IRNNLS)
+    every outer step of a probe adds one full KKT column, and its steps on
+    the set form their products on gathered columns (see
+    test_solve_forms_two_products_per_inner_iteration)."""
     T, ys = _half_occluded_benchmark(6, dtype=np.float32)
     object.__setattr__(T, "columns", T.columns.view(CountingMatmul))
     config = method_config(name, gamma=0.6)
     cache = precompute_gram(T, config.gram_ratio)
-    CountingMatmul.calls = CountingMatmul.columns = 0
+    CountingMatmul.reset()
     results = solve_batch(ys, T, config, cache)
     inner = [r.total_inner_iterations for r in results]
     assert len(set(inner)) > 1  # the probes leave at different iterations
-    assert all(len(r.inner_iterations) == r.outer_iterations for r in results)
-    assert CountingMatmul.columns == 2 * sum(inner) + 1
-    assert CountingMatmul.calls < CountingMatmul.columns
+    assert all(len(r.inner_iterations) == r.outer_iterations == len(r.working_set_sizes) for r in results)
+    if config.working_set and config.weights.kind != "constant":
+        full = sum(i for r in results for i, size in zip(r.inner_iterations, r.working_set_sizes) if size == T.n)
+        restricted = [(i, size) for r in results for i, size in zip(r.inner_iterations, r.working_set_sizes)
+                      if size < T.n]
+        assert restricted
+        gathered = CountingMatmul.calls - CountingMatmul.atoms[T.n]  # one column each
+        assert 2 * sum(i for i, _ in restricted) < gathered <= 2 * sum(i for i, _ in restricted) + len(restricted)
+        assert CountingMatmul.columns - gathered == 2 * full + 1 + sum(r.outer_iterations for r in results)
+    else:
+        assert CountingMatmul.columns == 2 * sum(inner) + 1
+    assert CountingMatmul.atoms[T.n] < CountingMatmul.columns
 
 
 def test_batch_charges_each_outer_step_to_its_probes(monkeypatch):
@@ -748,12 +797,14 @@ def test_batch_failure_ends_only_its_own_probe(monkeypatch, caplog):
     step of the other three raises on the batch, which does not say which
     column did, so each of them is solved again on its own: its outcome is
     its one-probe solve, bit for bit. t_max = 3 caps every clean probe, and
-    each capped solve warns once."""
+    each capped solve warns once. F-IRLS codes every atom at every step, so
+    its second step is a batch of three (a working-set preset codes its
+    later steps probe by probe)."""
     T, ys = _half_occluded_benchmark(4)
     values = ys[1].values.copy()
     values[5] = np.nan
     ys[1] = FaceVector(values, T.geometry)
-    config = method_config("F-IRNNLS", gamma=0.6, t_max=3)
+    config = method_config("F-IRLS", gamma=0.6, t_max=3)
     cache = precompute_gram(T, config.gram_ratio)
     single = {k: solve(ys[k], T, config, cache) for k in (0, 2, 3)}
     original, widths = solver.coding_step, []
@@ -786,13 +837,14 @@ def test_batch_failure_ends_only_its_own_probe(monkeypatch, caplog):
 def test_coding_step_residuals_are_those_of_its_iterates(name, spy):
     """Every step reports exactly ||y - Ta - e|| and ||a - z|| of the Ta, a,
     e and z it returns (0.0 split on the l2 path), whatever its relaxation
-    factor."""
+    factor; Ta is the product over the columns it coded on, every atom's or
+    a working set's."""
     y, T = _occluded_column_instance()
-    steps = spy("coding_step")
+    steps = spy("coding_step", record=lambda args, kwargs, step: (args[1].columns, step))
     solve(y, T, method_config(name, gamma=0.6))
     assert steps
-    for step in steps:
-        assert np.array_equal(step.Ta, T.columns @ step.a)
+    for columns, step in steps:
+        assert np.array_equal(step.Ta, columns @ step.a)
         assert step.fit_residual.tolist() == [np.linalg.norm(y.values - step.Ta[:, 0] - step.e[:, 0])]
         if step.z is None:
             assert step.split_residual.tolist() == [0.0]
