@@ -46,9 +46,9 @@ RELAX = 1.5
 # precompute_gram adds float32 columns to T'T in blocks of this share of n
 # rows, so that the float64 copy of a block stays a tenth of the n x n Gram.
 GRAM_BLOCK_SHARE = 0.1
-# GramCache.restrict forms the Gram entries of a working set's new atoms from
-# its gathered float32 columns in blocks of this many rows (192 KiB of
-# float64 at 48 atoms).
+# GramCache.restrict forms a working set's Gram system from its gathered
+# float32 columns in blocks of this many rows (192 KiB of float64 at 48
+# atoms).
 RESTRICT_BLOCK_ROWS = 512
 
 # Working sets (SolverConfig.working_set). From its second outer step on, a
@@ -164,10 +164,11 @@ class SolverConfig:
     def working_set(self) -> bool:
         """Whether solve codes each outer step after the first on a working
         set (see KKT_TOL): the sparse kinds, nonneg and l1, on the plain path
-        (lambda_star = 0). The l2 kind has no sparsity, and the KKT test of
-        the weighted data term is not the low-rank path's optimality
-        condition, so both keep every atom."""
-        return not self.low_rank and self.regularizer != "l2"
+        (lambda_star = 0), under reweighting. The l2 kind has no sparsity,
+        the KKT test of the weighted data term is not the low-rank path's
+        optimality condition, and a constant-weight solve stops after its one
+        coding step, so all three keep every atom."""
+        return not self.low_rank and self.regularizer != "l2" and self.weights.kind != "constant"
 
     @property
     def gram_ratio(self) -> float:
@@ -198,70 +199,43 @@ class GramCache:
         the columns of x come out contiguous, as _product's do."""
         return (b.T @ self._inverse.T).T
 
-    def restrict(self, atoms: np.ndarray, last: Optional[tuple] = None) -> tuple:
+    def restrict(self, atoms: np.ndarray) -> "GramCache":
         """The cache of the atoms (ascending column indices) alone: their
-        columns gathered into a column-major copy, and the inverse (_invert)
-        of T_S'T_S + ratio I. Nothing of the full n x n size is kept or
-        allocated.
-
-        The Gram entries are formed in float64 from the gathered columns
-        (_gram_columns), except those that last, the system an earlier call
-        returned for this cache, already holds: then only the entries of the
-        atoms new to the set are formed, and an unchanged set reuses last's
-        inverse.
-
-        Returns:
-            (cache, system), system being (atoms, T_S'T_S, inverse) for the
-            next call's last.
-        """
+        columns gathered into a column-major copy, and the inverse of
+        T_S'T_S + ratio I, formed from them by the routine precompute_gram
+        uses (_system), float32 columns in blocks of RESTRICT_BLOCK_ROWS
+        rows. Nothing of the full n x n size is kept or allocated."""
         columns = self.columns[:, atoms]
-        k = atoms.size
-        gram = np.empty((k, k), order="F")
-        known = np.zeros(k, bool)
-        if last is not None:
-            last_atoms, last_gram, last_inverse = last
-            if np.array_equal(last_atoms, atoms):
-                return GramCache(ratio=self.ratio, columns=columns, _inverse=last_inverse), last
-            where = np.minimum(np.searchsorted(last_atoms, atoms), last_atoms.size - 1)
-            known = last_atoms[where] == atoms
-            gram[np.ix_(known, known)] = last_gram[np.ix_(where[known], where[known])]
-        new = np.flatnonzero(~known)
-        if new.size:
-            cross = _gram_columns(columns, new, RESTRICT_BLOCK_ROWS)
-            gram[:, new] = cross
-            gram[new, :] = cross.T
-        system = gram.copy(order="F")
-        system.ravel(order="F")[:: k + 1] += self.ratio
-        inverse = _invert(system)
-        return GramCache(ratio=self.ratio, columns=columns, _inverse=inverse), (atoms, gram, inverse)
+        return GramCache(ratio=self.ratio, columns=columns, _inverse=_system(columns, self.ratio, RESTRICT_BLOCK_ROWS))
 
 
-def _gram_columns(A: np.ndarray, new: np.ndarray, rows: int) -> np.ndarray:
-    """A'A[:, new] in float64: one product for float64 columns, and for
-    float32 columns a sum over blocks of the given number of rows, each
-    copied to float64 as it is added."""
-    A = np.asarray(A)
-    if A.dtype == np.float64:
-        return A.T @ A[:, new]
+def _system(A: np.ndarray, ratio: float, rows: int) -> np.ndarray:
+    """The inverse of A'A + ratio * I, formed in float64 in one
+    Fortran-ordered buffer, the order LAPACK works in.
+
+    BLAS dsyrk accumulates the lower triangle of A'A: float64 columns in one
+    call, with no copy (dsyrk forms a'a of its column-major argument a at
+    trans=1), and float32 columns in blocks of the given number of rows, each
+    copied to float64 as it is added. The buffer is shifted by ratio, LAPACK
+    potrf factors it by Cholesky and potri turns the factor into the
+    inverse's lower triangle, which is copied into the upper one column by
+    column, so nothing of the matrix's size is allocated beyond the buffer
+    and the inverse is exactly symmetric.
+    """
     d, k = A.shape
-    out = np.zeros((k, new.size))
-    buffer = np.empty((min(rows, d), k), order="F")
-    for r in range(0, d, rows):
-        block = buffer[: min(rows, d - r)]
-        block[...] = A[r : r + block.shape[0]]
-        out += block.T @ block[:, new]
-    return out
-
-
-def _invert(system: np.ndarray) -> np.ndarray:
-    """The inverse of the symmetric positive definite matrix whose lower
-    triangle the Fortran-ordered system holds, formed in its buffer: LAPACK
-    potrf factors it by Cholesky, potri turns the factor into the inverse's
-    lower triangle, which is copied into the upper one column by column, so
-    nothing of the matrix's size is allocated and the inverse is exactly
-    symmetric."""
-    k = system.shape[0]
-    factor, info = dpotrf(system, lower=1, clean=0, overwrite_a=1)
+    if A.dtype == np.float64:
+        gram = dsyrk(1.0, A, trans=1, lower=1)
+    else:
+        gram = np.zeros((k, k), order="F")
+        rows = min(rows, d)
+        buffer = np.empty((rows, k), order="F")
+        for r in range(0, d, rows):
+            block = buffer if r + rows <= d else np.empty((d - r, k), order="F")
+            block[...] = A[r : r + block.shape[0]]
+            dsyrk(1.0, block, trans=1, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    # A view of the diagonal: gram is Fortran-contiguous, so ravel copies nothing.
+    gram.ravel(order="F")[:: k + 1] += ratio
+    factor, info = dpotrf(gram, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NumericError(f"gram matrix ({k}x{k}) is not positive definite")
     inverse, info = dpotri(factor, lower=1, overwrite_c=1)
@@ -273,34 +247,13 @@ def _invert(system: np.ndarray) -> np.ndarray:
 
 
 def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
-    """Invert T'T + ratio * I once, so that every coefficient update is one
-    product instead of a pair of triangular solves.
-
-    T'T is accumulated in float64 by BLAS dsyrk into one Fortran-ordered
-    buffer, the order LAPACK works in: float64 columns in one call, with no
-    copy (dsyrk forms a'a of its column-major argument a at trans=1), and
-    float32 columns in blocks of GRAM_BLOCK_SHARE * n rows, each copied to
-    float64 as it is added. The buffer is shifted by ratio and inverted in
-    place (_invert), so nothing n x n is allocated beyond it.
-    """
-    A = T.columns
+    """Invert T'T + ratio * I once (_system, float32 columns in blocks of
+    GRAM_BLOCK_SHARE * n rows), so that every coefficient update is one
+    product instead of a pair of triangular solves."""
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
-    d, n = A.shape
-    # Only the lower triangle is filled.
-    if A.dtype == np.float64:
-        gram = dsyrk(1.0, A, trans=1, lower=1)
-    else:
-        gram = np.zeros((n, n), order="F")
-        rows = max(1, int(GRAM_BLOCK_SHARE * n))
-        buffer = np.empty((rows, n), order="F")
-        for r in range(0, d, rows):
-            block = buffer if r + rows <= d else np.empty((d - r, n), order="F")
-            block[...] = A[r : r + block.shape[0]]
-            dsyrk(1.0, block, trans=1, beta=1.0, c=gram, lower=1, overwrite_c=1)
-    # A view of the diagonal: gram is Fortran-contiguous, so ravel copies nothing.
-    gram.ravel(order="F")[:: n + 1] += ratio
-    return GramCache(ratio=float(ratio), columns=A, _inverse=_invert(gram))
+    rows = max(1, int(GRAM_BLOCK_SHARE * T.columns.shape[1]))
+    return GramCache(ratio=float(ratio), columns=T.columns, _inverse=_system(T.columns, ratio, rows))
 
 
 @dataclass
@@ -445,7 +398,8 @@ def coding_step(
         cache: GramCache built from T.columns at config.gram_ratio.
         a0: (n, B) starting coefficients.
         Ta0: (d, B) product T.columns @ a0; the caller forms it (solve_batch
-            carries it from the previous step).
+            carries it from the previous step on every atom, and forms it
+            over the gathered columns for a step on a working set).
         duals: optional (u1, u2) warm start of shapes (d, B) and (n, B); both
             default to zero.
         tol: one fit tolerance for every column, or (B,) of them, one per
@@ -596,13 +550,10 @@ class _Columns:
     last split variable, zero on the l2 path) are (n, B) over every atom, 0
     outside a probe's working set; inside marks each probe's working set and
     entries counts how often each atom has entered it as a violator, both
-    (n, B); systems holds, per probe, the system (GramCache.restrict) of its
-    last step on a working set (None before one), and stale marks the probes
-    whose Ta no longer equals T a since atoms left their sets. w holds each
-    probe's last weights, tol its fit tolerance and change its last relative
-    weight change. All (d, B) and (n, B) arrays are Fortran-ordered,
-    as coding_step keeps them; tol and change are lists of floats, which cost
-    less than arrays in the one-probe case."""
+    (n, B). w holds each probe's last weights, tol its fit tolerance and
+    change its last relative weight change. All (d, B) and (n, B) arrays are
+    Fortran-ordered, as coding_step keeps them; tol and change are lists of
+    floats, which cost less than arrays in the one-probe case."""
 
     probe: np.ndarray
     y: np.ndarray
@@ -613,8 +564,6 @@ class _Columns:
     z: np.ndarray
     inside: np.ndarray
     entries: np.ndarray
-    systems: list
-    stale: np.ndarray
     w: np.ndarray
     tol: list
     change: list
@@ -651,9 +600,9 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
     first, as far as GATHER_MAX_BYTES leaves room. A set that would be empty
     stays as it is, and every atom is coded when the kept atoms alone exceed
     that room or leave none for a violator. Atoms that leave get
-    a = u2 = z = 0, so Ta no longer equals T a (cols.stale) until
-    _coding_steps re-forms it; the arrays of cols are replaced, not written,
-    since a coding step returned them.
+    a = u2 = z = 0 (the next step on the set forms its own T_S a_S); the
+    arrays of cols are replaced, not written, since a coding step returned
+    them.
     """
     cols.a, cols.u2, cols.z = (np.array(x, order="F") for x in (cols.a, cols.u2, cols.z))
     gather_max = GATHER_MAX_BYTES // (T.columns.shape[0] * T.columns.itemsize)
@@ -672,18 +621,16 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
         cols.entries[chosen, k] += 1
         leaving = inside & ~new
         cols.a[leaving, k] = cols.u2[leaving, k] = cols.z[leaving, k] = 0.0
-        cols.stale[k] = leaving.any()
         cols.inside[:, k] = new
 
 
 def _coding_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache, config: SolverConfig):
     """One coding step of every probe in cols under its weights W: the probes
     whose working set is every atom as one batch, each other probe alone on
-    its set. A set's columns are gathered (GramCache.restrict, from the
-    probe's last system in cols.systems) just before its step, so one
-    gathered copy is alive at a time, and a stale Ta is re-formed there as
-    T_S a_S. Returns the AdmmState of all of them, with a, z and u2 over
-    every atom, 0 outside each set."""
+    its set. A set's columns are gathered and its system formed
+    (GramCache.restrict) just before its step, which starts from T_S a_S
+    over them, so one gathered copy is alive at a time. Returns the AdmmState
+    of all of them, with a, z and u2 over every atom, 0 outside each set."""
     full = cols.inside.all(axis=0)
     if full.all():
         return coding_step(cols.y, T, W, cache, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
@@ -700,9 +647,9 @@ def _coding_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache
     for ks in groups + [slice(k, k + 1) for k in np.flatnonzero(~full)]:
         if isinstance(ks, slice):
             rows = np.flatnonzero(cols.inside[:, ks.start])
-            atoms_cache, cols.systems[ks.start] = cache.restrict(rows, cols.systems[ks.start])
+            atoms_cache = cache.restrict(rows)
             atoms = WorkingSet(atoms_cache.columns, T.geometry, rows)
-            Ta0 = _product(atoms_cache.columns, cols.a[rows, ks]) if cols.stale[ks.start] else cols.Ta[:, ks]
+            Ta0 = _product(atoms_cache.columns, cols.a[rows, ks])
         else:
             rows, atoms, atoms_cache, Ta0 = slice(None), T, cache, cols.Ta[:, ks]
         step = coding_step(cols.y[:, ks], atoms, W[:, ks], atoms_cache, config, a0=cols.a[rows, ks],
@@ -713,7 +660,6 @@ def _coding_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache
             getattr(out, name)[:, ks] = getattr(step, name)
         for name in ("iterations", "converged", "fit_residual", "split_residual"):
             getattr(out, name)[ks] = getattr(step, name)
-    cols.stale[:] = False
     return out
 
 
@@ -739,12 +685,12 @@ def solve_batch(
     the product the coding step carries. A probe leaves the batch when its
     solve stops, and each one that stops at a cap logs one warning naming it.
 
-    Under SolverConfig.working_set (reweighted solves only), every outer step
-    ends with one full product over the batch, the KKT check of each probe's
-    new coefficients under the weights it was coded with (_kkt_check). Such a
-    solve has converged only when eps3 holds and no atom outside its working
-    set violates; otherwise the check grows and shrinks the set for the next
-    step (_update_working_sets). The first step codes every atom, and each
+    Under SolverConfig.working_set, every outer step ends with one full
+    product over the batch, the KKT check of each probe's new coefficients
+    under the weights it was coded with (_kkt_check). Such a solve has
+    converged only when eps3 holds and no atom outside its working set
+    violates; otherwise the check grows and shrinks the set for the next step
+    (_update_working_sets). The first step codes every atom, and each
     later one codes each probe's own set as a one-column coding step (a set
     of every atom codes with the batch).
 
@@ -783,8 +729,7 @@ def solve_batch(
         probe=np.arange(m), y=Y, a=np.asfortranarray(np.repeat(a0, m, axis=1)),
         Ta=np.asfortranarray(np.repeat(_product(T.columns, a0), m, axis=1)),
         u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"),
-        inside=np.ones((n, m), bool, order="F"), entries=np.zeros((n, m), np.int8, order="F"), systems=[None] * m,
-        stale=np.zeros(m, bool),
+        inside=np.ones((n, m), bool, order="F"), entries=np.zeros((n, m), np.int8, order="F"),
         w=np.empty((d, m), order="F"), tol=[config.eps1] * m, change=[math.nan] * m,
     )
     outcomes = [None] * m
@@ -792,9 +737,6 @@ def solve_batch(
     inner_converged = [[] for _ in ys]
     sizes = [[] for _ in ys]
     seconds = [0.0] * m
-    # A constant-weight solve stops after its one coding step, so only a
-    # reweighted one checks its working set.
-    check = config.working_set and config.weights.kind != "constant"
     t = 0
     while cols.probe.size:
         W = np.empty_like(cols.y)
@@ -830,7 +772,7 @@ def solve_batch(
             inner_converged[j].append(ok)
             sizes[j].append(size)
         violated = [False] * len(probes)
-        if check:
+        if config.working_set:
             score, violator = _kkt_check(cols, T, config)
             violated = (violator & ~cols.inside).any(axis=0).tolist()
         if config.weights.kind == "constant":
@@ -867,9 +809,9 @@ def solve_batch(
         if any(stops):
             keep = np.array([not stop for stop in stops])
             cols = cols.take(keep)
-            if check:
+            if config.working_set:
                 score, violator = score[:, keep], violator[:, keep]
-        if check and cols.probe.size:
+        if config.working_set and cols.probe.size:
             _update_working_sets(cols, score, violator, T)
     return outcomes
 

@@ -80,20 +80,6 @@ def record_factorizations(monkeypatch):
     return log
 
 
-def new_systems(steps):
-    """The orders of the systems a one-probe solve that coded on steps (as
-    record_factorizations lists them) must factor: one for each step on a
-    working set whose atoms differ from those of its last such step, which
-    reuses the inverse otherwise."""
-    orders, last = [], None
-    for T in steps:
-        if isinstance(T, WorkingSet):
-            if last is None or not np.array_equal(last, T.atoms):
-                orders.append(T.atoms.size)
-            last = T.atoms
-    return orders
-
-
 def random_faces(rng, geometry, count, lo=0.05, hi=1.0):
     return [FaceVector(rng.uniform(lo, hi, geometry.d), geometry) for _ in range(count)]
 

@@ -51,39 +51,75 @@ def acceptance_6_solves():
 
 
 def test_working_set_covers_the_plain_sparse_presets():
-    """Only the sparse kinds at lambda_star = 0 code on working sets; the l2
-    kind and every low-rank preset keep every atom."""
-    for name, (kind, low_rank, _) in METHODS.items():
-        assert method_config(name).working_set == (kind != "l2" and not low_rank), name
+    """Only the reweighted sparse kinds at lambda_star = 0 code on working
+    sets; the l2 kind, every low-rank preset and the constant-weight SRC
+    keep every atom."""
+    for name, (kind, low_rank, scheme) in METHODS.items():
+        expected = kind != "l2" and not low_rank and scheme != "constant"
+        assert method_config(name).working_set == expected, name
 
 
 def test_restrict_inverts_the_gathered_system():
     """A restriction holds its atoms' columns, column-major, and the inverse
     of their shifted Gram system: to 1e-12 of a Cholesky solve for float32
     columns (whose Gram is formed in float64), and of the full inverse when
-    float64 columns are restricted to every atom. Given the system of an
-    earlier set, it forms only the entries of the atoms new to the set, and
-    an unchanged set reuses the inverse itself."""
+    float64 columns are restricted to every atom."""
     T = random_dictionary(np.random.default_rng(60), 24, 21, 60, classes=10)
     ratio = method_config("F-IRNNLS").gram_ratio
     full = precompute_gram(T, ratio)
-    every, _ = full.restrict(np.arange(T.n))
+    every = full.restrict(np.arange(T.n))
     ref = full.apply(np.eye(T.n))
     assert np.abs(every.apply(np.eye(T.n)) - ref).max() <= 1e-12 * np.abs(ref).max()
     cache32 = precompute_gram(as_float32(T), ratio)
-    first, second = np.array([0, 3, 4, 17, 30, 59]), np.array([3, 5, 17, 21, 59])
-    _, system = cache32.restrict(first)
-    for sub, _ in (cache32.restrict(second), cache32.restrict(second, system)):
-        assert sub.columns.flags.f_contiguous and np.array_equal(sub.columns, cache32.columns[:, second])
-        A = sub.columns.astype(float)
-        factor = cho_factor(A.T @ A + ratio * np.eye(second.size), lower=True)
-        b = np.random.default_rng(1).normal(size=second.size)
-        ref = cho_solve(factor, b)
-        assert np.linalg.norm(sub.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
-        inverse = sub.apply(np.eye(second.size))
-        assert np.array_equal(inverse, inverse.T)
-    again, same = cache32.restrict(first, system)
-    assert same is system and again._inverse is system[2]
+    atoms = np.array([3, 5, 17, 21, 59])
+    sub = cache32.restrict(atoms)
+    assert sub.columns.flags.f_contiguous and np.array_equal(sub.columns, cache32.columns[:, atoms])
+    A = sub.columns.astype(float)
+    factor = cho_factor(A.T @ A + ratio * np.eye(atoms.size), lower=True)
+    b = np.random.default_rng(1).normal(size=atoms.size)
+    ref = cho_solve(factor, b)
+    assert np.linalg.norm(sub.apply(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    inverse = sub.apply(np.eye(atoms.size))
+    assert np.array_equal(inverse, inverse.T)
+
+
+@pytest.mark.parametrize("rows, cols, n", [(24, 21, 60), (96, 84, 120)])
+def test_restrict_to_every_atom_forms_the_full_inverse_bit_for_bit(rows, cols, n):
+    """restrict and precompute_gram form their systems through one routine:
+    on float64 columns, the restriction to every atom holds the very bits of
+    the full inverse."""
+    T = random_dictionary(np.random.default_rng(rows), rows, cols, n, classes=10)
+    full = precompute_gram(T, method_config("F-IRNNLS").gram_ratio)
+    assert np.array_equal(full.restrict(np.arange(n))._inverse, full._inverse)
+
+
+def test_working_set_steps_start_from_their_own_product(spy):
+    """Every coding step on a working set starts from Ta0 = T_S a0, formed
+    from the set's gathered columns, bit for bit: after a step on every
+    atom, after one on a set that atoms left, and after one on a set that
+    only grew, whose product over fewer columns rounds differently. float64
+    columns, on which the rounding of a product moves with its columns."""
+    ds = make_synthetic_benchmark(classes=10, per_class=7, seed=0, extra_tests=3)
+    T = build_dictionary(ds.train, ds.train_labels, dtype=np.float64)
+    patch = textured_patch()
+    ys = [corrupt(img, _image_seed(0, i), 0.0, 0.5, patch)[0].normalized() for i, img in enumerate(ds.test[:8])]
+    config = method_config("F-IRNNLS", gamma=0.6)
+    steps = spy("coding_step", record=lambda args, kwargs, out: (
+        args[1].atoms if isinstance(args[1], solver.WorkingSet) else None,
+        isinstance(args[1], solver.WorkingSet)
+        and np.array_equal(kwargs["Ta0"], solver._product(args[1].columns, kwargs["a0"])),
+    ))
+    left = grew = 0
+    for y in ys:
+        steps.clear()
+        solver.solve(y, T, config)
+        for (last, _), (atoms, same) in zip(steps, steps[1:]):
+            assert atoms is None or same
+            if atoms is not None and last is not None:
+                gone = np.setdiff1d(last, atoms).size
+                left += gone > 0
+                grew += gone == 0 and atoms.size > last.size
+    assert left > 0 and grew > 0
 
 
 @pytest.mark.parametrize("name", SPARSE)
@@ -138,21 +174,21 @@ def test_working_sets_do_not_cycle_to_t_max(acceptance_6_solves, name):
 def test_atoms_that_entered_three_times_are_not_dropped():
     """The sticky rule: an atom of the set whose z is 0 and that does not
     violate leaves the set, unless it has entered it STICKY_ENTRIES times as
-    a violator; leaving zeroes its a, u2 and z and marks Ta stale."""
+    a violator; leaving zeroes its a, u2 and z."""
     n, d = 6, 4
     T = SimpleNamespace(columns=np.zeros((d, n), np.float32))
     inside = np.ones((n, 2), bool, order="F")
     cols = SimpleNamespace(
         probe=np.arange(2), inside=inside, entries=np.zeros((n, 2), np.int8, order="F"),
         a=np.full((n, 2), 0.5, order="F"), u2=np.full((n, 2), 0.1, order="F"),
-        z=np.asfortranarray(np.tile([[0.5], [0.5], [0.0], [0.0], [0.0], [0.0]], 2)), stale=np.zeros(2, bool),
+        z=np.asfortranarray(np.tile([[0.5], [0.5], [0.0], [0.0], [0.0], [0.0]], 2)),
     )
     cols.entries[2, 1] = solver.STICKY_ENTRIES
     score = np.full((n, 2), -1.0)
     solver._update_working_sets(cols, score, score > 0.0, T)
     assert cols.inside[:, 0].tolist() == [True, True, False, False, False, False]
     assert cols.inside[:, 1].tolist() == [True, True, True, False, False, False]
-    assert (cols.a[3:, :] == 0.0).all() and (cols.u2[3:, :] == 0.0).all() and cols.stale.all()
+    assert (cols.a[3:, :] == 0.0).all() and (cols.u2[3:, :] == 0.0).all()
     assert cols.a[2, 1] == 0.5 and cols.a[2, 0] == 0.0
 
 
@@ -166,7 +202,7 @@ def test_working_set_sizes_hold_one_entry_per_outer_step(acceptance_6_solves, na
     for r in solve_batch(ys, T, config):
         sizes = r.working_set_sizes
         assert len(sizes) == r.outer_iterations and sizes[0] == T.n
-        if config.working_set and config.weights.kind != "constant":
+        if config.working_set:
             assert max(sizes[1:]) <= T.n and min(sizes[1:]) < T.n
         else:
             assert sizes == [T.n] * r.outer_iterations
