@@ -43,31 +43,38 @@ INNER_TOL_RATIO = 0.03
 # values, which is not the joint prox, so that path runs at alpha = 1.
 RELAX = 1.5
 
-# precompute_gram adds float32 columns to T'T in blocks of this share of n
-# rows, so that the float64 copy of a block stays a tenth of the n x n Gram.
+# A GramCache forms its full inverse from float32 columns in blocks of this
+# share of n rows, so that the float64 copy of a block stays a tenth of the
+# n x n Gram.
 GRAM_BLOCK_SHARE = 0.1
 # GramCache.restrict forms a working set's Gram system from its gathered
 # float32 columns in blocks of this many rows (192 KiB of float64 at 48
 # atoms).
 RESTRICT_BLOCK_ROWS = 512
 
-# Working sets (SolverConfig.working_set). From its second outer step on, a
-# probe codes only the atoms of its working set S; one full product
-# g = T'(W r), r = y - T a, per outer step checks the atoms outside S. In the
-# engine's units the gradient of the data term sum(w (y - T a)^2) is -2 g, so
-# an atom at zero violates its KKT condition when 2 g_j > tol (nonneg) or
-# |2 g_j| > lambda_reg + tol (l1), with tol = KKT_TOL * max_j |2 g_j|.
+# Working sets (SolverConfig.working_set). A probe codes only the atoms of its
+# working set S; one full product g = T'(W r), r = y - T a, per outer step
+# checks the atoms outside S. In the engine's units the gradient of the data
+# term sum(w (y - T a)^2) is -2 g, so an atom at zero violates its KKT
+# condition when 2 g_j > tol (nonneg) or |2 g_j| > lambda_reg + tol (l1),
+# with tol = KKT_TOL * max_j |2 g_j|.
 KKT_TOL = 1e-3
 # A working set takes in at most max(GROW_MIN, |supp z|) violators per outer
-# step, the largest first.
+# step, the largest first; a set at the gather cap keeps min(GROW_MIN, the
+# violators outside it) of its slots for them, past the cap if its support
+# fills it.
 GROW_MIN = 8
 # An atom that has entered S this many times as a violator is not dropped
 # again; without it an atom can cycle in and out of S until t_max.
 STICKY_ENTRIES = 3
-# A working set is coded on its gathered columns only while they take at most
-# this many bytes; a larger set codes every atom, with the full cache. The
-# copy is the memory a working set adds per probe: 1.5 MiB is 48 float32
-# atoms at 96x84, and more atoms than a 24x21 dictionary has.
+# The gather cap: a working set holds as many atoms as fit in this many
+# bytes of gathered columns (and at least one), unless the support of z
+# needs more. The copy is the memory a working set adds per probe: 1.5 MiB
+# is 48 float32 atoms at 96x84, and more atoms than a 24x21 dictionary has.
+# Where the cap is below n, the first outer step is screened to the cap's
+# worth of atoms and a set that would outgrow the cap is truncated, down to
+# its support and room for violators (_update_working_sets), so a step codes
+# every atom only when the support needs them all.
 GATHER_MAX_BYTES = 3 * 2**19
 # Entries of W r below float32's smallest normal are zeroed before the KKT
 # product: the logistic weights reach that range, and subnormal operands slow
@@ -162,8 +169,9 @@ class SolverConfig:
 
     @property
     def working_set(self) -> bool:
-        """Whether solve codes each outer step after the first on a working
-        set (see KKT_TOL): the sparse kinds, nonneg and l1, on the plain path
+        """Whether solve codes each outer step on a working set (see KKT_TOL
+        and GATHER_MAX_BYTES), the first one included when the gather cap is
+        below n: the sparse kinds, nonneg and l1, on the plain path
         (lambda_star = 0), under reweighting. The l2 kind has no sparsity,
         the KKT test of the weighted data term is not the low-rank path's
         optimality condition, and a constant-weight solve stops after its one
@@ -183,28 +191,39 @@ class GramCache:
     """The inverse of T'T + ratio * I for one dictionary, reused across
     iterations.
 
-    columns is the array the inverse was built from; coding_step accepts the
+    columns is the array the inverse is built from; coding_step accepts the
     cache only with that same array (an O(1) identity check), so a cache built
     for another dictionary of the same size is refused. The inverse is a full,
-    exactly symmetric array, so that apply is one product.
+    exactly symmetric array, so that apply is one product. The first apply
+    forms it (_system, float32 columns in blocks of GRAM_BLOCK_SHARE * n
+    rows), so the presets that code every atom pay for the n x n inverse in
+    their first solve against the dictionary, in its first coding step, not
+    at precompute_gram; an error of the factorization is raised there too.
+    A working-set solve whose gather cap is below n only restricts the
+    cache, and allocates and factors nothing n x n unless a set grows to
+    every atom.
     """
 
     ratio: float
     columns: np.ndarray
-    _inverse: np.ndarray
+    _inverse: Optional[np.ndarray] = None
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """x = (T'T + ratio I)^-1 b for b of shape (n,) or (n, B), as one
         product with the stored inverse, formed as (b' inverse')' so that
         the columns of x come out contiguous, as _product's do."""
+        if self._inverse is None:
+            rows = max(1, int(GRAM_BLOCK_SHARE * self.columns.shape[1]))
+            self._inverse = _system(self.columns, self.ratio, rows)
         return (b.T @ self._inverse.T).T
 
     def restrict(self, atoms: np.ndarray) -> "GramCache":
         """The cache of the atoms (ascending column indices) alone: their
         columns gathered into a column-major copy, and the inverse of
-        T_S'T_S + ratio I, formed from them by the routine precompute_gram
-        uses (_system), float32 columns in blocks of RESTRICT_BLOCK_ROWS
-        rows. Nothing of the full n x n size is kept or allocated."""
+        T_S'T_S + ratio I, formed from them at once by the routine that forms
+        the full inverse (_system), float32 columns in blocks of
+        RESTRICT_BLOCK_ROWS rows. Nothing of the full n x n size is read,
+        kept or allocated."""
         columns = self.columns[:, atoms]
         return GramCache(ratio=self.ratio, columns=columns, _inverse=_system(columns, self.ratio, RESTRICT_BLOCK_ROWS))
 
@@ -247,13 +266,13 @@ def _system(A: np.ndarray, ratio: float, rows: int) -> np.ndarray:
 
 
 def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
-    """Invert T'T + ratio * I once (_system, float32 columns in blocks of
-    GRAM_BLOCK_SHARE * n rows), so that every coefficient update is one
-    product instead of a pair of triangular solves."""
+    """The GramCache of T at ratio, shared by every solve against T: its
+    first apply inverts T'T + ratio * I once, so that every coefficient
+    update on every atom is one product instead of a pair of triangular
+    solves, and its restrictions serve the steps on working sets."""
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
-    rows = max(1, int(GRAM_BLOCK_SHARE * T.columns.shape[1]))
-    return GramCache(ratio=float(ratio), columns=T.columns, _inverse=_system(T.columns, ratio, rows))
+    return GramCache(ratio=float(ratio), columns=T.columns)
 
 
 @dataclass
@@ -590,6 +609,21 @@ def _kkt_check(cols: _Columns, T: Dictionary, config: SolverConfig):
     return score, score > KKT_TOL * np.abs(H).max(axis=0)
 
 
+def _gather_cap(T: Dictionary) -> int:
+    """The most atoms a working set of T holds (see GATHER_MAX_BYTES)."""
+    return max(1, GATHER_MAX_BYTES // (T.columns.shape[0] * T.columns.itemsize))
+
+
+def _screen(cols: _Columns, score: np.ndarray, cap: int):
+    """Start every probe's working set (cols.inside) from the cap atoms of
+    highest KKT score at the flat start (_kkt_check), in place of every
+    atom; a = 0 outside it."""
+    top = np.argsort(-score, axis=0, kind="stable")[:cap]
+    cols.inside[:] = False
+    np.put_along_axis(cols.inside, top, True, axis=0)
+    cols.a[~cols.inside] = 0.0
+
+
 def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray, T: Dictionary):
     """Grow and shrink every probe's working set (cols.inside) from its KKT
     check (_kkt_check).
@@ -597,25 +631,34 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
     A probe's next set keeps the atoms of its set with z != 0, those that
     violate, and those that have entered STICKY_ENTRIES times, and adds at
     most max(GROW_MIN, |supp z|) violators from outside it, the largest
-    first, as far as GATHER_MAX_BYTES leaves room. A set that would be empty
-    stays as it is, and every atom is coded when the kept atoms alone exceed
-    that room or leave none for a violator. Atoms that leave get
-    a = u2 = z = 0 (the next step on the set forms its own T_S a_S); the
-    arrays of cols are replaced, not written, since a coding step returned
-    them.
+    first, as far as the gather cap (GATHER_MAX_BYTES) leaves room. The cap
+    keeps a reserve of min(GROW_MIN, the violators outside) slots for them:
+    kept atoms beyond the cap less that reserve are truncated, keeping the
+    atoms of supp z first, then the sticky atoms, then the others by score.
+    Neither the support nor the reserve is ever truncated, so a set passes
+    the cap only to hold them, and a solution whose support needs more atoms
+    than the cap can still be reached. A set that would be empty stays as it
+    is.
+    Atoms that leave get a = u2 = z = 0 (the next step on the set forms its
+    own T_S a_S); the arrays of cols are replaced, not written, since a
+    coding step returned them.
     """
     cols.a, cols.u2, cols.z = (np.array(x, order="F") for x in (cols.a, cols.u2, cols.z))
-    gather_max = GATHER_MAX_BYTES // (T.columns.shape[0] * T.columns.itemsize)
+    cap = _gather_cap(T)
     for k in range(cols.probe.size):
         inside, support = cols.inside[:, k], cols.z[:, k] != 0.0
+        sticky = cols.entries[:, k] >= STICKY_ENTRIES
         candidates = np.flatnonzero(violator[:, k] & ~inside)
-        new = inside & (support | violator[:, k] | (cols.entries[:, k] >= STICKY_ENTRIES))
-        room = gather_max - int(np.count_nonzero(new))
-        cap = min(max(GROW_MIN, int(np.count_nonzero(support))), room)
-        chosen = candidates[np.argsort(-score[candidates, k], kind="stable")[: max(cap, 0)]]
-        if room < 0 or (candidates.size and not chosen.size):
-            new[:] = True
-        elif not new.any() and not chosen.size:
+        new = inside & (support | violator[:, k] | sticky)
+        reserve = min(candidates.size, GROW_MIN)
+        budget = max(cap - reserve, int(np.count_nonzero(support)))
+        kept = np.flatnonzero(new)
+        if kept.size > budget:
+            order = np.lexsort((-score[kept, k], ~sticky[kept], ~support[kept]))
+            new[kept[order[budget:]]] = False
+        grow = max(reserve, min(max(GROW_MIN, int(np.count_nonzero(support))), cap - int(np.count_nonzero(new))))
+        chosen = candidates[np.argsort(-score[candidates, k], kind="stable")[:grow]]
+        if not new.any() and not chosen.size:
             new = inside.copy()
         new[chosen] = True
         cols.entries[chosen, k] += 1
@@ -690,9 +733,14 @@ def solve_batch(
     under the weights it was coded with (_kkt_check). Such a solve has
     converged only when eps3 holds and no atom outside its working set
     violates; otherwise the check grows and shrinks the set for the next step
-    (_update_working_sets). The first step codes every atom, and each
-    later one codes each probe's own set as a one-column coding step (a set
-    of every atom codes with the batch).
+    (_update_working_sets). A step codes each probe's own set as a
+    one-column coding step (a set of every atom codes with the batch). The
+    first step codes every atom when the gather cap (GATHER_MAX_BYTES) holds
+    them all; below n it codes the cap's worth of atoms of highest KKT score
+    at the flat start (_screen), and a later set outgrows the cap only to
+    hold its support of z and room for violators, so a step codes every atom,
+    and the cache forms its n x n inverse, only when the support needs every
+    atom.
 
     A NumericError ends only its own probe's solve: a residual that is not
     finite fails its probe at the weight update. A coding step that raises
@@ -724,6 +772,7 @@ def solve_batch(
         Y[:, j] = values
     if cache is None:
         cache = precompute_gram(T, config.gram_ratio)
+    cap = _gather_cap(T)
     a0 = np.full((n, 1), 1.0 / n)
     cols = _Columns(
         probe=np.arange(m), y=Y, a=np.asfortranarray(np.repeat(a0, m, axis=1)),
@@ -756,6 +805,9 @@ def solve_batch(
         t += 1
         if t > 1:
             cols.change = [a / b for a, b in zip(_column_norms(W - cols.w), _column_norms(cols.w))]
+        elif config.working_set and cap < n:
+            cols.w = W  # the weights the first step codes under
+            _screen(cols, _kkt_check(cols, T, config)[0], cap)
         try:
             step = _coding_steps(cols, W, T, cache, config)
         except NumericError as exc:

@@ -97,8 +97,13 @@ def test_precompute_gram_rejects_nonpositive_ratio():
 
 
 def test_precompute_gram_counts_factorizations(spy):
+    """precompute_gram factors nothing; the cache's first apply factors
+    T'T + ratio I once, and every later apply reuses that inverse."""
     factorizations = spy("dpotrf")
-    precompute_gram(_one_class_per_column(np.eye(4)), 0.5)
+    cache = precompute_gram(_one_class_per_column(np.eye(4)), 0.5)
+    assert len(factorizations) == 0
+    for _ in range(3):
+        cache.apply(np.ones(4))
     assert len(factorizations) == 1
 
 
@@ -170,11 +175,13 @@ def test_precompute_gram_float64_inverse_is_that_of_numpys_gram(gram_dictionary)
 
 
 def _gram_peak_over_n_by_n(T):
-    """Peak bytes traced while precompute_gram runs, over 8 n^2."""
+    """Peak bytes traced while a cache's first apply forms its inverse, over
+    8 n^2."""
     n = T.columns.shape[1]
+    cache, b = precompute_gram(T, 0.1), np.ones(n)
     tracemalloc.start()
     try:
-        precompute_gram(T, 0.1)
+        cache.apply(b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,8 +189,8 @@ def _gram_peak_over_n_by_n(T):
 
 
 def test_precompute_gram_allocates_one_n_by_n_array(gram_dictionary):
-    """Apart from T'T, which the factor and then the inverse overwrite,
-    precompute_gram allocates nothing n x n."""
+    """Apart from T'T, which the factor and then the inverse overwrite, the
+    first apply of a cache allocates nothing n x n."""
     assert _gram_peak_over_n_by_n(gram_dictionary) <= 1.25
 
 
@@ -646,21 +653,27 @@ def test_solve_checks_observation_length():
 
 
 def test_solve_reuses_supplied_gram_cache(monkeypatch):
-    """With a supplied cache, a solve factors no n x n system, and nothing
-    inside a coding step; it factors exactly one |S| x |S| system just
-    before each step on a working set. Every call of the factoring routine
-    is counted, so a solver that factored elsewhere would miss the count."""
+    """A supplied cache forms its n x n inverse once, inside the first step
+    on every atom (its first apply), and a second solve with it factors no
+    n x n system and nothing inside a coding step. Each solve factors
+    exactly one |S| x |S| system just before each step on a working set.
+    Every call of the factoring routine is counted, so a solver that
+    factored elsewhere would miss the count."""
     rng = np.random.default_rng(29)
     T = random_dictionary(rng, 6, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
     config = method_config("F-IRNNLS")
     cache = precompute_gram(T, config.gram_ratio)
     log = record_factorizations(monkeypatch)
-    res = solve(y, T, config, cache=cache)
-    assert any(isinstance(step, WorkingSet) for step in log["steps"])
-    assert len(log["steps"]) == res.outer_iterations
-    assert log["in_step"] == 0 and T.n not in log["orders"]
-    assert log["orders"] == [step.atoms.size for step in log["steps"] if isinstance(step, WorkingSet)] != []
+    for full in ([T.n], []):
+        log["orders"], log["in_step"], log["steps"] = [], 0, []
+        res = solve(y, T, config, cache=cache)
+        assert not isinstance(log["steps"][0], WorkingSet)
+        assert any(isinstance(step, WorkingSet) for step in log["steps"])
+        assert len(log["steps"]) == res.outer_iterations
+        assert log["in_step"] == len(full)
+        restricted = [step.atoms.size for step in log["steps"] if isinstance(step, WorkingSet)]
+        assert log["orders"] == full + restricted and restricted != [] and T.n not in restricted
 
 
 def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):

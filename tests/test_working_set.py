@@ -1,5 +1,5 @@
-"""Working-set coding: F-IRNNLS and F-IRSC code each outer step after the
-first on the atoms in use, and one full KKT product per step checks the rest."""
+"""Working-set coding: F-IRNNLS and F-IRSC code each outer step on the atoms
+in use, and one full KKT product per step checks the rest."""
 
 from types import SimpleNamespace
 
@@ -14,7 +14,7 @@ from faceid.corruptions import corrupt, textured_patch
 from faceid.experiment import _image_seed, make_synthetic_benchmark
 from faceid.model import build_dictionary
 from faceid.solver import KKT_TOL, METHODS, method_config, precompute_gram, solve_batch
-from helpers import as_float32, random_dictionary
+from helpers import as_float32, random_dictionary, record_factorizations
 
 SPARSE = ("F-IRNNLS", "F-IRSC")
 
@@ -27,26 +27,76 @@ CAPPED_BEFORE = {"F-IRNNLS": 3, "F-IRSC": 3}
 # the solver's class; perfbench/checks.py asks the same of every run.
 ORACLE_AGREEMENT = 0.85
 
+# The gather caps, in atoms, of the capped solves below, each under the 60
+# atoms of a 24x21 gallery, so that a 24x21 solve screens its first step and
+# truncates its sets as a paper-shape solve does: 48 is the count of float32
+# atoms that GATHER_MAX_BYTES holds at 96x84, and 12 and 20 lie below the
+# support of many solutions here, which a set must pass the cap to hold.
+CAPS = (12, 20, 48)
+
+def _gallery(seed, count=40):
+    """The acceptance-6 gallery of one seed (24x21, n = 60, float32) and its
+    first count test images, each half covered by the textured block, at
+    unit l2, with their labels."""
+    ds = make_synthetic_benchmark(classes=10, per_class=7, seed=seed, extra_tests=3)
+    T = build_dictionary(ds.train, ds.train_labels)
+    patch = textured_patch()
+    ys = [corrupt(img, _image_seed(seed, i), 0.0, 0.5, patch)[0].normalized() for i, img in enumerate(ds.test[:count])]
+    return T, ys, ds.test_labels[:count]
+
+
+def _cap_bytes(T, atoms):
+    """The GATHER_MAX_BYTES that caps T's working sets at the given atoms."""
+    return atoms * T.columns.shape[0] * T.columns.itemsize
+
 
 @pytest.fixture(scope="module")
-def acceptance_6_solves():
+def acceptance_6_galleries():
+    return [_gallery(seed) for seed in range(5)]
+
+
+def _solve_galleries(galleries, name):
+    """One sparse preset's solves of the galleries, a seed's probes in one
+    batch as run_experiment codes them, with one cache per gallery:
+    ([(y, T, result, label)], [cache])."""
+    config = method_config(name, gamma=0.6)
+    solves, caches = [], []
+    for T, ys, labels in galleries:
+        caches.append(precompute_gram(T, config.gram_ratio))
+        results = solve_batch(ys, T, config, caches[-1])
+        solves += [(y.values, T, r, label) for y, r, label in zip(ys, results, labels)]
+    return solves, caches
+
+
+@pytest.fixture(scope="module")
+def acceptance_6_solves(acceptance_6_galleries):
     """Each sparse preset's solves of the acceptance-6 workload (5 seeds x 40
-    probes at 24x21, half covered by the textured block), a seed's probes in
-    one batch as run_experiment codes them: {name: [(y, T, result)]}."""
-    patch = textured_patch()
-    galleries = []
-    for seed in range(5):
-        ds = make_synthetic_benchmark(classes=10, per_class=7, seed=seed, extra_tests=3)
-        T = build_dictionary(ds.train, ds.train_labels)
-        ys = [corrupt(img, _image_seed(seed, i), 0.0, 0.5, patch)[0].normalized() for i, img in enumerate(ds.test)]
-        galleries.append((T, ys, ds.test_labels))
-    out = {}
-    for name in SPARSE:
-        config = method_config(name, gamma=0.6)
-        out[name] = []
-        for T, ys, labels in galleries:
-            results = solve_batch(ys, T, config, precompute_gram(T, config.gram_ratio))
-            out[name] += [(y.values, T, r, label) for y, r, label in zip(ys, results, labels)]
+    probes at 24x21, half covered by the textured block): {name: [(y, T,
+    result, label)]}."""
+    return {name: _solve_galleries(acceptance_6_galleries, name)[0] for name in SPARSE}
+
+
+@pytest.fixture(scope="module", params=CAPS)
+def capped_solves(request, acceptance_6_galleries):
+    """The same solves with GATHER_MAX_BYTES lowered to a cap of CAPS atoms:
+    {"cap": the cap, name: ([(y, T, result, label)], [cache], [order of each
+    system factored], [(supp z, next set) of each working-set update, both
+    (n, B)])}."""
+    out = {"cap": request.param}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "GATHER_MAX_BYTES", _cap_bytes(acceptance_6_galleries[0][0], request.param))
+        log = record_factorizations(patch)
+        update = solver._update_working_sets
+
+        def recorded_update(cols, *args):
+            support = cols.z != 0.0
+            update(cols, *args)
+            log["updates"].append((support, cols.inside.copy()))
+
+        patch.setattr(solver, "_update_working_sets", recorded_update)
+        for name in SPARSE:
+            log["orders"], log["updates"] = [], []
+            out[name] = _solve_galleries(acceptance_6_galleries, name) + (log["orders"], log["updates"])
     return out
 
 
@@ -85,12 +135,13 @@ def test_restrict_inverts_the_gathered_system():
 
 @pytest.mark.parametrize("rows, cols, n", [(24, 21, 60), (96, 84, 120)])
 def test_restrict_to_every_atom_forms_the_full_inverse_bit_for_bit(rows, cols, n):
-    """restrict and precompute_gram form their systems through one routine:
-    on float64 columns, the restriction to every atom holds the very bits of
-    the full inverse."""
+    """restrict and a cache's first apply form their systems through one
+    routine: on float64 columns, the restriction to every atom applies the
+    very bits of the full inverse (applied to the identity, which a product
+    reproduces exactly)."""
     T = random_dictionary(np.random.default_rng(rows), rows, cols, n, classes=10)
     full = precompute_gram(T, method_config("F-IRNNLS").gram_ratio)
-    assert np.array_equal(full.restrict(np.arange(n))._inverse, full._inverse)
+    assert np.array_equal(full.restrict(np.arange(n)).apply(np.eye(n)), full.apply(np.eye(n)))
 
 
 def test_working_set_steps_start_from_their_own_product(spy):
@@ -122,8 +173,7 @@ def test_working_set_steps_start_from_their_own_product(spy):
     assert left > 0 and grew > 0
 
 
-@pytest.mark.parametrize("name", SPARSE)
-def test_converged_solves_meet_the_full_kkt_test(acceptance_6_solves, name):
+def _assert_full_kkt_test(solves, name):
     """Recomputed in float64 from result.a, result.w and the columns, the
     gradient h = 2 T'W(y - T a) of every converged solve satisfies the KKT
     test at every atom outside its final working set: h_j <= tol (nonneg) or
@@ -132,7 +182,7 @@ def test_converged_solves_meet_the_full_kkt_test(acceptance_6_solves, name):
     and some atoms lie outside it."""
     config = method_config(name, gamma=0.6)
     worst, outside = 0.0, 0
-    for y, T, r, _ in acceptance_6_solves[name]:
+    for y, T, r, _ in solves:
         assert np.count_nonzero(r.a) <= r.working_set_sizes[-1] < T.n
         if not r.converged:
             continue
@@ -144,6 +194,20 @@ def test_converged_solves_meet_the_full_kkt_test(acceptance_6_solves, name):
         worst = max(worst, float(score.max(initial=-np.inf)) / float(np.abs(h).max()))
     assert outside > 0
     assert worst <= KKT_TOL + 1e-5
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_converged_solves_meet_the_full_kkt_test(acceptance_6_solves, name):
+    """Every converged solve passes the float64 full-set KKT test
+    (_assert_full_kkt_test)."""
+    _assert_full_kkt_test(acceptance_6_solves[name], name)
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_capped_converged_solves_meet_the_full_kkt_test(capped_solves, name):
+    """So does every converged solve under each gather cap of CAPS, where the
+    first step is screened and sets are truncated."""
+    _assert_full_kkt_test(capped_solves[name][0], name)
 
 
 def test_predictions_match_exact_weighted_nnls(acceptance_6_solves):
@@ -169,6 +233,98 @@ def test_working_sets_do_not_cycle_to_t_max(acceptance_6_solves, name):
     assert sum(not r.converged for _, _, r, _ in solves) <= CAPPED_BEFORE[name]
     correct = sum(identify(y, T, r).predicted == label for y, T, r, label in solves)
     assert correct >= {"F-IRNNLS": 182, "F-IRSC": 177}[name]
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_capped_sets_pass_the_gather_cap_only_to_hold_their_support(capped_solves, name):
+    """Under a gather cap below n, the first outer step codes the cap's worth
+    of atoms, and no set update drops an atom of supp z: a set passes the cap
+    only to hold its support and min(GROW_MIN, the violators outside) new
+    atoms. No step codes every atom, only the systems of the sets are
+    factored, and the caches never form their n x n inverse. Under the
+    smallest cap, solutions whose support needs more atoms than the cap
+    converge."""
+    cap = capped_solves["cap"]
+    solves, caches, orders, updates = capped_solves[name]
+    n = solves[0][1].n
+    for support, inside in updates:
+        assert not (support & ~inside).any()
+        assert (inside.sum(axis=0) <= np.maximum(cap, support.sum(axis=0) + solver.GROW_MIN)).all()
+    for _, _, r, _ in solves:
+        assert len(r.working_set_sizes) == r.outer_iterations
+        assert r.working_set_sizes[0] == cap and max(r.working_set_sizes) < n
+    assert orders and max(orders) < n
+    assert all(cache._inverse is None for cache in caches)
+    if cap == min(CAPS):
+        assert any(r.converged and np.count_nonzero(r.a) > cap for _, _, r, _ in solves)
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_capped_working_sets_do_not_cycle_to_t_max(capped_solves, name):
+    """Truncated sets keep their support and a reserve for violators, so
+    under each gather cap of CAPS no more solves stop at t_max than before
+    working sets."""
+    assert sum(not r.converged for _, _, r, _ in capped_solves[name][0]) <= CAPPED_BEFORE[name]
+
+
+def test_screened_first_step_codes_the_top_kkt_atoms(monkeypatch, spy):
+    """Under a gather cap below n, the first outer step of each probe in a
+    batch codes the cap's worth of atoms of highest KKT score at the flat
+    start, from the flat coefficients 1/n on them, instead of every atom.
+    The score is the check's one full product; recomputed in float64, no
+    atom left out of a set scores above one in it, beyond the roundoff of
+    the float32 product."""
+    T, ys, _ = _gallery(0, count=8)
+    n, cap = T.n, 20
+    monkeypatch.setattr(solver, "GATHER_MAX_BYTES", _cap_bytes(T, cap))
+    checks = spy("_kkt_check", record=lambda args, kwargs, out: (args[0].w.copy(), out[0].copy()))
+    steps = spy("coding_step", with_args=True)
+    solve_batch(ys, T, method_config("F-IRNNLS", gamma=0.6))
+    W, score = checks[0]
+    A = T.columns.astype(float)
+    for k, (args, kwargs, _) in enumerate(steps[: len(ys)]):
+        atoms = args[1].atoms
+        assert isinstance(args[1], solver.WorkingSet) and atoms.size == cap
+        assert np.array_equal(atoms, np.sort(np.argsort(-score[:, k], kind="stable")[:cap]))
+        assert np.array_equal(kwargs["a0"], np.full((cap, 1), 1.0 / n))
+        h = 2.0 * A.T @ (W[:, k] * (ys[k].values - A @ np.full(n, 1.0 / n)))
+        outside = np.setdiff1d(np.arange(n), atoms)
+        assert h[outside].max() <= h[atoms].min() + 1e-5 * np.abs(h).max()
+
+
+def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violators(monkeypatch):
+    """A set whose kept atoms would leave less room than min(GROW_MIN, the
+    violators outside) is truncated to the cap less that reserve: the atoms
+    of supp z stay, then the sticky atoms, then the other violators by
+    score; the top violators outside fill the reserve. Probe 0 holds 10
+    atoms under a cap of 10: 6 of supp z, a sticky atom with z = 0 and 3
+    violators with z = 0, with 2 violators outside. Probe 1 holds 9 atoms of
+    supp z and has 11 violators outside: none of its support is dropped, so
+    its set passes the cap by a reserve of GROW_MIN. Neither falls back to
+    every atom, and atoms that leave get a = u2 = z = 0."""
+    n, d = 20, 4
+    T = SimpleNamespace(columns=np.zeros((d, n), np.float32))
+    monkeypatch.setattr(solver, "GATHER_MAX_BYTES", 10 * d * 4)
+    inside = np.zeros((n, 2), bool, order="F")
+    inside[:10, 0] = inside[:9, 1] = True
+    z = np.zeros((n, 2), order="F")
+    z[:6, 0] = [0.5, 0.9, 0.2, 0.7, 0.05, 0.6]
+    z[:9, 1] = [0.1, -0.7, 0.3, 0.2, -0.05, 0.6, 0.01, 0.4, -0.2]
+    cols = SimpleNamespace(
+        probe=np.arange(2), inside=inside, entries=np.zeros((n, 2), np.int8, order="F"),
+        a=np.where(inside, 0.3, 0.0), u2=np.where(inside, 0.1, 0.0), z=z,
+    )
+    cols.entries[6, 0] = solver.STICKY_ENTRIES
+    score = np.full((n, 2), -1.0)
+    score[[7, 8, 9, 15, 17], 0] = [0.5, 2.0, 1.0, 3.0, 2.5]
+    score[9:, 1] = np.arange(9, n)
+    solver._update_working_sets(cols, score, score > 0.0, T)
+    assert np.flatnonzero(cols.inside[:, 0]).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 15, 17]
+    assert np.flatnonzero(cols.inside[:, 1]).tolist() == list(range(9)) + list(range(12, 20))
+    assert cols.entries[[15, 17], 0].tolist() == [1, 1] and cols.entries[12:, 1].tolist() == [1] * 8
+    for x in (cols.a, cols.u2, cols.z):
+        assert (x[[7, 9], 0] == 0.0).all()
+    assert cols.a[6, 0] == cols.a[8, 0] == 0.3 and cols.z[1, 1] == -0.7
 
 
 def test_atoms_that_entered_three_times_are_not_dropped():
