@@ -29,7 +29,9 @@ def class_residuals(y, T: Dictionary, result: SolveResult) -> np.ndarray:
     promoted by the product with the float64 coefficients. A class whose
     coefficients are all exactly 0 gets ||sqrt(W) y|| with no product, the
     same bits, since T_i a_i is then exactly 0; after a working-set solve
-    (SolverConfig.working_set) that is most classes.
+    (SolverConfig.working_set, on a dictionary that outgrows the solver's
+    gather cap) that is most classes, and after a solve on every atom, whose
+    a is rarely exactly 0, few or none.
     """
     a = np.asarray(result.a, dtype=float).ravel()
     if a.size != T.n:

@@ -71,10 +71,11 @@ STICKY_ENTRIES = 3
 # bytes of gathered columns (and at least one), unless the support of z
 # needs more. The copy is the memory a working set adds per probe: 1.5 MiB
 # is 48 float32 atoms at 96x84, and more atoms than a 24x21 dictionary has.
-# Where the cap is below n, the first outer step is screened to the cap's
-# worth of atoms and a set that would outgrow the cap is truncated, down to
-# its support and room for violators (_update_working_sets), so a step codes
-# every atom only when the support needs them all.
+# solve_batch codes on working sets only when the cap is below n: a
+# dictionary that fits it is small enough to code whole, and a gather saves
+# it little. A working-set solve screens its first outer step to the cap's
+# worth of atoms, and truncates a set that would outgrow the cap down to its
+# support and room for violators (_update_working_sets).
 GATHER_MAX_BYTES = 3 * 2**19
 # Entries of W r below float32's smallest normal are zeroed before the KKT
 # product: the logistic weights reach that range, and subnormal operands slow
@@ -169,13 +170,14 @@ class SolverConfig:
 
     @property
     def working_set(self) -> bool:
-        """Whether solve codes each outer step on a working set (see KKT_TOL
-        and GATHER_MAX_BYTES), the first one included when the gather cap is
-        below n: the sparse kinds, nonneg and l1, on the plain path
-        (lambda_star = 0), under reweighting. The l2 kind has no sparsity,
-        the KKT test of the weighted data term is not the low-rank path's
-        optimality condition, and a constant-weight solve stops after its one
-        coding step, so all three keep every atom."""
+        """Whether this configuration may code on working sets (see KKT_TOL):
+        the sparse kinds, nonneg and l1, on the plain path (lambda_star = 0),
+        under reweighting. solve_batch also needs the dictionary to outgrow
+        the gather cap (GATHER_MAX_BYTES); a dictionary that fits it is coded
+        on every atom. The l2 kind has no sparsity, the KKT test of the
+        weighted data term is not the low-rank path's optimality condition,
+        and a constant-weight solve stops after its one coding step, so all
+        three keep every atom."""
         return not self.low_rank and self.regularizer != "l2" and self.weights.kind != "constant"
 
     @property
@@ -199,9 +201,8 @@ class GramCache:
     rows), so the presets that code every atom pay for the n x n inverse in
     their first solve against the dictionary, in its first coding step, not
     at precompute_gram; an error of the factorization is raised there too.
-    A working-set solve whose gather cap is below n only restricts the
-    cache, and allocates and factors nothing n x n unless a set grows to
-    every atom.
+    A working-set solve only restricts the cache and never forms its
+    inverse.
     """
 
     ratio: float
@@ -667,17 +668,12 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
         cols.inside[:, k] = new
 
 
-def _coding_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache, config: SolverConfig):
-    """One coding step of every probe in cols under its weights W: the probes
-    whose working set is every atom as one batch, each other probe alone on
-    its set. A set's columns are gathered and its system formed
+def _working_set_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache, config: SolverConfig):
+    """One coding step of every probe in cols under its weights W, each alone
+    on its working set. A set's columns are gathered and its system formed
     (GramCache.restrict) just before its step, which starts from T_S a_S
     over them, so one gathered copy is alive at a time. Returns the AdmmState
     of all of them, with a, z and u2 over every atom, 0 outside each set."""
-    full = cols.inside.all(axis=0)
-    if full.all():
-        return coding_step(cols.y, T, W, cache, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
-                           tol=cols.tol)
     (d, n), m = T.columns.shape, cols.probe.size
     out = AdmmState(
         a=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"), e=np.empty((d, m), order="F"),
@@ -685,18 +681,12 @@ def _coding_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache
         iterations=np.empty(m, int), converged=np.empty(m, bool), fit_residual=np.empty(m),
         split_residual=np.empty(m),
     )
-    tols = np.array(cols.tol)
-    groups = [np.flatnonzero(full)] if full.any() else []
-    for ks in groups + [slice(k, k + 1) for k in np.flatnonzero(~full)]:
-        if isinstance(ks, slice):
-            rows = np.flatnonzero(cols.inside[:, ks.start])
-            atoms_cache = cache.restrict(rows)
-            atoms = WorkingSet(atoms_cache.columns, T.geometry, rows)
-            Ta0 = _product(atoms_cache.columns, cols.a[rows, ks])
-        else:
-            rows, atoms, atoms_cache, Ta0 = slice(None), T, cache, cols.Ta[:, ks]
-        step = coding_step(cols.y[:, ks], atoms, W[:, ks], atoms_cache, config, a0=cols.a[rows, ks],
-                           Ta0=Ta0, duals=(cols.u1[:, ks], cols.u2[rows, ks]), tol=tols[ks])
+    for k in range(m):
+        ks, rows = slice(k, k + 1), np.flatnonzero(cols.inside[:, k])
+        sub = cache.restrict(rows)
+        step = coding_step(cols.y[:, ks], WorkingSet(sub.columns, T.geometry, rows), W[:, ks], sub, config,
+                           a0=cols.a[rows, ks], Ta0=_product(sub.columns, cols.a[rows, ks]),
+                           duals=(cols.u1[:, ks], cols.u2[rows, ks]), tol=cols.tol[k])
         for name in ("a", "z", "u2"):
             getattr(out, name)[rows, ks] = getattr(step, name)
         for name in ("e", "u1", "Ta"):
@@ -728,19 +718,19 @@ def solve_batch(
     the product the coding step carries. A probe leaves the batch when its
     solve stops, and each one that stops at a cap logs one warning naming it.
 
-    Under SolverConfig.working_set, every outer step ends with one full
-    product over the batch, the KKT check of each probe's new coefficients
-    under the weights it was coded with (_kkt_check). Such a solve has
-    converged only when eps3 holds and no atom outside its working set
-    violates; otherwise the check grows and shrinks the set for the next step
-    (_update_working_sets). A step codes each probe's own set as a
-    one-column coding step (a set of every atom codes with the batch). The
-    first step codes every atom when the gather cap (GATHER_MAX_BYTES) holds
-    them all; below n it codes the cap's worth of atoms of highest KKT score
-    at the flat start (_screen), and a later set outgrows the cap only to
-    hold its support of z and room for violators, so a step codes every atom,
-    and the cache forms its n x n inverse, only when the support needs every
-    atom.
+    A solve codes on working sets when SolverConfig.working_set holds and
+    T's columns outgrow the gather cap (GATHER_MAX_BYTES); every other solve
+    codes every atom, all its probes in one coding step per outer step. On
+    working sets, each step codes each probe alone on its own set
+    (_working_set_steps), the first on the cap's worth of atoms of highest
+    KKT score at the flat start (_screen), and ends with one full product
+    over the batch, the KKT check of each probe's new coefficients under the
+    weights it was coded with (_kkt_check). Such a solve has converged only
+    when eps3 holds and no atom outside its working set violates; otherwise
+    the check grows and shrinks the set for the next step
+    (_update_working_sets). A set outgrows the cap only to hold its support
+    of z and room for violators, and the cache never forms its n x n
+    inverse.
 
     A NumericError ends only its own probe's solve: a residual that is not
     finite fails its probe at the weight update. A coding step that raises
@@ -773,6 +763,7 @@ def solve_batch(
     if cache is None:
         cache = precompute_gram(T, config.gram_ratio)
     cap = _gather_cap(T)
+    working = config.working_set and cap < n
     a0 = np.full((n, 1), 1.0 / n)
     cols = _Columns(
         probe=np.arange(m), y=Y, a=np.asfortranarray(np.repeat(a0, m, axis=1)),
@@ -805,11 +796,15 @@ def solve_batch(
         t += 1
         if t > 1:
             cols.change = [a / b for a, b in zip(_column_norms(W - cols.w), _column_norms(cols.w))]
-        elif config.working_set and cap < n:
+        elif working:
             cols.w = W  # the weights the first step codes under
             _screen(cols, _kkt_check(cols, T, config)[0], cap)
         try:
-            step = _coding_steps(cols, W, T, cache, config)
+            if working:
+                step = _working_set_steps(cols, W, T, cache, config)
+            else:
+                step = coding_step(cols.y, T, W, cache, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
+                                   tol=cols.tol)
         except NumericError as exc:
             # Which column raised is not known: each probe is solved again alone.
             for j in cols.probe:
@@ -824,7 +819,7 @@ def solve_batch(
             inner_converged[j].append(ok)
             sizes[j].append(size)
         violated = [False] * len(probes)
-        if config.working_set:
+        if working:
             score, violator = _kkt_check(cols, T, config)
             violated = (violator & ~cols.inside).any(axis=0).tolist()
         if config.weights.kind == "constant":
@@ -861,9 +856,9 @@ def solve_batch(
         if any(stops):
             keep = np.array([not stop for stop in stops])
             cols = cols.take(keep)
-            if config.working_set:
+            if working:
                 score, violator = score[:, keep], violator[:, keep]
-        if config.working_set and cols.probe.size:
+        if working and cols.probe.size:
             _update_working_sets(cols, score, violator, T)
     return outcomes
 

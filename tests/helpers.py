@@ -80,6 +80,16 @@ def record_factorizations(monkeypatch):
     return log
 
 
+def lower_gather_cap(monkeypatch, T, atoms=None):
+    """Set faceid.solver.GATHER_MAX_BYTES to the bytes of `atoms` of T's
+    columns, T.n - 1 by default, so that the cap is below n and
+    solve_batch codes the sparse presets on working sets of T: it codes a
+    dictionary that fits the cap on every atom. Returns the cap in atoms."""
+    atoms = T.n - 1 if atoms is None else atoms
+    monkeypatch.setattr(solver, "GATHER_MAX_BYTES", atoms * T.columns.shape[0] * T.columns.itemsize)
+    return atoms
+
+
 def random_faces(rng, geometry, count, lo=0.05, hi=1.0):
     return [FaceVector(rng.uniform(lo, hi, geometry.d), geometry) for _ in range(count)]
 

@@ -39,6 +39,7 @@ from helpers import (
     as_float32,
     coded_coefficients,
     flat_start,
+    lower_gather_cap,
     orthonormal_dictionary,
     random_dictionary,
     record_factorizations,
@@ -539,11 +540,13 @@ def _occluded_column_instance():
     return y.normalized(), T
 
 
-def test_solve_warm_started_duals_still_converge(spy):
+def test_solve_warm_started_duals_still_converge(monkeypatch, spy):
     """Each coding step starts from the scaled duals (u1, u2) the previous one
-    ended with; the first starts from zero. A step on a working set starts
-    from the previous u2 at the set's atoms, 0 for an atom that entered it."""
+    ended with; the first starts from zero. Under a gather cap of n - 1
+    atoms every step codes a working set, and starts from the previous u2 at
+    the set's atoms, 0 for an atom that entered it."""
     y, T = _occluded_column_instance()
+    lower_gather_cap(monkeypatch, T)
     calls = spy("coding_step", with_args=True)
     res = solve(y, T, method_config("F-IRNNLS", gamma=0.6))
     assert res.converged
@@ -653,12 +656,14 @@ def test_solve_checks_observation_length():
 
 
 def test_solve_reuses_supplied_gram_cache(monkeypatch):
-    """A supplied cache forms its n x n inverse once, inside the first step
-    on every atom (its first apply), and a second solve with it factors no
-    n x n system and nothing inside a coding step. Each solve factors
-    exactly one |S| x |S| system just before each step on a working set.
-    Every call of the factoring routine is counted, so a solver that
-    factored elsewhere would miss the count."""
+    """The dictionary fits the gather cap, so every step codes every atom: a
+    supplied cache forms its n x n inverse once, inside the first step (its
+    first apply), and a second solve with it factors no n x n system and
+    nothing inside a coding step. Under a gather cap of n - 1 atoms every
+    step codes a working set: each solve factors exactly one |S| x |S|
+    system just before each step, none of order n, and the cache never
+    forms its inverse. Every call of the factoring routine is counted, so a
+    solver that factored elsewhere would miss the count."""
     rng = np.random.default_rng(29)
     T = random_dictionary(rng, 6, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 24), T.geometry).normalized()
@@ -668,23 +673,29 @@ def test_solve_reuses_supplied_gram_cache(monkeypatch):
     for full in ([T.n], []):
         log["orders"], log["in_step"], log["steps"] = [], 0, []
         res = solve(y, T, config, cache=cache)
-        assert not isinstance(log["steps"][0], WorkingSet)
-        assert any(isinstance(step, WorkingSet) for step in log["steps"])
-        assert len(log["steps"]) == res.outer_iterations
-        assert log["in_step"] == len(full)
+        assert len(log["steps"]) == res.outer_iterations and all(step is T for step in log["steps"])
+        assert log["orders"] == full and log["in_step"] == len(full)
+    lower_gather_cap(monkeypatch, T)
+    cache = precompute_gram(T, config.gram_ratio)
+    for _ in range(2):
+        log["orders"], log["in_step"], log["steps"] = [], 0, []
+        res = solve(y, T, config, cache=cache)
+        assert len(log["steps"]) == res.outer_iterations and log["in_step"] == 0
         restricted = [step.atoms.size for step in log["steps"] if isinstance(step, WorkingSet)]
-        assert log["orders"] == full + restricted and restricted != [] and T.n not in restricted
+        assert log["orders"] == restricted and len(restricted) == res.outer_iterations and T.n not in restricted
+    assert cache._inverse is None
 
 
 def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):
     """Each inner iteration forms T' v (a_update) and T a (dual_update); the
     carried T a serves the next e_update and the outer weight residual, so a
-    solve forms 2 * inner + 1 products, the one extra for the flat start.
-    Under a working set (F-IRNNLS, F-IRSC) the products of a step on the set
-    use its gathered columns: 2 per inner iteration, plus one that forms
-    T_S a_S, the step's start. The full products are then 2 per
-    inner iteration of a step on every atom, the flat start, and one KKT
-    check per outer step."""
+    solve forms 2 * inner + 1 products, the one extra for the flat start:
+    every preset's, since the dictionary fits the gather cap and is coded on
+    every atom. Under a gather cap of n - 1 atoms F-IRNNLS and F-IRSC code
+    every step on a working set, whose products use its gathered columns: 2
+    per inner iteration, plus one that forms T_S a_S, the step's start. The
+    full products are then the flat start, the KKT check that screens the
+    first step, and one KKT check per outer step."""
     rng = np.random.default_rng(0)
     T = random_dictionary(rng, 10, 10, 30, classes=6, dtype=dtype)
     noise = np.random.default_rng(1).uniform(size=100)
@@ -695,20 +706,23 @@ def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):
     object.__setattr__(T, "columns", T.columns.view(CountingMatmul))
     # After the swap: a cache serves only the columns object it was built from.
     caches = {name: precompute_gram(T, config.gram_ratio) for name, config in configs.items()}
+    n = T.n
     for name, config in configs.items():
-        CountingMatmul.reset()
-        res = solve(y, T, config, cache=caches[name])
-        assert res.total_inner_iterations > res.outer_iterations > 1
-        n = T.n
-        full = [i for i, size in zip(res.inner_iterations, res.working_set_sizes) if size == n]
-        restricted = [i for i, size in zip(res.inner_iterations, res.working_set_sizes) if size < n]
-        if config.working_set:
-            assert restricted, name
-            assert CountingMatmul.atoms[n] == 1 + 2 * sum(full) + res.outer_iterations, name
-            gathered = CountingMatmul.calls - CountingMatmul.atoms[n]
-            assert gathered == 2 * sum(restricted) + len(restricted), name
-        else:
-            assert CountingMatmul.calls == CountingMatmul.atoms[n] == 2 * res.total_inner_iterations + 1, name
+        for capped in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if capped:
+                    lower_gather_cap(patch, T)
+                CountingMatmul.reset()
+                res = solve(y, T, config, cache=caches[name])
+            assert res.total_inner_iterations > res.outer_iterations > 1
+            if capped and config.working_set:
+                assert max(res.working_set_sizes) < n, name
+                assert CountingMatmul.atoms[n] == 2 + res.outer_iterations, name
+                gathered = CountingMatmul.calls - CountingMatmul.atoms[n]
+                assert gathered == 2 * res.total_inner_iterations + res.outer_iterations, name
+            else:
+                assert res.working_set_sizes == [n] * res.outer_iterations, name
+                assert CountingMatmul.calls == CountingMatmul.atoms[n] == 2 * res.total_inner_iterations + 1, name
 
 
 def test_float32_solve_forms_two_products_per_inner_iteration():
@@ -751,33 +765,36 @@ def test_batch_agrees_with_one_probe_solves(name):
 
 
 @pytest.mark.parametrize("name", ["F-IRNNLS", "F-LR-IRNNLS", "F-IRLS", "SRC"])
-def test_batch_forms_two_product_columns_per_inner_iteration(name):
+def test_batch_forms_two_product_columns_per_inner_iteration(monkeypatch, name):
     """A batch forms one product column for the flat start, which every probe
     shares, and two per inner iteration of each probe: a probe that has left
-    the inner loop, or the batch, forms none. Under a working set (F-IRNNLS)
-    every outer step of a probe adds one full KKT column, and its steps on
-    the set form their products on gathered columns (see
+    the inner loop, or the batch, forms none. The 24x21 dictionary fits the
+    gather cap, so every preset codes every atom. Under a gather cap of
+    n - 1 atoms F-IRNNLS codes on working sets: every outer step of a probe
+    adds one full KKT column, so does the screen of its first step, and its
+    steps on the set form their products on gathered columns (see
     test_solve_forms_two_products_per_inner_iteration)."""
     T, ys = _half_occluded_benchmark(6, dtype=np.float32)
     object.__setattr__(T, "columns", T.columns.view(CountingMatmul))
     config = method_config(name, gamma=0.6)
     cache = precompute_gram(T, config.gram_ratio)
-    CountingMatmul.reset()
-    results = solve_batch(ys, T, config, cache)
-    inner = [r.total_inner_iterations for r in results]
-    assert len(set(inner)) > 1  # the probes leave at different iterations
-    assert all(len(r.inner_iterations) == r.outer_iterations == len(r.working_set_sizes) for r in results)
-    if config.working_set:
-        full = sum(i for r in results for i, size in zip(r.inner_iterations, r.working_set_sizes) if size == T.n)
-        restricted = [(i, size) for r in results for i, size in zip(r.inner_iterations, r.working_set_sizes)
-                      if size < T.n]
-        assert restricted
-        gathered = CountingMatmul.calls - CountingMatmul.atoms[T.n]  # one column each
-        assert gathered == 2 * sum(i for i, _ in restricted) + len(restricted)
-        assert CountingMatmul.columns - gathered == 2 * full + 1 + sum(r.outer_iterations for r in results)
-    else:
-        assert CountingMatmul.columns == 2 * sum(inner) + 1
-    assert CountingMatmul.atoms[T.n] < CountingMatmul.columns
+    for capped in (False, True) if config.working_set else (False,):
+        if capped:
+            lower_gather_cap(monkeypatch, T)
+        CountingMatmul.reset()
+        results = solve_batch(ys, T, config, cache)
+        inner = [r.total_inner_iterations for r in results]
+        assert len(set(inner)) > 1  # the probes leave at different iterations
+        assert all(len(r.inner_iterations) == r.outer_iterations == len(r.working_set_sizes) for r in results)
+        if capped:
+            assert all(max(r.working_set_sizes) < T.n for r in results)
+            gathered = CountingMatmul.calls - CountingMatmul.atoms[T.n]  # one column each
+            outer = sum(r.outer_iterations for r in results)
+            assert gathered == 2 * sum(inner) + outer
+            assert CountingMatmul.columns - gathered == 1 + len(ys) + outer
+        else:
+            assert CountingMatmul.columns == 2 * sum(inner) + 1
+        assert CountingMatmul.atoms[T.n] < CountingMatmul.columns
 
 
 def test_batch_charges_each_outer_step_to_its_probes(monkeypatch):

@@ -1,5 +1,7 @@
-"""Working-set coding: F-IRNNLS and F-IRSC code each outer step on the atoms
-in use, and one full KKT product per step checks the rest."""
+"""Working-set coding: when the dictionary outgrows the gather cap, F-IRNNLS
+and F-IRSC code each outer step on the atoms in use, and one full KKT product
+per step checks the rest. A 24x21 dictionary fits the cap and is coded on
+every atom, so the tests of working sets lower the cap (lower_gather_cap)."""
 
 from types import SimpleNamespace
 
@@ -14,13 +16,15 @@ from faceid.corruptions import corrupt, textured_patch
 from faceid.experiment import _image_seed, make_synthetic_benchmark
 from faceid.model import build_dictionary
 from faceid.solver import KKT_TOL, METHODS, method_config, precompute_gram, solve_batch
-from helpers import as_float32, random_dictionary, record_factorizations
+from helpers import as_float32, lower_gather_cap, random_dictionary, record_factorizations
 
 SPARSE = ("F-IRNNLS", "F-IRSC")
 
-# Capped solves before working sets on the workload below, solved the same
-# way: F-IRNNLS 3 and F-IRSC 3 of 200 (an older FOUND line in CHANGES.md read
-# 4 and 5 from one-probe solves). Without the sticky rule F-IRNNLS caps 4.
+# Capped solves on every atom on the workload below, solved the same way:
+# F-IRNNLS 3 and F-IRSC 3 of 200 (an older FOUND line in CHANGES.md read 4 and
+# 5 from one-probe solves). Its 24x21 dictionaries fit the gather cap, so
+# these are the solves it runs at the default cap; under a lowered cap
+# (capped_solves), working sets must not cap more of them.
 CAPPED_BEFORE = {"F-IRNNLS": 3, "F-IRSC": 3}
 
 # Share of probes on which exact weighted NNLS at the final weights must pick
@@ -28,10 +32,11 @@ CAPPED_BEFORE = {"F-IRNNLS": 3, "F-IRSC": 3}
 ORACLE_AGREEMENT = 0.85
 
 # The gather caps, in atoms, of the capped solves below, each under the 60
-# atoms of a 24x21 gallery, so that a 24x21 solve screens its first step and
-# truncates its sets as a paper-shape solve does: 48 is the count of float32
-# atoms that GATHER_MAX_BYTES holds at 96x84, and 12 and 20 lie below the
-# support of many solutions here, which a set must pass the cap to hold.
+# atoms of a 24x21 gallery, so that a 24x21 solve codes on working sets,
+# screens its first step and truncates its sets as a paper-shape solve does:
+# 48 is the count of float32 atoms that GATHER_MAX_BYTES holds at 96x84, and
+# 12 and 20 lie below the support of many solutions here, which a set must
+# pass the cap to hold.
 CAPS = (12, 20, 48)
 
 def _gallery(seed, count=40):
@@ -43,11 +48,6 @@ def _gallery(seed, count=40):
     patch = textured_patch()
     ys = [corrupt(img, _image_seed(seed, i), 0.0, 0.5, patch)[0].normalized() for i, img in enumerate(ds.test[:count])]
     return T, ys, ds.test_labels[:count]
-
-
-def _cap_bytes(T, atoms):
-    """The GATHER_MAX_BYTES that caps T's working sets at the given atoms."""
-    return atoms * T.columns.shape[0] * T.columns.itemsize
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +71,9 @@ def _solve_galleries(galleries, name):
 @pytest.fixture(scope="module")
 def acceptance_6_solves(acceptance_6_galleries):
     """Each sparse preset's solves of the acceptance-6 workload (5 seeds x 40
-    probes at 24x21, half covered by the textured block): {name: [(y, T,
-    result, label)]}."""
+    probes at 24x21, half covered by the textured block), on every atom,
+    since the dictionaries fit the gather cap: {name: [(y, T, result,
+    label)]}."""
     return {name: _solve_galleries(acceptance_6_galleries, name)[0] for name in SPARSE}
 
 
@@ -84,7 +85,7 @@ def capped_solves(request, acceptance_6_galleries):
     (n, B)])}."""
     out = {"cap": request.param}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "GATHER_MAX_BYTES", _cap_bytes(acceptance_6_galleries[0][0], request.param))
+        lower_gather_cap(patch, acceptance_6_galleries[0][0], request.param)
         log = record_factorizations(patch)
         update = solver._update_working_sets
 
@@ -144,14 +145,16 @@ def test_restrict_to_every_atom_forms_the_full_inverse_bit_for_bit(rows, cols, n
     assert np.array_equal(full.restrict(np.arange(n)).apply(np.eye(n)), full.apply(np.eye(n)))
 
 
-def test_working_set_steps_start_from_their_own_product(spy):
+def test_working_set_steps_start_from_their_own_product(monkeypatch, spy):
     """Every coding step on a working set starts from Ta0 = T_S a0, formed
-    from the set's gathered columns, bit for bit: after a step on every
-    atom, after one on a set that atoms left, and after one on a set that
-    only grew, whose product over fewer columns rounds differently. float64
-    columns, on which the rounding of a product moves with its columns."""
+    from the set's gathered columns, bit for bit: the screened first step,
+    a step on a set that atoms left, and one on a set that only grew, whose
+    product over fewer columns rounds differently. float64 columns, on which
+    the rounding of a product moves with its columns, under a gather cap of
+    n - 1 atoms."""
     ds = make_synthetic_benchmark(classes=10, per_class=7, seed=0, extra_tests=3)
     T = build_dictionary(ds.train, ds.train_labels, dtype=np.float64)
+    lower_gather_cap(monkeypatch, T)
     patch = textured_patch()
     ys = [corrupt(img, _image_seed(0, i), 0.0, 0.5, patch)[0].normalized() for i, img in enumerate(ds.test[:8])]
     config = method_config("F-IRNNLS", gamma=0.6)
@@ -164,22 +167,21 @@ def test_working_set_steps_start_from_their_own_product(spy):
     for y in ys:
         steps.clear()
         solver.solve(y, T, config)
-        for (last, _), (atoms, same) in zip(steps, steps[1:]):
-            assert atoms is None or same
-            if atoms is not None and last is not None:
-                gone = np.setdiff1d(last, atoms).size
-                left += gone > 0
-                grew += gone == 0 and atoms.size > last.size
+        assert all(same for _, same in steps)
+        for (last, _), (atoms, _) in zip(steps, steps[1:]):
+            gone = np.setdiff1d(last, atoms).size
+            left += gone > 0
+            grew += gone == 0 and atoms.size > last.size
     assert left > 0 and grew > 0
 
 
 def _assert_full_kkt_test(solves, name):
     """Recomputed in float64 from result.a, result.w and the columns, the
-    gradient h = 2 T'W(y - T a) of every converged solve satisfies the KKT
-    test at every atom outside its final working set: h_j <= tol (nonneg) or
-    |h_j| <= lambda_reg + tol (l1), tol = KKT_TOL * max|h|, plus 1e-5 * max|h|
-    for the float32 products of the check. a is exactly 0 outside that set,
-    and some atoms lie outside it."""
+    gradient h = 2 T'W(y - T a) of every converged working-set solve
+    satisfies the KKT test at every atom outside its final working set:
+    h_j <= tol (nonneg) or |h_j| <= lambda_reg + tol (l1), tol = KKT_TOL *
+    max|h|, plus 1e-5 * max|h| for the float32 products of the check. a is
+    exactly 0 outside that set, and some atoms lie outside it."""
     config = method_config(name, gamma=0.6)
     worst, outside = 0.0, 0
     for y, T, r, _ in solves:
@@ -197,16 +199,10 @@ def _assert_full_kkt_test(solves, name):
 
 
 @pytest.mark.parametrize("name", SPARSE)
-def test_converged_solves_meet_the_full_kkt_test(acceptance_6_solves, name):
-    """Every converged solve passes the float64 full-set KKT test
-    (_assert_full_kkt_test)."""
-    _assert_full_kkt_test(acceptance_6_solves[name], name)
-
-
-@pytest.mark.parametrize("name", SPARSE)
 def test_capped_converged_solves_meet_the_full_kkt_test(capped_solves, name):
-    """So does every converged solve under each gather cap of CAPS, where the
-    first step is screened and sets are truncated."""
+    """Every converged solve under each gather cap of CAPS, where the first
+    step is screened and sets are truncated, passes the float64 full-set KKT
+    test (_assert_full_kkt_test)."""
     _assert_full_kkt_test(capped_solves[name][0], name)
 
 
@@ -226,9 +222,11 @@ def test_predictions_match_exact_weighted_nnls(acceptance_6_solves):
 
 @pytest.mark.parametrize("name", SPARSE)
 def test_working_sets_do_not_cycle_to_t_max(acceptance_6_solves, name):
-    """Atoms that could cycle in and out of a working set become sticky, so
-    no more solves stop at t_max than before working sets; the accuracy
-    stays as it was too (F-IRNNLS 0.91, F-IRSC 0.885 of 200)."""
+    """The 24x21 dictionaries fit the gather cap, so these solves code every
+    atom, and no more of them stop at t_max than CAPPED_BEFORE; the accuracy
+    stays at F-IRNNLS 0.91 and F-IRSC 0.885 of 200. Under a lowered cap the
+    sticky rule keeps working sets from cycling
+    (test_capped_working_sets_do_not_cycle_to_t_max)."""
     solves = acceptance_6_solves[name]
     assert sum(not r.converged for _, _, r, _ in solves) <= CAPPED_BEFORE[name]
     correct = sum(identify(y, T, r).predicted == label for y, T, r, label in solves)
@@ -275,8 +273,7 @@ def test_screened_first_step_codes_the_top_kkt_atoms(monkeypatch, spy):
     atom left out of a set scores above one in it, beyond the roundoff of
     the float32 product."""
     T, ys, _ = _gallery(0, count=8)
-    n, cap = T.n, 20
-    monkeypatch.setattr(solver, "GATHER_MAX_BYTES", _cap_bytes(T, cap))
+    n, cap = T.n, lower_gather_cap(monkeypatch, T, 20)
     checks = spy("_kkt_check", record=lambda args, kwargs, out: (args[0].w.copy(), out[0].copy()))
     steps = spy("coding_step", with_args=True)
     solve_batch(ys, T, method_config("F-IRNNLS", gamma=0.6))
@@ -349,19 +346,54 @@ def test_atoms_that_entered_three_times_are_not_dropped():
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))
-def test_working_set_sizes_hold_one_entry_per_outer_step(acceptance_6_solves, name):
+def test_working_set_sizes_hold_one_entry_per_outer_step(acceptance_6_solves, monkeypatch, name):
     """working_set_sizes has one entry per outer step, the number of atoms
-    that step coded: n for the first and for every step of a preset without
-    working sets, at most n after it."""
+    that step coded: n for every step of a dictionary that fits the gather
+    cap, and of a preset without working sets; under a gather cap of n - 1
+    atoms, the cap for the first step of a preset with them and fewer than
+    n for every step."""
     T, ys = acceptance_6_solves["F-IRNNLS"][0][1], [y for y, *_ in acceptance_6_solves["F-IRNNLS"][:4]]
     config = method_config(name, gamma=0.6)
     for r in solve_batch(ys, T, config):
+        assert r.working_set_sizes == [T.n] * r.outer_iterations
+    cap = lower_gather_cap(monkeypatch, T)
+    for r in solve_batch(ys, T, config):
         sizes = r.working_set_sizes
-        assert len(sizes) == r.outer_iterations and sizes[0] == T.n
+        assert len(sizes) == r.outer_iterations
         if config.working_set:
-            assert max(sizes[1:]) <= T.n and min(sizes[1:]) < T.n
+            assert sizes[0] == cap and max(sizes) < T.n
         else:
             assert sizes == [T.n] * r.outer_iterations
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_a_dictionary_inside_the_gather_cap_codes_every_atom_in_lockstep(monkeypatch, spy, name):
+    """A dictionary that fits the gather cap is coded on every atom: each
+    outer step is one coding step over all the batch's live probes, with no
+    KKT check and no restricted system, and every step codes n atoms. Under
+    a gather cap below n, every coding step codes one probe on a
+    WorkingSet."""
+    T, ys, _ = _gallery(0, count=8)
+    config = method_config(name, gamma=0.6)
+    steps = spy("coding_step", with_args=True)
+    checks = spy("_kkt_check")
+    restricted = []
+    restrict = solver.GramCache.restrict
+    monkeypatch.setattr(solver.GramCache, "restrict", lambda cache, atoms: restricted.append(atoms) or restrict(cache, atoms))
+    results = solve_batch(ys, T, config)
+    assert not checks and not restricted
+    outer = [r.outer_iterations for r in results]
+    assert len(set(outer)) > 1
+    assert len(steps) == max(outer)
+    for t, (args, _, _) in enumerate(steps, 1):
+        assert args[1] is T and args[0].shape[1] == sum(o >= t for o in outer)
+    for r in results:
+        assert r.working_set_sizes == [T.n] * r.outer_iterations
+    steps.clear()
+    lower_gather_cap(monkeypatch, T)
+    results = solve_batch(ys, T, config)
+    assert len(steps) == sum(r.outer_iterations for r in results)
+    assert all(isinstance(args[1], solver.WorkingSet) and args[0].shape[1] == 1 for args, _, _ in steps)
 
 
 def test_subnormal_weighted_residuals_are_flushed(spy):
