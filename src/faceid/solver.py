@@ -190,27 +190,29 @@ class SolverConfig:
 
 @dataclass
 class GramCache:
-    """The inverse of T'T + ratio * I for one dictionary, reused across
-    iterations.
+    """The atoms a coding step codes on: their columns A, their image
+    geometry, and the inverse of A'A + ratio * I, reused across iterations.
 
-    columns is the array the inverse is built from; coding_step accepts the
-    cache only with that same array (an O(1) identity check), so a cache built
-    for another dictionary of the same size is refused. The inverse is a full,
-    exactly symmetric array, so that apply is one product. The first apply
-    forms it (_system, float32 columns in blocks of GRAM_BLOCK_SHARE * n
-    rows), so the presets that code every atom pay for the n x n inverse in
-    their first solve against the dictionary, in its first coding step, not
-    at precompute_gram; an error of the factorization is raised there too.
-    A working-set solve only restricts the cache and never forms its
+    precompute_gram builds a dictionary's (T.columns itself, T.geometry),
+    restrict a working set's. solve_batch accepts a supplied cache only for
+    T.columns itself (an O(1) identity check) and T.geometry, so a cache
+    built for another dictionary of the same size is refused. The inverse is
+    a full, exactly symmetric array, so that apply is one product. The first
+    apply forms it (_system, float32 columns in blocks of GRAM_BLOCK_SHARE *
+    n rows), so the presets that code every atom pay for the n x n inverse
+    in their first solve against the dictionary, in its first coding step,
+    not at precompute_gram; an error of the factorization is raised there
+    too. A working-set solve only restricts the cache and never forms its
     inverse.
     """
 
     ratio: float
     columns: np.ndarray
+    geometry: ImageGeometry
     _inverse: Optional[np.ndarray] = None
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """x = (T'T + ratio I)^-1 b for b of shape (n,) or (n, B), as one
+        """x = (A'A + ratio I)^-1 b for b of shape (n,) or (n, B), as one
         product with the stored inverse, formed as (b' inverse')' so that
         the columns of x come out contiguous, as _product's do."""
         if self._inverse is None:
@@ -220,13 +222,14 @@ class GramCache:
 
     def restrict(self, atoms: np.ndarray) -> "GramCache":
         """The cache of the atoms (ascending column indices) alone: their
-        columns gathered into a column-major copy, and the inverse of
-        T_S'T_S + ratio I, formed from them at once by the routine that forms
-        the full inverse (_system), float32 columns in blocks of
+        columns gathered into a column-major copy, the same geometry, and the
+        inverse of T_S'T_S + ratio I, formed from them at once by the routine
+        that forms the full inverse (_system), float32 columns in blocks of
         RESTRICT_BLOCK_ROWS rows. Nothing of the full n x n size is read,
         kept or allocated."""
         columns = self.columns[:, atoms]
-        return GramCache(ratio=self.ratio, columns=columns, _inverse=_system(columns, self.ratio, RESTRICT_BLOCK_ROWS))
+        return GramCache(ratio=self.ratio, columns=columns, geometry=self.geometry,
+                         _inverse=_system(columns, self.ratio, RESTRICT_BLOCK_ROWS))
 
 
 def _system(A: np.ndarray, ratio: float, rows: int) -> np.ndarray:
@@ -273,7 +276,7 @@ def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
     solves, and its restrictions serve the steps on working sets."""
     if ratio <= 0.0:
         raise ConfigError(f"gram ratio must be positive, got {ratio}")
-    return GramCache(ratio=float(ratio), columns=T.columns)
+    return GramCache(ratio=float(ratio), columns=T.columns, geometry=T.geometry)
 
 
 @dataclass
@@ -284,10 +287,11 @@ class AdmmState:
     products, so a state of 1-d vectors is the one-probe case without the
     column axis.
 
-    Ta carries the product T.columns @ a for the current a, so that each
+    Ta carries the product cache.columns @ a for the current a, so that each
     product is formed once: dual_update forms it, e_update and the outer
-    weight residual read it. coding_step keeps Ta == T.columns @ a at every
-    e_update; a state that only meets z_update and a_update may leave it None.
+    weight residual read it. coding_step keeps Ta == cache.columns @ a at
+    every e_update; a state that only meets z_update and a_update may leave
+    it None. n counts the cache's atoms (all, or a working set's).
 
     coding_step returns its final state, with one entry per column in each
     of: the iteration count, whether the column converged, and its last fit
@@ -308,18 +312,6 @@ class AdmmState:
     split_residual: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class WorkingSet:
-    """Some of a Dictionary's atoms, as the step functions read a dictionary:
-    columns holds the atoms' columns, gathered in ascending order of the
-    indices atoms, and geometry is the dictionary's. solve_batch codes a
-    probe on one with the restricted GramCache over the same columns."""
-
-    columns: np.ndarray
-    geometry: ImageGeometry
-    atoms: np.ndarray
-
-
 def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     """M @ V in M's dtype, returned in float64: a float32 dictionary reads
     half the bytes of a float64 one, and both casts are no-ops at float64.
@@ -329,7 +321,7 @@ def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V.T.astype(M.dtype, copy=False) @ M.T).T.astype(np.float64, copy=False)
 
 
-def e_update(state: AdmmState, y, T: Dictionary, config: SolverConfig) -> np.ndarray:
+def e_update(state: AdmmState, y, cache: GramCache, config: SolverConfig) -> np.ndarray:
     """Residual-variable update: weighted shrink, then, when config.low_rank,
     SVT of each column's grid. Reads the carried product state.Ta; forms
     none."""
@@ -340,7 +332,7 @@ def e_update(state: AdmmState, y, T: Dictionary, config: SolverConfig) -> np.nda
         # Column j's grid is grids[:, :, j], a view laid out as a single
         # probe's; e is Fortran-ordered (coding_step keeps it so), else copied.
         e = np.asfortranarray(e)
-        grids = e.reshape(T.geometry.shape + (-1,), order="F")
+        grids = e.reshape(cache.geometry.shape + (-1,), order="F")
         for j in range(grids.shape[2]):
             grids[:, :, j] = svt(grids[:, :, j], tau)
     return e
@@ -356,22 +348,22 @@ def z_update(state: AdmmState, config: SolverConfig) -> np.ndarray:
     raise ConfigError("the l2 kind has no split variable z")
 
 
-def a_update(state: AdmmState, y, T: Dictionary, cache: GramCache, config: SolverConfig) -> np.ndarray:
-    """Coefficient update through the cached Gram inverse, which must match T
-    and config.gram_ratio (coding_step checks)."""
-    rhs = _product(T.columns.T, y - state.e + state.u1 / config.rho1)
+def a_update(state: AdmmState, y, cache: GramCache, config: SolverConfig) -> np.ndarray:
+    """Coefficient update over the cache's columns through its Gram inverse,
+    whose ratio must be config.gram_ratio (coding_step checks)."""
+    rhs = _product(cache.columns.T, y - state.e + state.u1 / config.rho1)
     if config.regularizer != "l2":
         rhs = rhs + (config.rho2 / config.rho1) * state.z - state.u2 / config.rho1
     return cache.apply(rhs)
 
 
-def dual_update(state: AdmmState, y, T: Dictionary, rho1: float, rho2: float):
+def dual_update(state: AdmmState, y, cache: GramCache, rho1: float, rho2: float):
     """Scaled dual ascent on both constraints; u2 is untouched on the l2 path.
 
-    Returns (u1, u2, Ta): the product Ta = T.columns @ state.a is formed here
-    once and handed back for the next e_update and the outer residual.
+    Returns (u1, u2, Ta): the product Ta = cache.columns @ state.a is formed
+    here once and handed back for the next e_update and the outer residual.
     """
-    Ta = _product(T.columns, state.a)
+    Ta = _product(cache.columns, state.a)
     u1 = state.u1 + rho1 * (y - Ta - state.e)
     if state.z is None:
         u2 = state.u2
@@ -382,21 +374,23 @@ def dual_update(state: AdmmState, y, T: Dictionary, rho1: float, rho2: float):
 
 def coding_step(
     y,
-    T: Dictionary,
-    w,
     cache: GramCache,
+    w,
     config: SolverConfig,
     a0,
     Ta0,
     duals=None,
     tol=None,
 ) -> AdmmState:
-    """Code the B columns of y against T under fixed weights w by inner ADMM,
-    in lockstep.
+    """Code the B columns of y against the cache's atoms under fixed weights
+    w by inner ADMM, in lockstep.
 
-    Each inner iteration forms two dictionary products over the columns still
-    iterating, T' V in a_update and T A in dual_update; the state carries the
-    latter, Ta == T.columns @ a, into the next e_update and out to the caller.
+    The cache is a dictionary's (precompute_gram), or a working set's
+    (GramCache.restrict): n is the number of its atoms, and a, z and u2 hold
+    their coefficients only. With T = cache.columns, each inner iteration
+    forms two dictionary products over the columns still iterating, T' V in
+    a_update and T A in dual_update; the state carries the latter,
+    Ta == T @ a, into the next e_update and out to the caller.
     A column leaves the loop when it converges: the working arrays are
     compacted, so no product is formed for it afterwards.
 
@@ -405,21 +399,20 @@ def coding_step(
     and z, and the residuals are measured on the iterates it returns, each
     column's by its own vector norm.
 
-    Both products run in the dtype of T.columns and return float64; every
-    other quantity is float64. With float32 columns the reachable fit and
-    split residuals bottom out near 1e-6 (see SolverConfig).
-
-    T may be a WorkingSet, with the GramCache restricted to it: n is then the
-    size of the set, and a, z and u2 hold the set's coefficients only.
+    Both products run in the dtype of the cache's columns and return
+    float64; every other quantity is float64. With float32 columns the
+    reachable fit and split residuals bottom out near 1e-6 (see
+    SolverConfig).
 
     Args:
         y: (d, B) observations, one probe per column.
+        cache: GramCache at config.gram_ratio; its columns and geometry are
+            those the step codes on.
         w: (d, B) pixel weights.
-        cache: GramCache built from T.columns at config.gram_ratio.
         a0: (n, B) starting coefficients.
-        Ta0: (d, B) product T.columns @ a0; the caller forms it (solve_batch
-            carries it from the previous step on every atom, and forms it
-            over the gathered columns for a step on a working set).
+        Ta0: (d, B) product cache.columns @ a0; the caller forms it
+            (solve_batch carries it from the previous step on every atom, and
+            forms it over the gathered columns for a step on a working set).
         duals: optional (u1, u2) warm start of shapes (d, B) and (n, B); both
             default to zero.
         tol: one fit tolerance for every column, or (B,) of them, one per
@@ -428,16 +421,14 @@ def coding_step(
     Returns:
         The final AdmmState with every column in its place; column j has
         converged when ||y_j - Ta_j - e_j|| <= tol_j and, unless the l2 kind
-        dropped the split, ||a_j - z_j|| <= eps2. Its Ta is T.columns @ a for
-        the returned a.
+        dropped the split, ||a_j - z_j|| <= eps2. Its Ta is cache.columns @ a
+        for the returned a.
 
     Raises:
-        ConfigError: the cache was built for other columns than T's, or at
-            another ratio than config.gram_ratio.
+        ConfigError: the cache was built at another ratio than
+            config.gram_ratio.
     """
-    d, n = T.columns.shape
-    if cache.columns is not T.columns:
-        raise ConfigError("gram cache was built for another dictionary's columns")
+    d, n = cache.columns.shape
     expected = config.gram_ratio
     if abs(cache.ratio - expected) > 1e-12 * max(1.0, expected):
         raise ConfigError(f"gram cache ratio {cache.ratio} does not match the configuration's {expected}")
@@ -482,15 +473,15 @@ def coding_step(
     out = None  # the returned state, filled in as columns leave
     alpha = 1.0 if config.low_rank else RELAX
     for s in range(1, config.s_max + 1):
-        e = e_update(state, y, T, config)
+        e = e_update(state, y, cache, config)
         z = None if drop_split else z_update(state, config)
         state.e, state.z = e, z
         if alpha != 1.0:  # at 1 the relaxed combination is e and z themselves
             state.e = alpha * e + (1.0 - alpha) * (y - state.Ta)
             if not drop_split:
                 state.z = alpha * z + (1.0 - alpha) * state.a
-        state.a = a_update(state, y, T, cache, config)
-        state.u1, state.u2, state.Ta = dual_update(state, y, T, config.rho1, config.rho2)
+        state.a = a_update(state, y, cache, config)
+        state.u1, state.u2, state.Ta = dual_update(state, y, cache, config.rho1, config.rho2)
         state.e, state.z = e, z
         fit = _column_norms(y - state.Ta - e)
         split = [0.0] * len(fit) if drop_split else _column_norms(state.a - z)
@@ -596,23 +587,24 @@ class _Columns:
         })
 
 
-def _kkt_check(cols: _Columns, T: Dictionary, config: SolverConfig):
+def _kkt_check(cols: _Columns, cache: GramCache, config: SolverConfig):
     """The KKT check of every probe in cols at its coefficients a and the
     weights w its last coding step ran under: one full product g = T'(W r),
-    r = y - T a, over the batch, with the entries of W r below
-    SUBNORMAL_FLUSH zeroed first. Returns (score, violator), both (n, B):
-    score is 2 g (nonneg) or |2 g| - lambda_reg (l1), and an atom violates
-    when its score exceeds KKT_TOL * max |2 g| (see KKT_TOL)."""
+    r = y - T a, T = cache.columns, over the batch, with the entries of W r
+    below SUBNORMAL_FLUSH zeroed first. Returns (score, violator), both
+    (n, B): score is 2 g (nonneg) or |2 g| - lambda_reg (l1), and an atom
+    violates when its score exceeds KKT_TOL * max |2 g| (see KKT_TOL)."""
     V = cols.w * (cols.y - cols.Ta)
     V[np.abs(V) < SUBNORMAL_FLUSH] = 0.0
-    H = 2.0 * _product(T.columns.T, V)
+    H = 2.0 * _product(cache.columns.T, V)
     score = H if config.regularizer == "nonneg" else np.abs(H) - config.lambda_reg
     return score, score > KKT_TOL * np.abs(H).max(axis=0)
 
 
-def _gather_cap(T: Dictionary) -> int:
-    """The most atoms a working set of T holds (see GATHER_MAX_BYTES)."""
-    return max(1, GATHER_MAX_BYTES // (T.columns.shape[0] * T.columns.itemsize))
+def _gather_cap(cache: GramCache) -> int:
+    """The most atoms a working set of the cache's columns holds (see
+    GATHER_MAX_BYTES)."""
+    return max(1, GATHER_MAX_BYTES // (cache.columns.shape[0] * cache.columns.itemsize))
 
 
 def _screen(cols: _Columns, score: np.ndarray, cap: int):
@@ -625,27 +617,26 @@ def _screen(cols: _Columns, score: np.ndarray, cap: int):
     cols.a[~cols.inside] = 0.0
 
 
-def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray, T: Dictionary):
+def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray, cap: int):
     """Grow and shrink every probe's working set (cols.inside) from its KKT
     check (_kkt_check).
 
     A probe's next set keeps the atoms of its set with z != 0, those that
     violate, and those that have entered STICKY_ENTRIES times, and adds at
     most max(GROW_MIN, |supp z|) violators from outside it, the largest
-    first, as far as the gather cap (GATHER_MAX_BYTES) leaves room. The cap
-    keeps a reserve of min(GROW_MIN, the violators outside) slots for them:
-    kept atoms beyond the cap less that reserve are truncated, keeping the
-    atoms of supp z first, then the sticky atoms, then the others by score.
+    first, as far as the gather cap of cap atoms (_gather_cap) leaves room.
+    The cap keeps a reserve of min(GROW_MIN, the violators outside) slots
+    for them: kept atoms beyond the cap less that reserve are truncated,
+    keeping the atoms of supp z first, then the sticky atoms, then the
+    others by score.
     Neither the support nor the reserve is ever truncated, so a set passes
     the cap only to hold them, and a solution whose support needs more atoms
     than the cap can still be reached. A set that would be empty stays as it
     is.
     Atoms that leave get a = u2 = z = 0 (the next step on the set forms its
-    own T_S a_S); the arrays of cols are replaced, not written, since a
-    coding step returned them.
+    own T_S a_S), written in place: _working_set_steps returns those arrays
+    fresh, and _Columns.take copies.
     """
-    cols.a, cols.u2, cols.z = (np.array(x, order="F") for x in (cols.a, cols.u2, cols.z))
-    cap = _gather_cap(T)
     for k in range(cols.probe.size):
         inside, support = cols.inside[:, k], cols.z[:, k] != 0.0
         sticky = cols.entries[:, k] >= STICKY_ENTRIES
@@ -668,13 +659,13 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
         cols.inside[:, k] = new
 
 
-def _working_set_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: GramCache, config: SolverConfig):
+def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: SolverConfig):
     """One coding step of every probe in cols under its weights W, each alone
     on its working set. A set's columns are gathered and its system formed
     (GramCache.restrict) just before its step, which starts from T_S a_S
     over them, so one gathered copy is alive at a time. Returns the AdmmState
     of all of them, with a, z and u2 over every atom, 0 outside each set."""
-    (d, n), m = T.columns.shape, cols.probe.size
+    (d, n), m = cache.columns.shape, cols.probe.size
     out = AdmmState(
         a=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"), e=np.empty((d, m), order="F"),
         u1=np.empty((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=W, Ta=np.empty((d, m), order="F"),
@@ -684,9 +675,9 @@ def _working_set_steps(cols: _Columns, W: np.ndarray, T: Dictionary, cache: Gram
     for k in range(m):
         ks, rows = slice(k, k + 1), np.flatnonzero(cols.inside[:, k])
         sub = cache.restrict(rows)
-        step = coding_step(cols.y[:, ks], WorkingSet(sub.columns, T.geometry, rows), W[:, ks], sub, config,
-                           a0=cols.a[rows, ks], Ta0=_product(sub.columns, cols.a[rows, ks]),
-                           duals=(cols.u1[:, ks], cols.u2[rows, ks]), tol=cols.tol[k])
+        step = coding_step(cols.y[:, ks], sub, W[:, ks], config, a0=cols.a[rows, ks],
+                           Ta0=_product(sub.columns, cols.a[rows, ks]), duals=(cols.u1[:, ks], cols.u2[rows, ks]),
+                           tol=cols.tol[k])
         for name in ("a", "z", "u2"):
             getattr(out, name)[rows, ks] = getattr(step, name)
         for name in ("e", "u1", "Ta"):
@@ -728,9 +719,9 @@ def solve_batch(
     weights it was coded with (_kkt_check). Such a solve has converged only
     when eps3 holds and no atom outside its working set violates; otherwise
     the check grows and shrinks the set for the next step
-    (_update_working_sets). A set outgrows the cap only to hold its support
-    of z and room for violators, and the cache never forms its n x n
-    inverse.
+    (_update_working_sets), whose step codes on the cache restricted to it
+    (GramCache.restrict). A set outgrows the cap only to hold its support of
+    z and room for violators, and the cache never forms its n x n inverse.
 
     A NumericError ends only its own probe's solve: a residual that is not
     finite fails its probe at the weight update. A coding step that raises
@@ -744,7 +735,9 @@ def solve_batch(
     Args:
         ys: observations (FaceVector or length-d arrays), typically unit l2.
         T: Dictionary of training faces.
-        cache: optional GramCache from precompute_gram; built here when absent.
+        cache: optional GramCache of T from precompute_gram, built here when
+            absent; one of other columns than T.columns (the same array) or
+            another geometry raises ConfigError, once, before any step.
 
     Returns:
         One outcome per observation, in order: a SolveResult with final a, e,
@@ -762,7 +755,9 @@ def solve_batch(
         Y[:, j] = values
     if cache is None:
         cache = precompute_gram(T, config.gram_ratio)
-    cap = _gather_cap(T)
+    elif cache.columns is not T.columns or cache.geometry != T.geometry:
+        raise ConfigError("gram cache was built for another dictionary's columns or geometry")
+    cap = _gather_cap(cache)
     working = config.working_set and cap < n
     a0 = np.full((n, 1), 1.0 / n)
     cols = _Columns(
@@ -798,12 +793,12 @@ def solve_batch(
             cols.change = [a / b for a, b in zip(_column_norms(W - cols.w), _column_norms(cols.w))]
         elif working:
             cols.w = W  # the weights the first step codes under
-            _screen(cols, _kkt_check(cols, T, config)[0], cap)
+            _screen(cols, _kkt_check(cols, cache, config)[0], cap)
         try:
             if working:
-                step = _working_set_steps(cols, W, T, cache, config)
+                step = _working_set_steps(cols, W, cache, config)
             else:
-                step = coding_step(cols.y, T, W, cache, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
+                step = coding_step(cols.y, cache, W, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
                                    tol=cols.tol)
         except NumericError as exc:
             # Which column raised is not known: each probe is solved again alone.
@@ -820,7 +815,7 @@ def solve_batch(
             sizes[j].append(size)
         violated = [False] * len(probes)
         if working:
-            score, violator = _kkt_check(cols, T, config)
+            score, violator = _kkt_check(cols, cache, config)
             violated = (violator & ~cols.inside).any(axis=0).tolist()
         if config.weights.kind == "constant":
             stops = ["converged" if ok else "s_max" for ok in converged]
@@ -859,7 +854,7 @@ def solve_batch(
             if working:
                 score, violator = score[:, keep], violator[:, keep]
         if working and cols.probe.size:
-            _update_working_sets(cols, score, violator, T)
+            _update_working_sets(cols, score, violator, cap)
     return outcomes
 
 

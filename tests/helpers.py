@@ -7,7 +7,6 @@ import numpy as np
 
 import faceid.solver as solver
 from faceid.model import FaceVector, ImageGeometry, build_dictionary
-from faceid.solver import WorkingSet
 
 
 class CountingMatmul(np.ndarray):
@@ -16,8 +15,9 @@ class CountingMatmul(np.ndarray):
     count too, and so do the columns a working set gathers from it (fancy
     indexing keeps the subclass). atoms tallies the products by the view's
     shorter side, the number of atoms it holds when d > n. Put
-    `T.columns.view(CountingMatmul)` in place with object.__setattr__, and
-    call reset() before counting."""
+    `T.columns.view(CountingMatmul)` in place with object.__setattr__ before
+    the GramCache is built, or build a cache over the view, and call reset()
+    before counting."""
 
     calls = 0
     columns = 0
@@ -41,37 +41,60 @@ class CountingMatmul(np.ndarray):
         return other @ np.asarray(self)
 
 
+def tag_restrictions(monkeypatch):
+    """Wrap faceid.solver.GramCache.restrict for the test so that each cache
+    it returns carries the atoms it was restricted to as the attribute atoms
+    (see atoms_of)."""
+    restrict = solver.GramCache.restrict
+
+    def tagged(cache, atoms):
+        sub = restrict(cache, atoms)
+        sub.atoms = atoms
+        return sub
+
+    monkeypatch.setattr(solver.GramCache, "restrict", tagged)
+
+
+def atoms_of(cache):
+    """The atoms of a cache that GramCache.restrict returned under
+    tag_restrictions, or None for a dictionary's own cache."""
+    return getattr(cache, "atoms", None)
+
+
 def coded_coefficients(n, args, step):
     """The coefficients a coding_step call (args, its returned state step)
-    coded, over all n atoms: a call on a WorkingSet codes its atoms only, and
-    the others are 0."""
-    if isinstance(args[1], WorkingSet):
+    coded, over all n atoms: a call on a restricted cache codes its atoms
+    only, and the others are 0. Needs tag_restrictions."""
+    atoms = atoms_of(args[1])
+    if atoms is not None:
         a = np.zeros((n, step.a.shape[1]))
-        a[args[1].atoms] = step.a
+        a[atoms] = step.a
         return a
     return step.a
 
 
 def record_factorizations(monkeypatch):
     """Wrap faceid.solver.dpotrf, the routine the solver factors its Gram
-    systems with, and faceid.solver.coding_step for the test. Returns a dict
-    filled in as the solver runs: "orders" lists the order of each system
-    factored, "in_step" counts those factored inside a coding step, and
-    "steps" lists the dictionary or WorkingSet each coding step coded on."""
+    systems with, and faceid.solver.coding_step for the test, and tag the
+    restricted caches (tag_restrictions). Returns a dict filled in as the
+    solver runs: "orders" lists the order of each system factored,
+    "in_step" counts those factored inside a coding step, and "steps" lists
+    the GramCache each coding step coded on."""
     log = {"orders": [], "in_step": 0, "steps": []}
     depth = [0]
     factor, step = solver.dpotrf, solver.coding_step
+    tag_restrictions(monkeypatch)
 
     def counted_factor(a, *args, **kwargs):
         log["orders"].append(np.shape(a)[0])
         log["in_step"] += depth[0] > 0
         return factor(a, *args, **kwargs)
 
-    def counted_step(y, T, *args, **kwargs):
-        log["steps"].append(T)
+    def counted_step(y, cache, *args, **kwargs):
+        log["steps"].append(cache)
         depth[0] += 1
         try:
-            return step(y, T, *args, **kwargs)
+            return step(y, cache, *args, **kwargs)
         finally:
             depth[0] -= 1
 

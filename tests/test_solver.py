@@ -2,6 +2,7 @@
 
 import logging
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,6 @@ from faceid.solver import (
     RELAX,
     AdmmState,
     SolverConfig,
-    WorkingSet,
     a_update,
     coding_step,
     dual_update,
@@ -37,12 +37,14 @@ from faceid.weights import WeightFunction, logistic_params
 from helpers import (
     CountingMatmul,
     as_float32,
+    atoms_of,
     coded_coefficients,
     flat_start,
     lower_gather_cap,
     orthonormal_dictionary,
     random_dictionary,
     record_factorizations,
+    tag_restrictions,
 )
 from oracle import objective_value
 
@@ -210,7 +212,8 @@ def test_e_update_low_rank_off_equals_zero_threshold(spy):
     state = _state(rng, T, config)
     svt_calls = spy("svt")
     r = y - T.columns @ state.a + state.u1 / config.rho1
-    assert np.array_equal(e_update(state, y, T, config), shrink_weighted(r, state.w, config.rho1))
+    cache = precompute_gram(T, config.gram_ratio)
+    assert np.array_equal(e_update(state, y, cache, config), shrink_weighted(r, state.w, config.rho1))
     assert svt_calls == []
 
 
@@ -222,7 +225,7 @@ def test_e_update_vanishing_weights_pass_residual_through():
     state = _state(rng, T, config)
     state.w = np.full(20, 1e-30)
     r = y - T.columns @ state.a + state.u1 / config.rho1
-    assert np.allclose(e_update(state, y, T, config), r, atol=1e-12)
+    assert np.allclose(e_update(state, y, precompute_gram(T, config.gram_ratio), config), r, atol=1e-12)
 
 
 def test_e_update_low_rank_contracts_nuclear_norm():
@@ -232,8 +235,9 @@ def test_e_update_low_rank_contracts_nuclear_norm():
     lr = SolverConfig(lambda_star=0.05)
     flat = SolverConfig(lambda_star=0.0)
     state = _state(rng, T, lr)
-    shrunk = e_update(state, y, T, flat)
-    low_rank = e_update(state, y, T, lr)
+    cache = precompute_gram(T, lr.gram_ratio)
+    shrunk = e_update(state, y, cache, flat)
+    low_rank = e_update(state, y, cache, lr)
     nuc = lambda v: np.linalg.svd(v.reshape(4, 5, order="F"), compute_uv=False).sum()
     assert nuc(low_rank) <= nuc(shrunk) + 1e-12
 
@@ -246,7 +250,8 @@ def test_e_update_follows_carried_product():
     state = _state(rng, T, config)
     state.Ta = T.columns @ state.a + rng.normal(size=20)
     r = y - state.Ta + state.u1 / config.rho1
-    assert np.array_equal(e_update(state, y, T, config), shrink_weighted(r, state.w, config.rho1))
+    cache = precompute_gram(T, config.gram_ratio)
+    assert np.array_equal(e_update(state, y, cache, config), shrink_weighted(r, state.w, config.rho1))
 
 
 def test_z_update_nonneg_projection():
@@ -285,7 +290,7 @@ def test_a_update_zero_right_hand_side():
     state = AdmmState(
         a=np.zeros(6), z=np.zeros(6), e=y.copy(), u1=np.zeros(20), u2=np.zeros(6), w=np.ones(20)
     )
-    assert np.abs(a_update(state, y, T, cache, config)).max() <= 1e-14
+    assert np.abs(a_update(state, y, cache, config)).max() <= 1e-14
 
 
 def test_a_update_orthonormal_closed_form():
@@ -296,7 +301,7 @@ def test_a_update_orthonormal_closed_form():
     cache = precompute_gram(T, r)
     y = rng.normal(size=24)
     state = _state(rng, T, config)
-    got = a_update(state, y, T, cache, config)
+    got = a_update(state, y, cache, config)
     rhs = T.columns.T @ (y - state.e + state.u1 / config.rho1)
     rhs = rhs + r * state.z - state.u2 / config.rho1
     assert np.allclose(got, rhs / (1.0 + r), atol=1e-8)
@@ -310,7 +315,7 @@ def test_a_update_satisfies_normal_equations():
         cache = precompute_gram(T, config.gram_ratio)
         y = rng.uniform(0.0, 1.0, 25)
         state = _state(rng, T, config)
-        a = a_update(state, y, T, cache, config)
+        a = a_update(state, y, cache, config)
         rhs = T.columns.T @ (y - state.e + state.u1 / config.rho1)
         if kind != "l2":
             rhs = rhs + (config.rho2 / config.rho1) * state.z - state.u2 / config.rho1
@@ -324,14 +329,15 @@ def test_coding_step_rejects_mismatched_cache():
     config = SolverConfig()
     y = rng.uniform(0.0, 1.0, 20)
     small = random_dictionary(rng, 4, 5, 4, classes=2)
-    for foreign in (precompute_gram(T, 5.0), precompute_gram(small, config.gram_ratio)):
-        with pytest.raises(ConfigError, match="gram cache"):
-            coding_step(y[:, None], T, np.ones((20, 1)), foreign, config, *flat_start(T))
+    other_ratio = precompute_gram(T, 5.0)
+    with pytest.raises(ConfigError, match="gram cache ratio"):
+        coding_step(y[:, None], other_ratio, np.ones((20, 1)), config, *flat_start(T))
+    for foreign in (other_ratio, precompute_gram(small, config.gram_ratio)):
         with pytest.raises(ConfigError, match="gram cache"):
             solve(y, T, config, cache=foreign)
 
 
-def test_coding_step_rejects_cache_of_same_sized_dictionary():
+def test_solve_rejects_cache_of_same_sized_dictionary():
     """Two galleries of the same size and ratio: each cache serves only the
     columns it was built from."""
     rng = np.random.default_rng(30)
@@ -339,11 +345,36 @@ def test_coding_step_rejects_cache_of_same_sized_dictionary():
     config = method_config("F-LR-IRNNLS")
     y = FaceVector(rng.uniform(0.0, 1.0, T1.d), T1.geometry).normalized()
     cache1 = precompute_gram(T1, config.gram_ratio)
-    coding_step(y.values[:, None], T1, np.ones((T1.d, 1)), cache1, config, *flat_start(T1))
+    solve(y, T1, config, cache=cache1)
     with pytest.raises(ConfigError, match="gram cache was built for another dictionary"):
-        coding_step(y.values[:, None], T2, np.ones((T2.d, 1)), cache1, config, *flat_start(T2))
+        solve_batch([y, y], T2, config, cache1)
     with pytest.raises(ConfigError, match="gram cache was built for another dictionary"):
         solve(y, T2, config, cache=cache1)
+
+
+def test_solve_refuses_a_cache_of_other_columns_or_geometry_before_any_step(monkeypatch):
+    """solve and solve_batch check a supplied cache once, before any coding
+    step: one built from other columns (another dictionary's, or a copy of
+    T's) or from T's own columns under another geometry is refused with
+    ConfigError; T's own cache is accepted."""
+    rng = np.random.default_rng(31)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    config = method_config("F-IRNNLS")
+    y = FaceVector(rng.uniform(0.0, 1.0, T.d), T.geometry).normalized()
+    entered = []
+    step = solver.coding_step
+    monkeypatch.setattr(solver, "coding_step", lambda *args, **kwargs: entered.append(args) or step(*args, **kwargs))
+    reshaped = replace(T, geometry=ImageGeometry(5, 4))
+    assert reshaped.columns is T.columns
+    for other in (random_dictionary(rng, 4, 5, 6, classes=2), replace(T, columns=T.columns.copy()), reshaped):
+        foreign = precompute_gram(other, config.gram_ratio)
+        with pytest.raises(ConfigError, match="gram cache was built for another dictionary's columns or geometry"):
+            solve(y, T, config, cache=foreign)
+        with pytest.raises(ConfigError, match="gram cache was built for another dictionary's columns or geometry"):
+            solve_batch([y, y], T, config, foreign)
+    assert entered == []
+    solve_batch([y, y], T, config, precompute_gram(T, config.gram_ratio))
+    assert entered
 
 
 def test_dual_update_fixed_at_feasibility():
@@ -355,7 +386,7 @@ def test_dual_update_fixed_at_feasibility():
         a=a, z=a.copy(), e=y - T.columns @ a,
         u1=rng.normal(size=20), u2=rng.normal(size=6), w=np.ones(20),
     )
-    u1, u2, _ = dual_update(state, y, T, 1.0, 0.1)
+    u1, u2, _ = dual_update(state, y, precompute_gram(T, 0.1), 1.0, 0.1)
     assert np.allclose(u1, state.u1, atol=1e-12)
     assert np.allclose(u2, state.u2, atol=1e-12)
 
@@ -368,7 +399,7 @@ def test_dual_update_single_step_is_scaled_residual():
     state.u1 = np.zeros(20)
     state.u2 = np.zeros(6)
     y = rng.uniform(0.0, 1.0, 20)
-    u1, u2, _ = dual_update(state, y, T, 2.0, 0.3)
+    u1, u2, _ = dual_update(state, y, precompute_gram(T, config.gram_ratio), 2.0, 0.3)
     assert np.allclose(u1, 2.0 * (y - T.columns @ state.a - state.e), atol=1e-12)
     assert np.allclose(u2, 0.3 * (state.a - state.z), atol=1e-12)
 
@@ -376,8 +407,9 @@ def test_dual_update_single_step_is_scaled_residual():
 def test_dual_update_l2_leaves_u2_alone():
     rng = np.random.default_rng(11)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
-    state = _state(rng, T, SolverConfig(regularizer="l2"))
-    _, u2, _ = dual_update(state, np.zeros(20), T, 1.0, 0.1)
+    config = SolverConfig(regularizer="l2")
+    state = _state(rng, T, config)
+    _, u2, _ = dual_update(state, np.zeros(20), precompute_gram(T, config.gram_ratio), 1.0, 0.1)
     assert u2 is state.u2
 
 
@@ -390,7 +422,7 @@ def test_coding_step_reaches_feasible_reconstruction():
         regularizer="nonneg", lambda_star=0.0, weights=WeightFunction.constant_one()
     )
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y[:, None], T, np.ones((25, 1)), cache, config, *flat_start(T))
+    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T))
     assert res.converged.tolist() == [True]
     assert res.fit_residual[0] <= config.eps1
     assert res.split_residual[0] <= config.eps2
@@ -405,26 +437,26 @@ def test_coding_step_dimension_checks():
     a0, Ta0 = flat_start(T)
     y, w = np.zeros((20, 1)), np.ones((20, 1))
     with pytest.raises(GeometryError):
-        coding_step(np.zeros((7, 1)), T, np.ones((7, 1)), cache, config, a0, Ta0)
+        coding_step(np.zeros((7, 1)), cache, np.ones((7, 1)), config, a0, Ta0)
     with pytest.raises(GeometryError):  # one probe is still a column
-        coding_step(np.zeros(20), T, np.ones(20), cache, config, a0, Ta0)
+        coding_step(np.zeros(20), cache, np.ones(20), config, a0, Ta0)
     with pytest.raises(GeometryError):
-        coding_step(y, T, np.ones((20, 2)), cache, config, a0, Ta0)
+        coding_step(y, cache, np.ones((20, 2)), config, a0, Ta0)
     with pytest.raises(GeometryError):
-        coding_step(y, T, w, cache, config, np.zeros((3, 1)), Ta0)
+        coding_step(y, cache, w, config, np.zeros((3, 1)), Ta0)
     with pytest.raises(GeometryError):
-        coding_step(np.zeros((20, 2)), T, np.ones((20, 2)), cache, config, a0, Ta0)
+        coding_step(np.zeros((20, 2)), cache, np.ones((20, 2)), config, a0, Ta0)
     for duals in [(0.0, 0.0), (np.zeros((3, 1)), np.zeros((6, 1))), (np.zeros((20, 1)), np.zeros((3, 1))),
                   (np.zeros(20), np.zeros(6))]:
         with pytest.raises(GeometryError, match="duals"):
-            coding_step(y, T, w, cache, config, a0, Ta0, duals=duals)
+            coding_step(y, cache, w, config, a0, Ta0, duals=duals)
     y2, w2, a2, Ta2 = (np.repeat(x, 2, axis=1) for x in (y, w, a0, Ta0))
     for tol in (np.full(3, 1e-2), np.full((2, 1), 1e-2)):
         with pytest.raises(GeometryError, match="tol"):
-            coding_step(y2, T, w2, cache, config, a2, Ta2, tol=tol)
+            coding_step(y2, cache, w2, config, a2, Ta2, tol=tol)
     # One tolerance serves every column, as a list of one per column does.
-    assert np.array_equal(coding_step(y2, T, w2, cache, config, a2, Ta2, tol=0.5).a,
-                          coding_step(y2, T, w2, cache, config, a2, Ta2, tol=[0.5, 0.5]).a)
+    assert np.array_equal(coding_step(y2, cache, w2, config, a2, Ta2, tol=0.5).a,
+                          coding_step(y2, cache, w2, config, a2, Ta2, tol=[0.5, 0.5]).a)
 
 
 def test_coding_step_warm_start_carries_its_product():
@@ -435,10 +467,10 @@ def test_coding_step_warm_start_carries_its_product():
     y = rng.uniform(0.0, 1.0, (20, 1))
     a0 = rng.uniform(0.0, 0.5, (6, 1))
     with pytest.raises(GeometryError, match="Ta0"):
-        coding_step(y, T, np.ones((20, 1)), cache, config, a0, np.zeros((7, 1)))
+        coding_step(y, cache, np.ones((20, 1)), config, a0, np.zeros((7, 1)))
     for step in (
-        coding_step(y, T, np.ones((20, 1)), cache, config, *flat_start(T)),
-        coding_step(y, T, np.ones((20, 1)), cache, config, a0, T.columns @ a0),
+        coding_step(y, cache, np.ones((20, 1)), config, *flat_start(T)),
+        coding_step(y, cache, np.ones((20, 1)), config, a0, T.columns @ a0),
     ):
         assert np.array_equal(step.Ta, T.columns @ step.a)
 
@@ -449,7 +481,7 @@ def test_coding_step_reports_nonconvergence():
     y = rng.uniform(0.0, 1.0, 25)
     config = SolverConfig(lambda_star=0.0, s_max=2, eps1=1e-12, eps2=1e-12)
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y[:, None], T, np.ones((25, 1)), cache, config, *flat_start(T))
+    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T))
     assert res.converged.tolist() == [False]
     assert res.iterations.tolist() == [2]
 
@@ -547,6 +579,7 @@ def test_solve_warm_started_duals_still_converge(monkeypatch, spy):
     the set's atoms, 0 for an atom that entered it."""
     y, T = _occluded_column_instance()
     lower_gather_cap(monkeypatch, T)
+    tag_restrictions(monkeypatch)
     calls = spy("coding_step", with_args=True)
     res = solve(y, T, method_config("F-IRNNLS", gamma=0.6))
     assert res.converged
@@ -557,7 +590,7 @@ def test_solve_warm_started_duals_still_converge(monkeypatch, spy):
     full_u2 = lambda args, step: coded_coefficients(T.n, args, SimpleNamespace(a=step.u2))
     for (before_args, _, before), (args, kwargs, _) in zip(calls, calls[1:]):
         u1, u2 = kwargs["duals"]
-        atoms = args[1].atoms if isinstance(args[1], WorkingSet) else slice(None)
+        atoms = slice(None) if atoms_of(args[1]) is None else atoms_of(args[1])
         assert np.array_equal(u1, before.u1) and np.array_equal(u2, full_u2(before_args, before)[atoms])
 
 
@@ -673,7 +706,7 @@ def test_solve_reuses_supplied_gram_cache(monkeypatch):
     for full in ([T.n], []):
         log["orders"], log["in_step"], log["steps"] = [], 0, []
         res = solve(y, T, config, cache=cache)
-        assert len(log["steps"]) == res.outer_iterations and all(step is T for step in log["steps"])
+        assert len(log["steps"]) == res.outer_iterations and all(step is cache for step in log["steps"])
         assert log["orders"] == full and log["in_step"] == len(full)
     lower_gather_cap(monkeypatch, T)
     cache = precompute_gram(T, config.gram_ratio)
@@ -681,7 +714,7 @@ def test_solve_reuses_supplied_gram_cache(monkeypatch):
         log["orders"], log["in_step"], log["steps"] = [], 0, []
         res = solve(y, T, config, cache=cache)
         assert len(log["steps"]) == res.outer_iterations and log["in_step"] == 0
-        restricted = [step.atoms.size for step in log["steps"] if isinstance(step, WorkingSet)]
+        restricted = [atoms_of(step).size for step in log["steps"] if atoms_of(step) is not None]
         assert log["orders"] == restricted and len(restricted) == res.outer_iterations and T.n not in restricted
     assert cache._inverse is None
 

@@ -3,6 +3,7 @@ and F-IRSC code each outer step on the atoms in use, and one full KKT product
 per step checks the rest. A 24x21 dictionary fits the cap and is coded on
 every atom, so the tests of working sets lower the cap (lower_gather_cap)."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +16,8 @@ from faceid.classify import identify
 from faceid.corruptions import corrupt, textured_patch
 from faceid.experiment import _image_seed, make_synthetic_benchmark
 from faceid.model import build_dictionary
-from faceid.solver import KKT_TOL, METHODS, method_config, precompute_gram, solve_batch
-from helpers import as_float32, lower_gather_cap, random_dictionary, record_factorizations
+from faceid.solver import KKT_TOL, METHODS, coding_step, method_config, precompute_gram, solve_batch
+from helpers import as_float32, atoms_of, lower_gather_cap, random_dictionary, record_factorizations, tag_restrictions
 
 SPARSE = ("F-IRNNLS", "F-IRSC")
 
@@ -145,6 +146,29 @@ def test_restrict_to_every_atom_forms_the_full_inverse_bit_for_bit(rows, cols, n
     assert np.array_equal(full.restrict(np.arange(n)).apply(np.eye(n)), full.apply(np.eye(n)))
 
 
+@pytest.mark.parametrize("name", ["F-IRNNLS", "F-LR-IRNNLS"])
+def test_restrict_codes_as_a_dictionary_of_the_gathered_columns(name):
+    """A restriction carries its dictionary's geometry, so a coding step on
+    cache.restrict(S) is one on the Dictionary of S's gathered columns: the
+    same counts, and a, z, e and Ta to 1e-12. The low-rank preset reads the
+    geometry in every SVT of the error grid."""
+    T = random_dictionary(np.random.default_rng(61), 24, 21, 60, classes=10)
+    config = method_config(name, gamma=0.6)
+    atoms = np.arange(0, T.n, 3)
+    sub = precompute_gram(T, config.gram_ratio).restrict(atoms)
+    assert sub.geometry == T.geometry
+    gathered = replace(T, columns=T.columns[:, atoms], labels=T.labels[atoms], variation_start=atoms.size)
+    rng = np.random.default_rng(62)
+    y, w = rng.uniform(0.0, 0.1, (T.d, 2)), rng.uniform(0.1, 1.0, (T.d, 2))
+    a0 = np.full((atoms.size, 2), 1.0 / atoms.size)
+    steps = [coding_step(y, cache, w, config, a0, cache.columns @ a0)
+             for cache in (sub, precompute_gram(gathered, config.gram_ratio))]
+    assert steps[0].iterations.tolist() == steps[1].iterations.tolist()
+    assert steps[0].converged.tolist() == steps[1].converged.tolist()
+    for field in ("a", "z", "e", "Ta"):
+        assert np.abs(getattr(steps[0], field) - getattr(steps[1], field)).max() <= 1e-12, field
+
+
 def test_working_set_steps_start_from_their_own_product(monkeypatch, spy):
     """Every coding step on a working set starts from Ta0 = T_S a0, formed
     from the set's gathered columns, bit for bit: the screened first step,
@@ -155,12 +179,13 @@ def test_working_set_steps_start_from_their_own_product(monkeypatch, spy):
     ds = make_synthetic_benchmark(classes=10, per_class=7, seed=0, extra_tests=3)
     T = build_dictionary(ds.train, ds.train_labels, dtype=np.float64)
     lower_gather_cap(monkeypatch, T)
+    tag_restrictions(monkeypatch)
     patch = textured_patch()
     ys = [corrupt(img, _image_seed(0, i), 0.0, 0.5, patch)[0].normalized() for i, img in enumerate(ds.test[:8])]
     config = method_config("F-IRNNLS", gamma=0.6)
     steps = spy("coding_step", record=lambda args, kwargs, out: (
-        args[1].atoms if isinstance(args[1], solver.WorkingSet) else None,
-        isinstance(args[1], solver.WorkingSet)
+        atoms_of(args[1]),
+        atoms_of(args[1]) is not None
         and np.array_equal(kwargs["Ta0"], solver._product(args[1].columns, kwargs["a0"])),
     ))
     left = grew = 0
@@ -274,14 +299,15 @@ def test_screened_first_step_codes_the_top_kkt_atoms(monkeypatch, spy):
     the float32 product."""
     T, ys, _ = _gallery(0, count=8)
     n, cap = T.n, lower_gather_cap(monkeypatch, T, 20)
+    tag_restrictions(monkeypatch)
     checks = spy("_kkt_check", record=lambda args, kwargs, out: (args[0].w.copy(), out[0].copy()))
     steps = spy("coding_step", with_args=True)
     solve_batch(ys, T, method_config("F-IRNNLS", gamma=0.6))
     W, score = checks[0]
     A = T.columns.astype(float)
     for k, (args, kwargs, _) in enumerate(steps[: len(ys)]):
-        atoms = args[1].atoms
-        assert isinstance(args[1], solver.WorkingSet) and atoms.size == cap
+        atoms = atoms_of(args[1])
+        assert atoms is not None and atoms.size == cap
         assert np.array_equal(atoms, np.sort(np.argsort(-score[:, k], kind="stable")[:cap]))
         assert np.array_equal(kwargs["a0"], np.full((cap, 1), 1.0 / n))
         h = 2.0 * A.T @ (W[:, k] * (ys[k].values - A @ np.full(n, 1.0 / n)))
@@ -300,7 +326,7 @@ def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violator
     its set passes the cap by a reserve of GROW_MIN. Neither falls back to
     every atom, and atoms that leave get a = u2 = z = 0."""
     n, d = 20, 4
-    T = SimpleNamespace(columns=np.zeros((d, n), np.float32))
+    cache = SimpleNamespace(columns=np.zeros((d, n), np.float32))
     monkeypatch.setattr(solver, "GATHER_MAX_BYTES", 10 * d * 4)
     inside = np.zeros((n, 2), bool, order="F")
     inside[:10, 0] = inside[:9, 1] = True
@@ -315,7 +341,7 @@ def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violator
     score = np.full((n, 2), -1.0)
     score[[7, 8, 9, 15, 17], 0] = [0.5, 2.0, 1.0, 3.0, 2.5]
     score[9:, 1] = np.arange(9, n)
-    solver._update_working_sets(cols, score, score > 0.0, T)
+    solver._update_working_sets(cols, score, score > 0.0, solver._gather_cap(cache))
     assert np.flatnonzero(cols.inside[:, 0]).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 15, 17]
     assert np.flatnonzero(cols.inside[:, 1]).tolist() == list(range(9)) + list(range(12, 20))
     assert cols.entries[[15, 17], 0].tolist() == [1, 1] and cols.entries[12:, 1].tolist() == [1] * 8
@@ -329,7 +355,7 @@ def test_atoms_that_entered_three_times_are_not_dropped():
     violate leaves the set, unless it has entered it STICKY_ENTRIES times as
     a violator; leaving zeroes its a, u2 and z."""
     n, d = 6, 4
-    T = SimpleNamespace(columns=np.zeros((d, n), np.float32))
+    cache = SimpleNamespace(columns=np.zeros((d, n), np.float32))
     inside = np.ones((n, 2), bool, order="F")
     cols = SimpleNamespace(
         probe=np.arange(2), inside=inside, entries=np.zeros((n, 2), np.int8, order="F"),
@@ -338,7 +364,7 @@ def test_atoms_that_entered_three_times_are_not_dropped():
     )
     cols.entries[2, 1] = solver.STICKY_ENTRIES
     score = np.full((n, 2), -1.0)
-    solver._update_working_sets(cols, score, score > 0.0, T)
+    solver._update_working_sets(cols, score, score > 0.0, solver._gather_cap(cache))
     assert cols.inside[:, 0].tolist() == [True, True, False, False, False, False]
     assert cols.inside[:, 1].tolist() == [True, True, True, False, False, False]
     assert (cols.a[3:, :] == 0.0).all() and (cols.u2[3:, :] == 0.0).all()
@@ -370,9 +396,9 @@ def test_working_set_sizes_hold_one_entry_per_outer_step(acceptance_6_solves, mo
 def test_a_dictionary_inside_the_gather_cap_codes_every_atom_in_lockstep(monkeypatch, spy, name):
     """A dictionary that fits the gather cap is coded on every atom: each
     outer step is one coding step over all the batch's live probes, with no
-    KKT check and no restricted system, and every step codes n atoms. Under
-    a gather cap below n, every coding step codes one probe on a
-    WorkingSet."""
+    KKT check and no restricted system, and every step codes n atoms on the
+    dictionary's own columns. Under a gather cap below n, every coding step
+    codes one probe on a restricted cache."""
     T, ys, _ = _gallery(0, count=8)
     config = method_config(name, gamma=0.6)
     steps = spy("coding_step", with_args=True)
@@ -380,20 +406,22 @@ def test_a_dictionary_inside_the_gather_cap_codes_every_atom_in_lockstep(monkeyp
     restricted = []
     restrict = solver.GramCache.restrict
     monkeypatch.setattr(solver.GramCache, "restrict", lambda cache, atoms: restricted.append(atoms) or restrict(cache, atoms))
+    tag_restrictions(monkeypatch)
     results = solve_batch(ys, T, config)
     assert not checks and not restricted
     outer = [r.outer_iterations for r in results]
     assert len(set(outer)) > 1
     assert len(steps) == max(outer)
     for t, (args, _, _) in enumerate(steps, 1):
-        assert args[1] is T and args[0].shape[1] == sum(o >= t for o in outer)
+        assert args[1].columns is T.columns and args[0].shape[1] == sum(o >= t for o in outer)
     for r in results:
         assert r.working_set_sizes == [T.n] * r.outer_iterations
     steps.clear()
     lower_gather_cap(monkeypatch, T)
     results = solve_batch(ys, T, config)
     assert len(steps) == sum(r.outer_iterations for r in results)
-    assert all(isinstance(args[1], solver.WorkingSet) and args[0].shape[1] == 1 for args, _, _ in steps)
+    assert len(restricted) == len(steps)
+    assert all(atoms_of(args[1]) is not None and args[0].shape[1] == 1 for args, _, _ in steps)
 
 
 def test_subnormal_weighted_residuals_are_flushed(spy):
@@ -409,7 +437,7 @@ def test_subnormal_weighted_residuals_are_flushed(spy):
     cols = SimpleNamespace(w=w, y=rng.uniform(0.0, 0.2, (d, 1)), Ta=np.asfortranarray(rng.uniform(0.0, 0.1, (d, 1))))
     config = method_config("F-IRNNLS")
     products = spy("_product", record=lambda args, kwargs, out: np.asarray(args[1]).copy())
-    score, violator = solver._kkt_check(cols, T, config)
+    score, violator = solver._kkt_check(cols, precompute_gram(T, config.gram_ratio), config)
     tiny = np.finfo(np.float32).tiny
     assert len(products) == 1 and not ((products[0] != 0.0) & (np.abs(products[0]) < tiny)).any()
     assert np.count_nonzero(products[0]) == d - d // 2
