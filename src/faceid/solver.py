@@ -36,8 +36,8 @@ INNER_TOL_RATIO = 0.03
 
 # Over-relaxation factor of the plain (lambda_star = 0) inner loop (Boyd et
 # al. 2011, section 3.4.3): the coefficient and dual updates read alpha * e +
-# (1 - alpha) * (y - T a_prev) and alpha * z + (1 - alpha) * a_prev in place of
-# e and z. Both are combinations of vectors the loop carries, so relaxation
+# (1 - alpha) * res, res = y - T a_prev, and alpha * z + (1 - alpha) * a_prev
+# in place of e and z. Both combine vectors the loop carries, so relaxation
 # costs no dictionary product. It needs both blocks to be exact proximal
 # steps; on the low-rank path e_update shrinks and then thresholds singular
 # values, which is not the joint prox, so that path runs at alpha = 1.
@@ -282,20 +282,20 @@ def precompute_gram(T: Dictionary, ratio: float) -> GramCache:
 @dataclass
 class AdmmState:
     """Inner-loop state of a batch of probes, one column per probe: a, z and
-    u2 are (n, B), e, u1, w and Ta are (d, B); z is None when the l2 kind
+    u2 are (n, B), e, u1, w and res are (d, B); z is None when the l2 kind
     drops the split. The step functions are elementwise apart from their
     products, so a state of 1-d vectors is the one-probe case without the
     column axis.
 
-    Ta carries the product cache.columns @ a for the current a, so that each
-    product is formed once: dual_update forms it, e_update and the outer
-    weight residual read it. coding_step keeps Ta == cache.columns @ a at
-    every e_update; a state that only meets z_update and a_update may leave
-    it None. n counts the cache's atoms (all, or a working set's).
+    res carries the residual y - cache.columns @ a of the current a, formed
+    once: dual_update forms it; e_update, the relaxation, the fit test and the
+    outer weight residual read it. coding_step keeps it current at every
+    e_update; a state that only meets z_update and a_update may leave it
+    None. n counts the cache's atoms (all, or a working set's).
 
     coding_step returns its final state, with one entry per column in each
     of: the iteration count, whether the column converged, and its last fit
-    ||y - Ta - e|| and split ||a - z|| residuals (split stays 0.0 on the l2
+    ||res - e|| and split ||a - z|| residuals (split stays 0.0 on the l2
     path).
     """
 
@@ -305,7 +305,7 @@ class AdmmState:
     u1: np.ndarray
     u2: np.ndarray
     w: np.ndarray
-    Ta: Optional[np.ndarray] = None
+    res: Optional[np.ndarray] = None
     iterations: Optional[np.ndarray] = None
     converged: Optional[np.ndarray] = None
     fit_residual: Optional[np.ndarray] = None
@@ -321,11 +321,10 @@ def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V.T.astype(M.dtype, copy=False) @ M.T).T.astype(np.float64, copy=False)
 
 
-def e_update(state: AdmmState, y, cache: GramCache, config: SolverConfig) -> np.ndarray:
-    """Residual-variable update: weighted shrink, then, when config.low_rank,
-    SVT of each column's grid. Reads the carried product state.Ta; forms
-    none."""
-    r = y - state.Ta + state.u1 / config.rho1
+def e_update(state: AdmmState, cache: GramCache, config: SolverConfig) -> np.ndarray:
+    """Residual-variable update from the carried residual state.res: weighted
+    shrink, then, when config.low_rank, SVT of each column's grid."""
+    r = state.res + state.u1 / config.rho1
     e = shrink_weighted(r, state.w, config.rho1)
     if config.low_rank:
         tau = config.lambda_star / config.rho1
@@ -360,16 +359,16 @@ def a_update(state: AdmmState, y, cache: GramCache, config: SolverConfig) -> np.
 def dual_update(state: AdmmState, y, cache: GramCache, rho1: float, rho2: float):
     """Scaled dual ascent on both constraints; u2 is untouched on the l2 path.
 
-    Returns (u1, u2, Ta): the product Ta = cache.columns @ state.a is formed
-    here once and handed back for the next e_update and the outer residual.
+    Returns (u1, u2, res): res = y - cache.columns @ state.a, formed here once
+    and read by the fit test, the next e_update and the outer weight residual.
     """
-    Ta = _product(cache.columns, state.a)
-    u1 = state.u1 + rho1 * (y - Ta - state.e)
+    res = y - _product(cache.columns, state.a)
+    u1 = state.u1 + rho1 * (res - state.e)
     if state.z is None:
         u2 = state.u2
     else:
         u2 = state.u2 + rho2 * (state.a - state.z)
-    return u1, u2, Ta
+    return u1, u2, res
 
 
 def coding_step(
@@ -378,7 +377,7 @@ def coding_step(
     w,
     config: SolverConfig,
     a0,
-    Ta0,
+    r0,
     duals=None,
     tol=None,
 ) -> AdmmState:
@@ -389,8 +388,8 @@ def coding_step(
     (GramCache.restrict): n is the number of its atoms, and a, z and u2 hold
     their coefficients only. With T = cache.columns, each inner iteration
     forms two dictionary products over the columns still iterating, T' V in
-    a_update and T A in dual_update; the state carries the latter,
-    Ta == T @ a, into the next e_update and out to the caller.
+    a_update and T A in dual_update; the state carries the residual of the
+    latter, res == y - T @ a, into the next e_update and out to the caller.
     A column leaves the loop when it converges: the working arrays are
     compacted, so no product is formed for it afterwards.
 
@@ -410,7 +409,7 @@ def coding_step(
             those the step codes on.
         w: (d, B) pixel weights.
         a0: (n, B) starting coefficients.
-        Ta0: (d, B) product cache.columns @ a0; the caller forms it
+        r0: (d, B) residual y - cache.columns @ a0; the caller forms it
             (solve_batch carries it from the previous step on every atom, and
             forms it over the gathered columns for a step on a working set).
         duals: optional (u1, u2) warm start of shapes (d, B) and (n, B); both
@@ -420,9 +419,9 @@ def coding_step(
 
     Returns:
         The final AdmmState with every column in its place; column j has
-        converged when ||y_j - Ta_j - e_j|| <= tol_j and, unless the l2 kind
-        dropped the split, ||a_j - z_j|| <= eps2. Its Ta is cache.columns @ a
-        for the returned a.
+        converged when ||res_j - e_j|| <= tol_j and, unless the l2 kind
+        dropped the split, ||a_j - z_j|| <= eps2. Its res is
+        y - cache.columns @ a for the returned a.
 
     Raises:
         ConfigError: the cache was built at another ratio than
@@ -444,9 +443,9 @@ def coding_step(
     a = np.asfortranarray(a0, dtype=float)
     if a.shape != (n, m):
         raise GeometryError(f"a0 must have shape (n={n}, B={m})")
-    Ta = np.asfortranarray(Ta0, dtype=float)
-    if Ta.shape != (d, m):
-        raise GeometryError(f"Ta0 must have shape (d={d}, B={m})")
+    res = np.asfortranarray(r0, dtype=float)
+    if res.shape != (d, m):
+        raise GeometryError(f"r0 must have shape (d={d}, B={m})")
     # Per-column scalars are Python floats: the one-probe case is the hot
     # path, and a list is cheaper than an array there.
     tol = np.asarray(config.eps1 if tol is None else tol, dtype=float)
@@ -467,23 +466,23 @@ def coding_step(
         u1=u1,
         u2=u2,
         w=w,
-        Ta=Ta,
+        res=res,
     )
     live = np.arange(m)  # the column of y that each working column codes
     out = None  # the returned state, filled in as columns leave
     alpha = 1.0 if config.low_rank else RELAX
     for s in range(1, config.s_max + 1):
-        e = e_update(state, y, cache, config)
+        e = e_update(state, cache, config)
         z = None if drop_split else z_update(state, config)
         state.e, state.z = e, z
         if alpha != 1.0:  # at 1 the relaxed combination is e and z themselves
-            state.e = alpha * e + (1.0 - alpha) * (y - state.Ta)
+            state.e = alpha * e + (1.0 - alpha) * state.res
             if not drop_split:
                 state.z = alpha * z + (1.0 - alpha) * state.a
         state.a = a_update(state, y, cache, config)
-        state.u1, state.u2, state.Ta = dual_update(state, y, cache, config.rho1, config.rho2)
+        state.u1, state.u2, state.res = dual_update(state, y, cache, config.rho1, config.rho2)
         state.e, state.z = e, z
-        fit = _column_norms(y - state.Ta - e)
+        fit = _column_norms(state.res - e)
         split = [0.0] * len(fit) if drop_split else _column_norms(state.a - z)
         done = [f <= t and g <= config.eps2 for f, g, t in zip(fit, split, tol)]
         last = s == config.s_max or all(done)
@@ -513,7 +512,7 @@ def coding_step(
         # The next iteration reads only these; it computes e and z afresh.
         state = AdmmState(
             a=state.a[:, keep], z=None, e=None, u1=state.u1[:, keep], u2=state.u2[:, keep],
-            w=state.w[:, keep], Ta=state.Ta[:, keep],
+            w=state.w[:, keep], res=state.res[:, keep],
         )
 
 
@@ -557,11 +556,11 @@ class SolveResult:
 @dataclass
 class _Columns:
     """The probes solve_batch is coding, one column (or entry) each: probe is
-    the index in ys of each column; y, Ta and u1 are (d, B); a, u2 and z (the
-    last split variable, zero on the l2 path) are (n, B) over every atom, 0
-    outside a probe's working set; inside marks each probe's working set and
-    entries counts how often each atom has entered it as a violator, both
-    (n, B). w holds each probe's last weights, tol its fit tolerance and
+    the index in ys of each column; y, res (its residual y - T a) and u1 are
+    (d, B); a, u2 and z (the last split variable, zero on the l2 path) are
+    (n, B) over every atom, 0 outside a probe's working set; inside marks each
+    probe's working set and entries counts how often each atom has entered it
+    as a violator, both (n, B). w holds each probe's last weights, tol its fit tolerance and
     change its last relative weight change. All (d, B) and (n, B) arrays are
     Fortran-ordered, as coding_step keeps them; tol and change are lists of
     floats, which cost less than arrays in the one-probe case."""
@@ -569,7 +568,7 @@ class _Columns:
     probe: np.ndarray
     y: np.ndarray
     a: np.ndarray
-    Ta: np.ndarray
+    res: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     z: np.ndarray
@@ -590,11 +589,11 @@ class _Columns:
 def _kkt_check(cols: _Columns, cache: GramCache, config: SolverConfig):
     """The KKT check of every probe in cols at its coefficients a and the
     weights w its last coding step ran under: one full product g = T'(W r),
-    r = y - T a, T = cache.columns, over the batch, with the entries of W r
-    below SUBNORMAL_FLUSH zeroed first. Returns (score, violator), both
+    r = cols.res = y - T a, T = cache.columns, over the batch, with the entries
+    of W r below SUBNORMAL_FLUSH zeroed first. Returns (score, violator), both
     (n, B): score is 2 g (nonneg) or |2 g| - lambda_reg (l1), and an atom
     violates when its score exceeds KKT_TOL * max |2 g| (see KKT_TOL)."""
-    V = cols.w * (cols.y - cols.Ta)
+    V = cols.w * cols.res
     V[np.abs(V) < SUBNORMAL_FLUSH] = 0.0
     H = 2.0 * _product(cache.columns.T, V)
     score = H if config.regularizer == "nonneg" else np.abs(H) - config.lambda_reg
@@ -634,8 +633,8 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
     than the cap can still be reached. A set that would be empty stays as it
     is.
     Atoms that leave get a = u2 = z = 0 (the next step on the set forms its
-    own T_S a_S), written in place: _working_set_steps returns those arrays
-    fresh, and _Columns.take copies.
+    own residual y - T_S a_S), written in place: _working_set_steps returns
+    those arrays fresh, and _Columns.take copies.
     """
     for k in range(cols.probe.size):
         inside, support = cols.inside[:, k], cols.z[:, k] != 0.0
@@ -662,25 +661,24 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
 def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: SolverConfig):
     """One coding step of every probe in cols under its weights W, each alone
     on its working set. A set's columns are gathered and its system formed
-    (GramCache.restrict) just before its step, which starts from T_S a_S
-    over them, so one gathered copy is alive at a time. Returns the AdmmState
-    of all of them, with a, z and u2 over every atom, 0 outside each set."""
+    (GramCache.restrict) just before its step, which starts from y - T_S a_S,
+    so one gathered copy is alive at a time. Returns the AdmmState of all of
+    them, with a, z and u2 over every atom, 0 outside each set."""
     (d, n), m = cache.columns.shape, cols.probe.size
     out = AdmmState(
         a=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"), e=np.empty((d, m), order="F"),
-        u1=np.empty((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=W, Ta=np.empty((d, m), order="F"),
+        u1=np.empty((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=W, res=np.empty((d, m), order="F"),
         iterations=np.empty(m, int), converged=np.empty(m, bool), fit_residual=np.empty(m),
         split_residual=np.empty(m),
     )
     for k in range(m):
         ks, rows = slice(k, k + 1), np.flatnonzero(cols.inside[:, k])
-        sub = cache.restrict(rows)
-        step = coding_step(cols.y[:, ks], sub, W[:, ks], config, a0=cols.a[rows, ks],
-                           Ta0=_product(sub.columns, cols.a[rows, ks]), duals=(cols.u1[:, ks], cols.u2[rows, ks]),
-                           tol=cols.tol[k])
+        sub, y, a0 = cache.restrict(rows), cols.y[:, ks], cols.a[rows, ks]
+        step = coding_step(y, sub, W[:, ks], config, a0=a0, r0=y - _product(sub.columns, a0),
+                           duals=(cols.u1[:, ks], cols.u2[rows, ks]), tol=cols.tol[k])
         for name in ("a", "z", "u2"):
             getattr(out, name)[rows, ks] = getattr(step, name)
-        for name in ("e", "u1", "Ta"):
+        for name in ("e", "u1", "res"):
             getattr(out, name)[:, ks] = getattr(step, name)
         for name in ("iterations", "converged", "fit_residual", "split_residual"):
             getattr(out, name)[ks] = getattr(step, name)
@@ -706,7 +704,7 @@ def solve_batch(
     min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
     which lies in [INNER_TOL_RATIO * eps3, eps1]. T a is formed once for the
     flat start, which every probe shares; every later weight residual reuses
-    the product the coding step carries. A probe leaves the batch when its
+    the residual y - T a that the coding step carries. A probe leaves the batch when its
     solve stops, and each one that stops at a cap logs one warning naming it.
 
     A solve codes on working sets when SolverConfig.working_set holds and
@@ -762,7 +760,7 @@ def solve_batch(
     a0 = np.full((n, 1), 1.0 / n)
     cols = _Columns(
         probe=np.arange(m), y=Y, a=np.asfortranarray(np.repeat(a0, m, axis=1)),
-        Ta=np.asfortranarray(np.repeat(_product(T.columns, a0), m, axis=1)),
+        res=Y - _product(T.columns, a0),
         u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"),
         inside=np.ones((n, m), bool, order="F"), entries=np.zeros((n, m), np.int8, order="F"),
         w=np.empty((d, m), order="F"), tol=[config.eps1] * m, change=[math.nan] * m,
@@ -776,7 +774,7 @@ def solve_batch(
     while cols.probe.size:
         W = np.empty_like(cols.y)
         failed = []
-        for k, r in enumerate((cols.y - cols.Ta).T):
+        for k, r in enumerate(cols.res.T):
             try:
                 W[:, k] = weight_update(r, config.weights).values
             except NumericError as exc:
@@ -798,14 +796,14 @@ def solve_batch(
             if working:
                 step = _working_set_steps(cols, W, cache, config)
             else:
-                step = coding_step(cols.y, cache, W, config, a0=cols.a, Ta0=cols.Ta, duals=(cols.u1, cols.u2),
+                step = coding_step(cols.y, cache, W, config, a0=cols.a, r0=cols.res, duals=(cols.u1, cols.u2),
                                    tol=cols.tol)
         except NumericError as exc:
             # Which column raised is not known: each probe is solved again alone.
             for j in cols.probe:
                 outcomes[j] = exc if cols.probe.size == 1 else solve_batch([ys[j]], T, config, cache)[0]
             break
-        cols.a, cols.Ta, cols.u1, cols.u2, cols.w = step.a, step.Ta, step.u1, step.u2, W
+        cols.a, cols.res, cols.u1, cols.u2, cols.w = step.a, step.res, step.u1, step.u2, W
         if step.z is not None:
             cols.z = step.z
         probes, converged = cols.probe.tolist(), step.converged.tolist()

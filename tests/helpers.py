@@ -142,10 +142,10 @@ def as_float32(T):
     return replace(T, columns=T.columns.astype(np.float32))
 
 
-def flat_start(T):
-    """(a0, Ta0) for a one-probe coding_step: the flat coefficients 1/n that
-    solve_batch starts from, as an (n, 1) column, and their product
-    T.columns @ a0, (d, 1)."""
-    n = T.columns.shape[1]
-    a0 = np.full((n, 1), 1.0 / n)
-    return a0, T.columns @ a0
+def flat_start(T, y):
+    """(a0, r0) for a coding_step of the (d, B) probes y: the flat
+    coefficients 1/n that solve_batch starts from, (n, B), and their residual
+    y - T.columns @ a0, (d, B)."""
+    n, m = T.columns.shape[1], y.shape[1]
+    a0 = np.full((n, m), 1.0 / n)
+    return a0, y - T.columns @ a0

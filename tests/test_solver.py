@@ -49,9 +49,10 @@ from helpers import (
 from oracle import objective_value
 
 
-def _state(rng, T, config, scale=0.1):
-    """AdmmState with small random content, dimensioned for T, carrying the
-    product Ta = T.columns @ a that coding_step keeps."""
+def _state(rng, T, config, y=None, scale=0.1):
+    """AdmmState with small random content, dimensioned for T, carrying, when
+    the observation y is given, the residual res = y - T.columns @ a that
+    coding_step keeps."""
     d, n = T.columns.shape
     drop_split = config.regularizer == "l2"
     a = rng.normal(scale=scale, size=n)
@@ -62,7 +63,7 @@ def _state(rng, T, config, scale=0.1):
         u1=rng.normal(scale=scale, size=d),
         u2=rng.normal(scale=scale, size=n),
         w=rng.uniform(0.1, 1.0, size=d),
-        Ta=T.columns @ a,
+        res=None if y is None else y - T.columns @ a,
     )
 
 
@@ -209,11 +210,11 @@ def test_e_update_low_rank_off_equals_zero_threshold(spy):
     y = rng.uniform(0.0, 1.0, 20)
     config = SolverConfig(lambda_star=0.0)
     assert not config.low_rank
-    state = _state(rng, T, config)
+    state = _state(rng, T, config, y)
     svt_calls = spy("svt")
     r = y - T.columns @ state.a + state.u1 / config.rho1
     cache = precompute_gram(T, config.gram_ratio)
-    assert np.array_equal(e_update(state, y, cache, config), shrink_weighted(r, state.w, config.rho1))
+    assert np.array_equal(e_update(state, cache, config), shrink_weighted(r, state.w, config.rho1))
     assert svt_calls == []
 
 
@@ -222,10 +223,10 @@ def test_e_update_vanishing_weights_pass_residual_through():
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     y = rng.uniform(0.0, 1.0, 20)
     config = SolverConfig(lambda_star=0.0)
-    state = _state(rng, T, config)
+    state = _state(rng, T, config, y)
     state.w = np.full(20, 1e-30)
     r = y - T.columns @ state.a + state.u1 / config.rho1
-    assert np.allclose(e_update(state, y, precompute_gram(T, config.gram_ratio), config), r, atol=1e-12)
+    assert np.allclose(e_update(state, precompute_gram(T, config.gram_ratio), config), r, atol=1e-12)
 
 
 def test_e_update_low_rank_contracts_nuclear_norm():
@@ -234,24 +235,25 @@ def test_e_update_low_rank_contracts_nuclear_norm():
     y = rng.uniform(0.0, 1.0, 20)
     lr = SolverConfig(lambda_star=0.05)
     flat = SolverConfig(lambda_star=0.0)
-    state = _state(rng, T, lr)
+    state = _state(rng, T, lr, y)
     cache = precompute_gram(T, lr.gram_ratio)
-    shrunk = e_update(state, y, cache, flat)
-    low_rank = e_update(state, y, cache, lr)
+    shrunk = e_update(state, cache, flat)
+    low_rank = e_update(state, cache, lr)
     nuc = lambda v: np.linalg.svd(v.reshape(4, 5, order="F"), compute_uv=False).sum()
     assert nuc(low_rank) <= nuc(shrunk) + 1e-12
 
 
-def test_e_update_follows_carried_product():
+def test_e_update_follows_carried_residual():
+    """e_update reads the residual the state carries, not y - T a afresh."""
     rng = np.random.default_rng(4)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     y = rng.uniform(0.0, 1.0, 20)
     config = SolverConfig(lambda_star=0.0)
     state = _state(rng, T, config)
-    state.Ta = T.columns @ state.a + rng.normal(size=20)
-    r = y - state.Ta + state.u1 / config.rho1
+    state.res = y - (T.columns @ state.a + rng.normal(size=20))
+    r = state.res + state.u1 / config.rho1
     cache = precompute_gram(T, config.gram_ratio)
-    assert np.array_equal(e_update(state, y, cache, config), shrink_weighted(r, state.w, config.rho1))
+    assert np.array_equal(e_update(state, cache, config), shrink_weighted(r, state.w, config.rho1))
 
 
 def test_z_update_nonneg_projection():
@@ -331,7 +333,7 @@ def test_coding_step_rejects_mismatched_cache():
     small = random_dictionary(rng, 4, 5, 4, classes=2)
     other_ratio = precompute_gram(T, 5.0)
     with pytest.raises(ConfigError, match="gram cache ratio"):
-        coding_step(y[:, None], other_ratio, np.ones((20, 1)), config, *flat_start(T))
+        coding_step(y[:, None], other_ratio, np.ones((20, 1)), config, *flat_start(T, y[:, None]))
     for foreign in (other_ratio, precompute_gram(small, config.gram_ratio)):
         with pytest.raises(ConfigError, match="gram cache"):
             solve(y, T, config, cache=foreign)
@@ -422,7 +424,7 @@ def test_coding_step_reaches_feasible_reconstruction():
         regularizer="nonneg", lambda_star=0.0, weights=WeightFunction.constant_one()
     )
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T))
+    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T, y[:, None]))
     assert res.converged.tolist() == [True]
     assert res.fit_residual[0] <= config.eps1
     assert res.split_residual[0] <= config.eps2
@@ -434,45 +436,45 @@ def test_coding_step_dimension_checks():
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     config = SolverConfig(lambda_star=0.0)
     cache = precompute_gram(T, config.gram_ratio)
-    a0, Ta0 = flat_start(T)
     y, w = np.zeros((20, 1)), np.ones((20, 1))
+    a0, r0 = flat_start(T, y)
     with pytest.raises(GeometryError):
-        coding_step(np.zeros((7, 1)), cache, np.ones((7, 1)), config, a0, Ta0)
+        coding_step(np.zeros((7, 1)), cache, np.ones((7, 1)), config, a0, r0)
     with pytest.raises(GeometryError):  # one probe is still a column
-        coding_step(np.zeros(20), cache, np.ones(20), config, a0, Ta0)
+        coding_step(np.zeros(20), cache, np.ones(20), config, a0, r0)
     with pytest.raises(GeometryError):
-        coding_step(y, cache, np.ones((20, 2)), config, a0, Ta0)
+        coding_step(y, cache, np.ones((20, 2)), config, a0, r0)
     with pytest.raises(GeometryError):
-        coding_step(y, cache, w, config, np.zeros((3, 1)), Ta0)
+        coding_step(y, cache, w, config, np.zeros((3, 1)), r0)
     with pytest.raises(GeometryError):
-        coding_step(np.zeros((20, 2)), cache, np.ones((20, 2)), config, a0, Ta0)
+        coding_step(np.zeros((20, 2)), cache, np.ones((20, 2)), config, a0, r0)
     for duals in [(0.0, 0.0), (np.zeros((3, 1)), np.zeros((6, 1))), (np.zeros((20, 1)), np.zeros((3, 1))),
                   (np.zeros(20), np.zeros(6))]:
         with pytest.raises(GeometryError, match="duals"):
-            coding_step(y, cache, w, config, a0, Ta0, duals=duals)
-    y2, w2, a2, Ta2 = (np.repeat(x, 2, axis=1) for x in (y, w, a0, Ta0))
+            coding_step(y, cache, w, config, a0, r0, duals=duals)
+    y2, w2, a2, r2 = (np.repeat(x, 2, axis=1) for x in (y, w, a0, r0))
     for tol in (np.full(3, 1e-2), np.full((2, 1), 1e-2)):
         with pytest.raises(GeometryError, match="tol"):
-            coding_step(y2, cache, w2, config, a2, Ta2, tol=tol)
+            coding_step(y2, cache, w2, config, a2, r2, tol=tol)
     # One tolerance serves every column, as a list of one per column does.
-    assert np.array_equal(coding_step(y2, cache, w2, config, a2, Ta2, tol=0.5).a,
-                          coding_step(y2, cache, w2, config, a2, Ta2, tol=[0.5, 0.5]).a)
+    assert np.array_equal(coding_step(y2, cache, w2, config, a2, r2, tol=0.5).a,
+                          coding_step(y2, cache, w2, config, a2, r2, tol=[0.5, 0.5]).a)
 
 
-def test_coding_step_warm_start_carries_its_product():
+def test_coding_step_warm_start_carries_its_residual():
     rng = np.random.default_rng(13)
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     config = SolverConfig(lambda_star=0.0)
     cache = precompute_gram(T, config.gram_ratio)
     y = rng.uniform(0.0, 1.0, (20, 1))
     a0 = rng.uniform(0.0, 0.5, (6, 1))
-    with pytest.raises(GeometryError, match="Ta0"):
+    with pytest.raises(GeometryError, match="r0"):
         coding_step(y, cache, np.ones((20, 1)), config, a0, np.zeros((7, 1)))
     for step in (
-        coding_step(y, cache, np.ones((20, 1)), config, *flat_start(T)),
-        coding_step(y, cache, np.ones((20, 1)), config, a0, T.columns @ a0),
+        coding_step(y, cache, np.ones((20, 1)), config, *flat_start(T, y)),
+        coding_step(y, cache, np.ones((20, 1)), config, a0, y - T.columns @ a0),
     ):
-        assert np.array_equal(step.Ta, T.columns @ step.a)
+        assert np.array_equal(step.res, y - T.columns @ step.a)
 
 
 def test_coding_step_reports_nonconvergence():
@@ -481,7 +483,7 @@ def test_coding_step_reports_nonconvergence():
     y = rng.uniform(0.0, 1.0, 25)
     config = SolverConfig(lambda_star=0.0, s_max=2, eps1=1e-12, eps2=1e-12)
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T))
+    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T, y[:, None]))
     assert res.converged.tolist() == [False]
     assert res.iterations.tolist() == [2]
 
@@ -545,8 +547,8 @@ def test_solve_frozen_trace_monotone(spy, frozen_weights):
     rng = np.random.default_rng(25)
     T = random_dictionary(rng, 5, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-    a0, Ta0 = flat_start(T)
-    mu, eta = logistic_params(y.values - Ta0[:, 0], 0.6)
+    a0, r0 = flat_start(T, y.values[:, None])
+    mu, eta = logistic_params(r0[:, 0], 0.6)
     frozen_weights(mu, eta)
     config = SolverConfig(
         regularizer="nonneg", lambda_star=0.0,
@@ -721,12 +723,12 @@ def test_solve_reuses_supplied_gram_cache(monkeypatch):
 
 def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):
     """Each inner iteration forms T' v (a_update) and T a (dual_update); the
-    carried T a serves the next e_update and the outer weight residual, so a
-    solve forms 2 * inner + 1 products, the one extra for the flat start:
-    every preset's, since the dictionary fits the gather cap and is coded on
-    every atom. Under a gather cap of n - 1 atoms F-IRNNLS and F-IRSC code
+    carried residual y - T a serves the next e_update and the outer weight
+    residual, so a solve forms 2 * inner + 1 products, the one extra for the
+    flat start: every preset's, since the dictionary fits the gather cap and
+    is coded on every atom. Under a gather cap of n - 1 atoms F-IRNNLS and F-IRSC code
     every step on a working set, whose products use its gathered columns: 2
-    per inner iteration, plus one that forms T_S a_S, the step's start. The
+    per inner iteration, plus one for the step's start y - T_S a_S. The
     full products are then the flat start, the KKT check that screens the
     first step, and one KKT check per outer step."""
     rng = np.random.default_rng(0)
@@ -895,35 +897,86 @@ def test_batch_failure_ends_only_its_own_probe(monkeypatch, caplog):
 
 @pytest.mark.parametrize("name", sorted(METHODS))
 def test_coding_step_residuals_are_those_of_its_iterates(name, spy):
-    """Every step reports exactly ||y - Ta - e|| and ||a - z|| of the Ta, a,
-    e and z it returns (0.0 split on the l2 path), whatever its relaxation
-    factor; Ta is the product over the columns it coded on, every atom's or
-    a working set's."""
+    """Every step reports exactly ||res - e|| and ||a - z|| of the res, a, e
+    and z it returns (0.0 split on the l2 path), whatever its relaxation
+    factor; res is y - T a over the columns it coded on, every atom's or a
+    working set's."""
     y, T = _occluded_column_instance()
     steps = spy("coding_step", record=lambda args, kwargs, step: (args[1].columns, step))
     solve(y, T, method_config(name, gamma=0.6))
     assert steps
     for columns, step in steps:
-        assert np.array_equal(step.Ta, columns @ step.a)
-        assert step.fit_residual.tolist() == [np.linalg.norm(y.values - step.Ta[:, 0] - step.e[:, 0])]
+        assert np.array_equal(step.res, y.values[:, None] - columns @ step.a)
+        assert step.fit_residual.tolist() == [np.linalg.norm(step.res[:, 0] - step.e[:, 0])]
         if step.z is None:
             assert step.split_residual.tolist() == [0.0]
         else:
             assert step.split_residual.tolist() == [np.linalg.norm(step.a[:, 0] - step.z[:, 0])]
 
 
+class _CountsSubtractions(np.ndarray):
+    """ndarray view that counts the subtractions it enters as an operand, on
+    either side; results are plain ndarrays, and its slices count too."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountsSubtractions.calls += ufunc is np.subtract and method == "__call__"
+        inputs = [np.asarray(x) if isinstance(x, _CountsSubtractions) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_carried_residual_is_formed_once_per_inner_iteration(name, monkeypatch, spy):
+    """The state carries res = y - T a, T the columns a step codes on: at
+    every e_update and in every state a step returns it is
+    y - _product(T, a) bit for bit, on every atom and, under a gather cap
+    of n - 1 atoms, on working sets. One coding step of a batch, on every
+    atom or on a restricted cache, puts y into two (d, B) subtractions per
+    inner iteration, a_update's and dual_update's, and into no other."""
+    y, T = _occluded_column_instance()
+    config = method_config(name, gamma=0.6)
+    Y = y.values[:, None]
+    current = lambda columns, a, res: np.array_equal(res, Y - solver._product(columns, a))
+    at_e = spy("e_update", record=lambda args, kwargs, e: current(args[1].columns, args[0].a, args[0].res))
+    steps = spy("coding_step", record=lambda args, kwargs, step: (
+        args[1].columns.shape[1], current(args[1].columns, step.a, step.res)))
+    for capped in (False, True):
+        if capped:
+            lower_gather_cap(monkeypatch, T)
+        at_e.clear()
+        steps.clear()
+        solve(y, T, config)
+        assert at_e and all(at_e) and steps and all(ok for _, ok in steps), capped
+        coded = {n for n, _ in steps}
+        assert T.n not in coded if capped and config.working_set else coded == {T.n}, capped
+
+    Y2 = np.asfortranarray(np.column_stack([y.values, T.columns[:, 3]]))
+    full = precompute_gram(T, config.gram_ratio)
+    # coding_step keeps y in Fortran order through np.asfortranarray; let the
+    # counting view (Fortran-ordered float64 already) through it unconverted.
+    fortran = np.asfortranarray
+    monkeypatch.setattr(np, "asfortranarray", lambda a, dtype=None: (
+        a if isinstance(a, _CountsSubtractions) else fortran(a, dtype=dtype)))
+    for cache in (full, full.restrict(np.arange(0, T.n, 2))):
+        a0, r0 = flat_start(cache, Y2)  # flat_start reads only .columns
+        _CountsSubtractions.calls = 0
+        step = coding_step(Y2.view(_CountsSubtractions), cache, np.ones_like(Y2), config, a0, r0)
+        assert _CountsSubtractions.calls == 2 * step.iterations.max() > 0, cache.columns.shape
+
+
 @pytest.mark.parametrize(
     "name", ["F-IRNNLS", "F-IRLS", "F-IRSC", "F-LR-IRNNLS", "F-LR-IRLS", "F-LR-IRSC"]
 )
 def test_a_update_reads_relaxed_iterates_only_at_zero_nuclear_weight(name, spy):
-    """At lambda_star = 0, a_update reads RELAX * e + (1 - RELAX) * (y - T a_prev)
-    and RELAX * z + (1 - RELAX) * a_prev; at lambda_star > 0 exactly the e and z
+    """At lambda_star = 0, a_update reads RELAX * e + (1 - RELAX) * res, with
+    res = y - T a_prev, and RELAX * z + (1 - RELAX) * a_prev; at lambda_star > 0 exactly the e and z
     that e_update and z_update returned. The returned state holds the
     unrelaxed e and z."""
     y, T = _occluded_column_instance()
     config = method_config(name, gamma=0.6)
     copy = lambda v: None if v is None else v.copy()
-    es = spy("e_update", record=lambda args, kwargs, e: (e, args[0].Ta.copy()))
+    es = spy("e_update", record=lambda args, kwargs, e: (e, args[0].res.copy()))
     zs = spy("z_update", record=lambda args, kwargs, z: (z, args[0].a.copy()))
     read = spy("a_update", record=lambda args, kwargs, a: (args[0].e.copy(), copy(args[0].z)))
     steps = spy("coding_step")
@@ -933,9 +986,9 @@ def test_a_update_reads_relaxed_iterates_only_at_zero_nuclear_weight(name, spy):
         assert zs == [] and all(z is None for _, z in read)
         zs = [(None, None)] * len(read)
     relax = not METHODS[name][1]  # the presets without the low-rank flag
-    for (e, Ta_prev), (z, a_prev), (e_read, z_read) in zip(es, zs, read):
+    for (e, res_prev), (z, a_prev), (e_read, z_read) in zip(es, zs, read):
         if relax:
-            assert np.array_equal(e_read, RELAX * e + (1.0 - RELAX) * (y.values[:, None] - Ta_prev))
+            assert np.array_equal(e_read, RELAX * e + (1.0 - RELAX) * res_prev)
             if z is not None:
                 assert np.array_equal(z_read, RELAX * z + (1.0 - RELAX) * a_prev)
         else:

@@ -150,7 +150,7 @@ def test_restrict_to_every_atom_forms_the_full_inverse_bit_for_bit(rows, cols, n
 def test_restrict_codes_as_a_dictionary_of_the_gathered_columns(name):
     """A restriction carries its dictionary's geometry, so a coding step on
     cache.restrict(S) is one on the Dictionary of S's gathered columns: the
-    same counts, and a, z, e and Ta to 1e-12. The low-rank preset reads the
+    same counts, and a, z, e and res to 1e-12. The low-rank preset reads the
     geometry in every SVT of the error grid."""
     T = random_dictionary(np.random.default_rng(61), 24, 21, 60, classes=10)
     config = method_config(name, gamma=0.6)
@@ -161,16 +161,16 @@ def test_restrict_codes_as_a_dictionary_of_the_gathered_columns(name):
     rng = np.random.default_rng(62)
     y, w = rng.uniform(0.0, 0.1, (T.d, 2)), rng.uniform(0.1, 1.0, (T.d, 2))
     a0 = np.full((atoms.size, 2), 1.0 / atoms.size)
-    steps = [coding_step(y, cache, w, config, a0, cache.columns @ a0)
+    steps = [coding_step(y, cache, w, config, a0, y - cache.columns @ a0)
              for cache in (sub, precompute_gram(gathered, config.gram_ratio))]
     assert steps[0].iterations.tolist() == steps[1].iterations.tolist()
     assert steps[0].converged.tolist() == steps[1].converged.tolist()
-    for field in ("a", "z", "e", "Ta"):
+    for field in ("a", "z", "e", "res"):
         assert np.abs(getattr(steps[0], field) - getattr(steps[1], field)).max() <= 1e-12, field
 
 
-def test_working_set_steps_start_from_their_own_product(monkeypatch, spy):
-    """Every coding step on a working set starts from Ta0 = T_S a0, formed
+def test_working_set_steps_start_from_their_own_residual(monkeypatch, spy):
+    """Every coding step on a working set starts from r0 = y - T_S a0, formed
     from the set's gathered columns, bit for bit: the screened first step,
     a step on a set that atoms left, and one on a set that only grew, whose
     product over fewer columns rounds differently. float64 columns, on which
@@ -186,7 +186,7 @@ def test_working_set_steps_start_from_their_own_product(monkeypatch, spy):
     steps = spy("coding_step", record=lambda args, kwargs, out: (
         atoms_of(args[1]),
         atoms_of(args[1]) is not None
-        and np.array_equal(kwargs["Ta0"], solver._product(args[1].columns, kwargs["a0"])),
+        and np.array_equal(kwargs["r0"], args[0] - solver._product(args[1].columns, kwargs["a0"])),
     ))
     left = grew = 0
     for y in ys:
@@ -434,13 +434,14 @@ def test_subnormal_weighted_residuals_are_flushed(spy):
     rng = np.random.default_rng(6)
     w = rng.uniform(0.1, 1.0, (d, 1))
     w[: d // 2] = 1e-40  # w r near 1e-41, below float32's smallest normal
-    cols = SimpleNamespace(w=w, y=rng.uniform(0.0, 0.2, (d, 1)), Ta=np.asfortranarray(rng.uniform(0.0, 0.1, (d, 1))))
+    y, Ta = rng.uniform(0.0, 0.2, (d, 1)), np.asfortranarray(rng.uniform(0.0, 0.1, (d, 1)))
+    cols = SimpleNamespace(w=w, res=y - Ta)
     config = method_config("F-IRNNLS")
     products = spy("_product", record=lambda args, kwargs, out: np.asarray(args[1]).copy())
     score, violator = solver._kkt_check(cols, precompute_gram(T, config.gram_ratio), config)
     tiny = np.finfo(np.float32).tiny
     assert len(products) == 1 and not ((products[0] != 0.0) & (np.abs(products[0]) < tiny)).any()
     assert np.count_nonzero(products[0]) == d - d // 2
-    h = 2.0 * T.columns.astype(float).T @ (w * (cols.y - cols.Ta))
+    h = 2.0 * T.columns.astype(float).T @ (w * (y - Ta))
     assert np.abs(score - h).max() <= 1e-5 * np.abs(h).max()
     assert np.array_equal(violator[:, 0], h[:, 0] > KKT_TOL * np.abs(h).max())
