@@ -88,10 +88,6 @@ class FaceVector:
         v.flags.writeable = False
         return v
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
     def normalized(self) -> "FaceVector":
         """Unit l2 copy; zero vectors cannot be normalized."""
         v = self.values

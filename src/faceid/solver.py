@@ -73,9 +73,9 @@ STICKY_ENTRIES = 3
 # is 48 float32 atoms at 96x84, and more atoms than a 24x21 dictionary has.
 # solve_batch codes on working sets only when the cap is below n: a
 # dictionary that fits it is small enough to code whole, and a gather saves
-# it little. A working-set solve screens its first outer step to the cap's
-# worth of atoms, and truncates a set that would outgrow the cap down to its
-# support and room for violators (_update_working_sets).
+# it little. A working-set solve's first set update keeps the cap's worth of
+# atoms, and every update truncates a set that would outgrow the cap down to
+# its support and room for violators (_update_working_sets).
 GATHER_MAX_BYTES = 3 * 2**19
 # Entries of W r below float32's smallest normal are zeroed before the KKT
 # product: the logistic weights reach that range, and subnormal operands slow
@@ -560,8 +560,10 @@ class _Columns:
     (d, B); a, u2 and z (the last split variable, zero on the l2 path) are
     (n, B) over every atom, 0 outside a probe's working set; inside marks each
     probe's working set and entries counts how often each atom has entered it
-    as a violator, both (n, B). w holds each probe's last weights, tol its fit tolerance and
-    change its last relative weight change. All (d, B) and (n, B) arrays are
+    as a violator, and score and violator the KKT check (_kkt_check) that it
+    carries into its next set update (None off working sets), all (n, B). w
+    holds each probe's last weights, tol its fit tolerance and change its
+    last relative weight change. All (d, B) and (n, B) arrays are
     Fortran-ordered, as coding_step keeps them; tol and change are lists of
     floats, which cost less than arrays in the one-probe case."""
 
@@ -574,6 +576,8 @@ class _Columns:
     z: np.ndarray
     inside: np.ndarray
     entries: np.ndarray
+    score: Optional[np.ndarray]
+    violator: Optional[np.ndarray]
     w: np.ndarray
     tol: list
     change: list
@@ -581,19 +585,20 @@ class _Columns:
     def take(self, keep: np.ndarray) -> "_Columns":
         """The columns that the boolean mask keep selects, in every field."""
         return _Columns(**{
-            k: v[..., keep] if isinstance(v, np.ndarray) else [x for x, kept in zip(v, keep) if kept]
+            k: v[..., keep] if isinstance(v, np.ndarray)
+            else None if v is None else [x for x, kept in zip(v, keep) if kept]
             for k, v in vars(self).items()
         })
 
 
-def _kkt_check(cols: _Columns, cache: GramCache, config: SolverConfig):
-    """The KKT check of every probe in cols at its coefficients a and the
-    weights w its last coding step ran under: one full product g = T'(W r),
-    r = cols.res = y - T a, T = cache.columns, over the batch, with the entries
-    of W r below SUBNORMAL_FLUSH zeroed first. Returns (score, violator), both
-    (n, B): score is 2 g (nonneg) or |2 g| - lambda_reg (l1), and an atom
-    violates when its score exceeds KKT_TOL * max |2 g| (see KKT_TOL)."""
-    V = cols.w * cols.res
+def _kkt_check(w: np.ndarray, res: np.ndarray, cache: GramCache, config: SolverConfig):
+    """The KKT check of a batch's coefficients a under the weights w, from
+    their residuals res = y - T a, T = cache.columns, both (d, B): one full
+    product g = T'(W r) over the batch, with the entries of W r below
+    SUBNORMAL_FLUSH zeroed first. Returns (score, violator), both (n, B):
+    score is 2 g (nonneg) or |2 g| - lambda_reg (l1), and an atom violates
+    when its score exceeds KKT_TOL * max |2 g| (see KKT_TOL)."""
+    V = w * res
     V[np.abs(V) < SUBNORMAL_FLUSH] = 0.0
     H = 2.0 * _product(cache.columns.T, V)
     score = H if config.regularizer == "nonneg" else np.abs(H) - config.lambda_reg
@@ -606,19 +611,9 @@ def _gather_cap(cache: GramCache) -> int:
     return max(1, GATHER_MAX_BYTES // (cache.columns.shape[0] * cache.columns.itemsize))
 
 
-def _screen(cols: _Columns, score: np.ndarray, cap: int):
-    """Start every probe's working set (cols.inside) from the cap atoms of
-    highest KKT score at the flat start (_kkt_check), in place of every
-    atom; a = 0 outside it."""
-    top = np.argsort(-score, axis=0, kind="stable")[:cap]
-    cols.inside[:] = False
-    np.put_along_axis(cols.inside, top, True, axis=0)
-    cols.a[~cols.inside] = 0.0
-
-
-def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray, cap: int):
-    """Grow and shrink every probe's working set (cols.inside) from its KKT
-    check (_kkt_check).
+def _update_working_sets(cols: _Columns, cap: int):
+    """Grow and shrink every probe's working set (cols.inside) from the KKT
+    check it carries (cols.score and cols.violator).
 
     A probe's next set keeps the atoms of its set with z != 0, those that
     violate, and those that have entered STICKY_ENTRIES times, and adds at
@@ -632,10 +627,15 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
     the cap only to hold them, and a solution whose support needs more atoms
     than the cap can still be reached. A set that would be empty stays as it
     is.
+    The first update reads the check of the flat start a = 1/n with every
+    atom flagged: no atom is at zero there, so the KKT test of an atom at
+    zero does not hold for it (it may find no violator). With every atom
+    inside, z = 0 and no entries, it keeps the cap's worth of highest score.
     Atoms that leave get a = u2 = z = 0 (the next step on the set forms its
     own residual y - T_S a_S), written in place: _working_set_steps returns
     those arrays fresh, and _Columns.take copies.
     """
+    score, violator = cols.score, cols.violator
     for k in range(cols.probe.size):
         inside, support = cols.inside[:, k], cols.z[:, k] != 0.0
         sticky = cols.entries[:, k] >= STICKY_ENTRIES
@@ -658,12 +658,20 @@ def _update_working_sets(cols: _Columns, score: np.ndarray, violator: np.ndarray
         cols.inside[:, k] = new
 
 
-def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: SolverConfig):
-    """One coding step of every probe in cols under its weights W, each alone
-    on its working set. A set's columns are gathered and its system formed
-    (GramCache.restrict) just before its step, which starts from y - T_S a_S,
-    so one gathered copy is alive at a time. Returns the AdmmState of all of
-    them, with a, z and u2 over every atom, 0 outside each set."""
+def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: SolverConfig, cap: int,
+                       first: bool):
+    """One working-set outer step of every probe in cols under its weights W:
+    update each set from the check its probe carries (_update_working_sets;
+    the first step checks the flat start under W, every atom flagged), code
+    each probe alone on its set, and check the new coefficients under W into
+    cols.score and cols.violator (_kkt_check). A set's columns are gathered
+    and its system formed (GramCache.restrict) just before its step, which
+    starts from y - T_S a_S, so one gathered copy is alive at a time. Returns
+    the AdmmState of all of them, with a, z and u2 over every atom, 0 outside
+    each set."""
+    if first:
+        cols.score, cols.violator = _kkt_check(W, cols.res, cache, config)[0], np.ones_like(cols.inside)
+    _update_working_sets(cols, cap)
     (d, n), m = cache.columns.shape, cols.probe.size
     out = AdmmState(
         a=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"), e=np.empty((d, m), order="F"),
@@ -682,6 +690,7 @@ def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: 
             getattr(out, name)[:, ks] = getattr(step, name)
         for name in ("iterations", "converged", "fit_residual", "split_residual"):
             getattr(out, name)[ks] = getattr(step, name)
+    cols.score, cols.violator = _kkt_check(W, out.res, cache, config)
     return out
 
 
@@ -710,16 +719,14 @@ def solve_batch(
     A solve codes on working sets when SolverConfig.working_set holds and
     T's columns outgrow the gather cap (GATHER_MAX_BYTES); every other solve
     codes every atom, all its probes in one coding step per outer step. On
-    working sets, each step codes each probe alone on its own set
-    (_working_set_steps), the first on the cap's worth of atoms of highest
-    KKT score at the flat start (_screen), and ends with one full product
-    over the batch, the KKT check of each probe's new coefficients under the
-    weights it was coded with (_kkt_check). Such a solve has converged only
-    when eps3 holds and no atom outside its working set violates; otherwise
-    the check grows and shrinks the set for the next step
-    (_update_working_sets), whose step codes on the cache restricted to it
-    (GramCache.restrict). A set outgrows the cap only to hold its support of
-    z and room for violators, and the cache never forms its n x n inverse.
+    working sets, an outer step (_working_set_steps) updates each probe's set
+    from the KKT check it carries, the first from the flat start's
+    (_update_working_sets), codes each probe alone on the cache restricted to
+    its set (GramCache.restrict), and checks the new coefficients with one
+    full product over the batch (_kkt_check). Such a solve has converged only
+    when eps3 holds and no atom outside its working set violates. A set
+    outgrows the cap only to hold its support of z and room for violators,
+    and the cache never forms its n x n inverse.
 
     A NumericError ends only its own probe's solve: a residual that is not
     finite fails its probe at the weight update. A coding step that raises
@@ -763,7 +770,7 @@ def solve_batch(
         res=Y - _product(T.columns, a0),
         u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"),
         inside=np.ones((n, m), bool, order="F"), entries=np.zeros((n, m), np.int8, order="F"),
-        w=np.empty((d, m), order="F"), tol=[config.eps1] * m, change=[math.nan] * m,
+        score=None, violator=None, w=np.empty((d, m), order="F"), tol=[config.eps1] * m, change=[math.nan] * m,
     )
     outcomes = [None] * m
     inner = [[] for _ in ys]
@@ -789,12 +796,9 @@ def solve_batch(
         t += 1
         if t > 1:
             cols.change = [a / b for a, b in zip(_column_norms(W - cols.w), _column_norms(cols.w))]
-        elif working:
-            cols.w = W  # the weights the first step codes under
-            _screen(cols, _kkt_check(cols, cache, config)[0], cap)
         try:
             if working:
-                step = _working_set_steps(cols, W, cache, config)
+                step = _working_set_steps(cols, W, cache, config, cap, t == 1)
             else:
                 step = coding_step(cols.y, cache, W, config, a0=cols.a, r0=cols.res, duals=(cols.u1, cols.u2),
                                    tol=cols.tol)
@@ -811,10 +815,7 @@ def solve_batch(
             inner[j].append(its)
             inner_converged[j].append(ok)
             sizes[j].append(size)
-        violated = [False] * len(probes)
-        if working:
-            score, violator = _kkt_check(cols, cache, config)
-            violated = (violator & ~cols.inside).any(axis=0).tolist()
+        violated = (cols.violator & ~cols.inside).any(axis=0).tolist() if working else [False] * len(probes)
         if config.weights.kind == "constant":
             stops = ["converged" if ok else "s_max" for ok in converged]
         elif t == 1:
@@ -847,12 +848,7 @@ def solve_batch(
                 stop=stop, wall_seconds=seconds[j], working_set_sizes=sizes[j],
             )
         if any(stops):
-            keep = np.array([not stop for stop in stops])
-            cols = cols.take(keep)
-            if working:
-                score, violator = score[:, keep], violator[:, keep]
-        if working and cols.probe.size:
-            _update_working_sets(cols, score, violator, cap)
+            cols = cols.take(np.array([not stop for stop in stops]))
     return outcomes
 
 

@@ -729,8 +729,8 @@ def test_solve_forms_two_products_per_inner_iteration(dtype=np.float64):
     is coded on every atom. Under a gather cap of n - 1 atoms F-IRNNLS and F-IRSC code
     every step on a working set, whose products use its gathered columns: 2
     per inner iteration, plus one for the step's start y - T_S a_S. The
-    full products are then the flat start, the KKT check that screens the
-    first step, and one KKT check per outer step."""
+    full products are then the flat start, the KKT check of the flat start
+    that the first set update reads, and one KKT check per outer step."""
     rng = np.random.default_rng(0)
     T = random_dictionary(rng, 10, 10, 30, classes=6, dtype=dtype)
     noise = np.random.default_rng(1).uniform(size=100)
@@ -806,7 +806,7 @@ def test_batch_forms_two_product_columns_per_inner_iteration(monkeypatch, name):
     the inner loop, or the batch, forms none. The 24x21 dictionary fits the
     gather cap, so every preset codes every atom. Under a gather cap of
     n - 1 atoms F-IRNNLS codes on working sets: every outer step of a probe
-    adds one full KKT column, so does the screen of its first step, and its
+    adds one full KKT column, so does the flat start's check, and its
     steps on the set form their products on gathered columns (see
     test_solve_forms_two_products_per_inner_iteration)."""
     T, ys = _half_occluded_benchmark(6, dtype=np.float32)

@@ -34,7 +34,8 @@ ORACLE_AGREEMENT = 0.85
 
 # The gather caps, in atoms, of the capped solves below, each under the 60
 # atoms of a 24x21 gallery, so that a 24x21 solve codes on working sets,
-# screens its first step and truncates its sets as a paper-shape solve does:
+# starts its first step on the cap's worth of atoms and truncates its sets as
+# a paper-shape solve does:
 # 48 is the count of float32 atoms that GATHER_MAX_BYTES holds at 96x84, and
 # 12 and 20 lie below the support of many solutions here, which a set must
 # pass the cap to hold.
@@ -82,8 +83,8 @@ def acceptance_6_solves(acceptance_6_galleries):
 def capped_solves(request, acceptance_6_galleries):
     """The same solves with GATHER_MAX_BYTES lowered to a cap of CAPS atoms:
     {"cap": the cap, name: ([(y, T, result, label)], [cache], [order of each
-    system factored], [(supp z, next set) of each working-set update, both
-    (n, B)])}."""
+    system factored], [(supp z, next set) of each working-set update, the
+    first step's included, both (n, B)])}."""
     out = {"cap": request.param}
     with pytest.MonkeyPatch.context() as patch:
         lower_gather_cap(patch, acceptance_6_galleries[0][0], request.param)
@@ -171,7 +172,7 @@ def test_restrict_codes_as_a_dictionary_of_the_gathered_columns(name):
 
 def test_working_set_steps_start_from_their_own_residual(monkeypatch, spy):
     """Every coding step on a working set starts from r0 = y - T_S a0, formed
-    from the set's gathered columns, bit for bit: the screened first step,
+    from the set's gathered columns, bit for bit: the first step,
     a step on a set that atoms left, and one on a set that only grew, whose
     product over fewer columns rounds differently. float64 columns, on which
     the rounding of a product moves with its columns, under a gather cap of
@@ -226,7 +227,7 @@ def _assert_full_kkt_test(solves, name):
 @pytest.mark.parametrize("name", SPARSE)
 def test_capped_converged_solves_meet_the_full_kkt_test(capped_solves, name):
     """Every converged solve under each gather cap of CAPS, where the first
-    step is screened and sets are truncated, passes the float64 full-set KKT
+    step codes the cap's worth of atoms and sets are truncated, passes the float64 full-set KKT
     test (_assert_full_kkt_test)."""
     _assert_full_kkt_test(capped_solves[name][0], name)
 
@@ -300,7 +301,7 @@ def test_screened_first_step_codes_the_top_kkt_atoms(monkeypatch, spy):
     T, ys, _ = _gallery(0, count=8)
     n, cap = T.n, lower_gather_cap(monkeypatch, T, 20)
     tag_restrictions(monkeypatch)
-    checks = spy("_kkt_check", record=lambda args, kwargs, out: (args[0].w.copy(), out[0].copy()))
+    checks = spy("_kkt_check", record=lambda args, kwargs, out: (args[0].copy(), out[0].copy()))
     steps = spy("coding_step", with_args=True)
     solve_batch(ys, T, method_config("F-IRNNLS", gamma=0.6))
     W, score = checks[0]
@@ -313,6 +314,39 @@ def test_screened_first_step_codes_the_top_kkt_atoms(monkeypatch, spy):
         h = 2.0 * A.T @ (W[:, k] * (ys[k].values - A @ np.full(n, 1.0 / n)))
         outside = np.setdiff1d(np.arange(n), atoms)
         assert h[outside].max() <= h[atoms].min() + 1e-5 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_each_working_set_outer_step_updates_codes_then_checks(monkeypatch, spy, name):
+    """Under a gather cap below n, every outer step of a batch, the first
+    included, runs one set update (_update_working_sets), then one coding
+    step per live probe, each on the cache restricted to that probe's new
+    set, then one KKT check (_kkt_check) of those probes. The first update
+    follows the one check of the flat start, which covers every probe."""
+    T, ys, _ = _gallery(0, count=8)
+    lower_gather_cap(monkeypatch, T, 20)
+    tag_restrictions(monkeypatch)
+    events = []
+    spy("_kkt_check", record=lambda args, kwargs, out: events.append(("check", out[0].shape[1])))
+    spy("_update_working_sets", record=lambda args, kwargs, out: events.append(("update", args[0].inside.copy())))
+    spy("coding_step", record=lambda args, kwargs, out: events.append(("step", atoms_of(args[1]), args[0].shape[1])))
+    outer = [r.outer_iterations for r in solve_batch(ys, T, method_config(name, gamma=0.6))]
+    assert len(set(outer)) > 1
+    assert events[0] == ("check", len(ys))
+    i = 1
+    for t in range(1, max(outer) + 1):
+        live = sum(o >= t for o in outer)
+        assert events[i][0] == "update", (t, events[i][0])
+        inside = events[i][1]
+        assert inside.shape[1] == live, t
+        for k in range(live):
+            assert events[i + 1 + k][0] == "step", t
+            _, atoms, width = events[i + 1 + k]
+            assert atoms is not None and width == 1
+            assert np.array_equal(atoms, np.flatnonzero(inside[:, k]))
+        assert events[i + 1 + live] == ("check", live), t
+        i += live + 2
+    assert i == len(events)
 
 
 def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violators(monkeypatch):
@@ -338,10 +372,11 @@ def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violator
         a=np.where(inside, 0.3, 0.0), u2=np.where(inside, 0.1, 0.0), z=z,
     )
     cols.entries[6, 0] = solver.STICKY_ENTRIES
-    score = np.full((n, 2), -1.0)
-    score[[7, 8, 9, 15, 17], 0] = [0.5, 2.0, 1.0, 3.0, 2.5]
-    score[9:, 1] = np.arange(9, n)
-    solver._update_working_sets(cols, score, score > 0.0, solver._gather_cap(cache))
+    cols.score = np.full((n, 2), -1.0)
+    cols.score[[7, 8, 9, 15, 17], 0] = [0.5, 2.0, 1.0, 3.0, 2.5]
+    cols.score[9:, 1] = np.arange(9, n)
+    cols.violator = cols.score > 0.0
+    solver._update_working_sets(cols, solver._gather_cap(cache))
     assert np.flatnonzero(cols.inside[:, 0]).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 15, 17]
     assert np.flatnonzero(cols.inside[:, 1]).tolist() == list(range(9)) + list(range(12, 20))
     assert cols.entries[[15, 17], 0].tolist() == [1, 1] and cols.entries[12:, 1].tolist() == [1] * 8
@@ -363,8 +398,9 @@ def test_atoms_that_entered_three_times_are_not_dropped():
         z=np.asfortranarray(np.tile([[0.5], [0.5], [0.0], [0.0], [0.0], [0.0]], 2)),
     )
     cols.entries[2, 1] = solver.STICKY_ENTRIES
-    score = np.full((n, 2), -1.0)
-    solver._update_working_sets(cols, score, score > 0.0, solver._gather_cap(cache))
+    cols.score = np.full((n, 2), -1.0)
+    cols.violator = cols.score > 0.0
+    solver._update_working_sets(cols, solver._gather_cap(cache))
     assert cols.inside[:, 0].tolist() == [True, True, False, False, False, False]
     assert cols.inside[:, 1].tolist() == [True, True, True, False, False, False]
     assert (cols.a[3:, :] == 0.0).all() and (cols.u2[3:, :] == 0.0).all()
@@ -435,10 +471,9 @@ def test_subnormal_weighted_residuals_are_flushed(spy):
     w = rng.uniform(0.1, 1.0, (d, 1))
     w[: d // 2] = 1e-40  # w r near 1e-41, below float32's smallest normal
     y, Ta = rng.uniform(0.0, 0.2, (d, 1)), np.asfortranarray(rng.uniform(0.0, 0.1, (d, 1)))
-    cols = SimpleNamespace(w=w, res=y - Ta)
     config = method_config("F-IRNNLS")
     products = spy("_product", record=lambda args, kwargs, out: np.asarray(args[1]).copy())
-    score, violator = solver._kkt_check(cols, precompute_gram(T, config.gram_ratio), config)
+    score, violator = solver._kkt_check(w, y - Ta, precompute_gram(T, config.gram_ratio), config)
     tiny = np.finfo(np.float32).tiny
     assert len(products) == 1 and not ((products[0] != 0.0) & (np.abs(products[0]) < tiny)).any()
     assert np.count_nonzero(products[0]) == d - d // 2
