@@ -234,7 +234,6 @@ class ExperimentReport:
     method: str
     rows: list
     seeds: tuple
-    n_train: int
     accuracy: float
     mean_seconds: float
     blas_threads: Optional[int]
@@ -357,7 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     solved = [r for r in rows if not r.error]
     mean_seconds = float(np.mean([r.solve_seconds for r in solved])) if solved else 0.0
     report = ExperimentReport(
-        method=config.method, rows=rows, seeds=tuple(config.seeds), n_train=T.n, accuracy=float(accuracy),
+        method=config.method, rows=rows, seeds=tuple(config.seeds), accuracy=float(accuracy),
         mean_seconds=mean_seconds, blas_threads=_BLAS_THREADS,
     )
     if config.out_dir is not None:

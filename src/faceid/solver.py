@@ -296,7 +296,9 @@ class AdmmState:
     coding_step returns its final state, with one entry per column in each
     of: the iteration count, whether the column converged, and its last fit
     ||res - e|| and split ||a - z|| residuals (split stays 0.0 on the l2
-    path).
+    path). A state is the one record of a batch's iterates: solve_batch
+    carries the state each step returns into the next, and no function
+    writes into a state it did not allocate.
     """
 
     a: np.ndarray
@@ -310,6 +312,12 @@ class AdmmState:
     converged: Optional[np.ndarray] = None
     fit_residual: Optional[np.ndarray] = None
     split_residual: Optional[np.ndarray] = None
+
+    def take(self, keep: np.ndarray) -> "AdmmState":
+        """A copy of the columns (the last axis) that the boolean mask or
+        index array keep selects, in every field that is set, the per-column
+        entries included; a field that is None stays None."""
+        return AdmmState(**{k: None if v is None else v[..., keep] for k, v in vars(self).items()})
 
 
 def _product(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -390,8 +398,10 @@ def coding_step(
     forms two dictionary products over the columns still iterating, T' V in
     a_update and T A in dual_update; the state carries the residual of the
     latter, res == y - T @ a, into the next e_update and out to the caller.
-    A column leaves the loop when it converges: the working arrays are
-    compacted, so no product is formed for it afterwards.
+    A column leaves the loop when it converges: its column of every field,
+    with the count, flag and residuals that each test stores on the state,
+    is copied into the returned state, and AdmmState.take keeps the others,
+    so no product is formed for it afterwards.
 
     a_update and dual_update read e and z relaxed by the factor alpha (RELAX
     on the plain path, 1 on the low-rank path); the state keeps the real e
@@ -421,7 +431,7 @@ def coding_step(
         The final AdmmState with every column in its place; column j has
         converged when ||res_j - e_j|| <= tol_j and, unless the l2 kind
         dropped the split, ||a_j - z_j|| <= eps2. Its res is
-        y - cache.columns @ a for the returned a.
+        y - cache.columns @ a for the returned a, and its w is w (or a copy).
 
     Raises:
         ConfigError: the cache was built at another ratio than
@@ -488,32 +498,23 @@ def coding_step(
         last = s == config.s_max or all(done)
         if not (last or any(done)):
             continue
-        fit, split, done = np.array(fit), np.array(split), np.array(done)
+        state.iterations, state.converged = np.full(len(done), s), np.array(done)
+        state.fit_residual, state.split_residual = np.array(fit), np.array(split)
         if out is None and last:  # every column leaves at once, in its place
-            state.iterations, state.converged = np.full(m, s), done
-            state.fit_residual, state.split_residual = fit, split
             return state
         if out is None:
-            out = AdmmState(**{k: None if v is None else np.empty(v.shape[:-1] + (m,), order="F")
-                               for k, v in vars(state).items() if k != "w"}, w=w)
-            out.iterations, out.converged = np.empty(m, int), np.empty(m, bool)
-            out.fit_residual, out.split_residual = np.empty(m), np.empty(m)
-        leave = slice(None) if last else done
-        cols = live[leave]
+            out = AdmmState(**{k: None if v is None else np.empty(v.shape[:-1] + (m,), v.dtype, order="F")
+                               for k, v in vars(state).items()})
+        leave = slice(None) if last else state.converged
         for k, v in vars(state).items():
-            if v is not None and k != "w":
-                getattr(out, k)[:, cols] = v[:, leave]
-        out.iterations[cols], out.converged[cols] = s, done[leave]
-        out.fit_residual[cols], out.split_residual[cols] = fit[leave], split[leave]
+            if v is not None:
+                getattr(out, k)[..., live[leave]] = v[..., leave]
         if last:
             return out
-        keep = ~done
+        keep = ~state.converged
         live, y, tol = live[keep], y[:, keep], [t for t, kept in zip(tol, keep) if kept]
-        # The next iteration reads only these; it computes e and z afresh.
-        state = AdmmState(
-            a=state.a[:, keep], z=None, e=None, u1=state.u1[:, keep], u2=state.u2[:, keep],
-            w=state.w[:, keep], res=state.res[:, keep],
-        )
+        # The next iteration reads the rest; it computes e and z afresh.
+        state = replace(state, e=None, z=None).take(keep)
 
 
 def _column_norms(M: np.ndarray) -> list:
@@ -556,36 +557,33 @@ class SolveResult:
 @dataclass
 class _Columns:
     """The probes solve_batch is coding, one column (or entry) each: probe is
-    the index in ys of each column; y, res (its residual y - T a) and u1 are
-    (d, B); a, u2 and z (the last split variable, zero on the l2 path) are
-    (n, B) over every atom, 0 outside a probe's working set; inside marks each
-    probe's working set and entries counts how often each atom has entered it
-    as a violator, and score and violator the KKT check (_kkt_check) that it
-    carries into its next set update (None off working sets), all (n, B). w
-    holds each probe's last weights, tol its fit tolerance and change its
-    last relative weight change. All (d, B) and (n, B) arrays are
-    Fortran-ordered, as coding_step keeps them; tol and change are lists of
-    floats, which cost less than arrays in the one-probe case."""
+    the index in ys of each column and y its (d, B) observations. state holds
+    their iterates over every atom: the flat start (a = 1/n, res = y - T a,
+    zero duals and z, no e or w), then the AdmmState each outer step
+    returned, with a, z and u2 0 outside a probe's working set and w its last
+    weights. inside marks each probe's working set and entries counts how
+    often each atom has entered it as a violator, and score and violator the
+    KKT check (_kkt_check) that it carries into its next set update (None
+    before the first and off working sets), all (n, B). tol holds each
+    probe's fit tolerance and change its last relative weight change. All
+    (d, B) and (n, B) arrays are Fortran-ordered, as coding_step keeps them;
+    tol and change are lists of floats, which cost less than arrays in the
+    one-probe case."""
 
     probe: np.ndarray
     y: np.ndarray
-    a: np.ndarray
-    res: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    z: np.ndarray
+    state: AdmmState
     inside: np.ndarray
     entries: np.ndarray
     score: Optional[np.ndarray]
     violator: Optional[np.ndarray]
-    w: np.ndarray
     tol: list
     change: list
 
     def take(self, keep: np.ndarray) -> "_Columns":
         """The columns that the boolean mask keep selects, in every field."""
         return _Columns(**{
-            k: v[..., keep] if isinstance(v, np.ndarray)
+            k: v.take(keep) if isinstance(v, AdmmState) else v[..., keep] if isinstance(v, np.ndarray)
             else None if v is None else [x for x, kept in zip(v, keep) if kept]
             for k, v in vars(self).items()
         })
@@ -631,13 +629,14 @@ def _update_working_sets(cols: _Columns, cap: int):
     atom flagged: no atom is at zero there, so the KKT test of an atom at
     zero does not hold for it (it may find no violator). With every atom
     inside, z = 0 and no entries, it keeps the cap's worth of highest score.
-    Atoms that leave get a = u2 = z = 0 (the next step on the set forms its
-    own residual y - T_S a_S), written in place: _working_set_steps returns
-    those arrays fresh, and _Columns.take copies.
+    It writes only cols.inside and cols.entries, in place; the iterates in
+    cols.state are read, not written, since the next step
+    (_working_set_steps) reads them only at the new set's rows, where the
+    atoms that entered hold 0, and leaves its own state 0 outside the set.
     """
     score, violator = cols.score, cols.violator
     for k in range(cols.probe.size):
-        inside, support = cols.inside[:, k], cols.z[:, k] != 0.0
+        inside, support = cols.inside[:, k], cols.state.z[:, k] != 0.0
         sticky = cols.entries[:, k] >= STICKY_ENTRIES
         candidates = np.flatnonzero(violator[:, k] & ~inside)
         new = inside & (support | violator[:, k] | sticky)
@@ -653,24 +652,22 @@ def _update_working_sets(cols: _Columns, cap: int):
             new = inside.copy()
         new[chosen] = True
         cols.entries[chosen, k] += 1
-        leaving = inside & ~new
-        cols.a[leaving, k] = cols.u2[leaving, k] = cols.z[leaving, k] = 0.0
         cols.inside[:, k] = new
 
 
-def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: SolverConfig, cap: int,
-                       first: bool):
+def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: SolverConfig, cap: int):
     """One working-set outer step of every probe in cols under its weights W:
     update each set from the check its probe carries (_update_working_sets;
-    the first step checks the flat start under W, every atom flagged), code
-    each probe alone on its set, and check the new coefficients under W into
+    the first step, whose columns carry no check yet, checks the flat start
+    under W, every atom flagged), code each probe alone on its set from its
+    iterates at the set's rows, and check the new coefficients under W into
     cols.score and cols.violator (_kkt_check). A set's columns are gathered
     and its system formed (GramCache.restrict) just before its step, which
     starts from y - T_S a_S, so one gathered copy is alive at a time. Returns
-    the AdmmState of all of them, with a, z and u2 over every atom, 0 outside
-    each set."""
-    if first:
-        cols.score, cols.violator = _kkt_check(W, cols.res, cache, config)[0], np.ones_like(cols.inside)
+    a new AdmmState of all of them, with a, z and u2 over every atom, built
+    with zeros outside each new set."""
+    if cols.score is None:
+        cols.score, cols.violator = _kkt_check(W, cols.state.res, cache, config)[0], np.ones_like(cols.inside)
     _update_working_sets(cols, cap)
     (d, n), m = cache.columns.shape, cols.probe.size
     out = AdmmState(
@@ -681,9 +678,9 @@ def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: 
     )
     for k in range(m):
         ks, rows = slice(k, k + 1), np.flatnonzero(cols.inside[:, k])
-        sub, y, a0 = cache.restrict(rows), cols.y[:, ks], cols.a[rows, ks]
+        sub, y, a0 = cache.restrict(rows), cols.y[:, ks], cols.state.a[rows, ks]
         step = coding_step(y, sub, W[:, ks], config, a0=a0, r0=y - _product(sub.columns, a0),
-                           duals=(cols.u1[:, ks], cols.u2[rows, ks]), tol=cols.tol[k])
+                           duals=(cols.state.u1[:, ks], cols.state.u2[rows, ks]), tol=cols.tol[k])
         for name in ("a", "z", "u2"):
             getattr(out, name)[rows, ks] = getattr(step, name)
         for name in ("e", "u1", "res"):
@@ -708,13 +705,16 @@ def solve_batch(
     its weight vector drops below eps3 or t_max outer iterations have run;
     constant weights never change, so their solve stops after one coding step
     and has converged when that step has (it stops at s_max otherwise).
-    Coefficients and the scaled duals (u1, u2) warm-start each coding step.
+    The batch's iterates are one AdmmState: the flat start, then the state
+    each outer step returns, carried as it is into the next, whose
+    coefficients and scaled duals (u1, u2) warm-start each coding step.
     A probe's first two steps run to eps1, every later one to
     min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
     which lies in [INNER_TOL_RATIO * eps3, eps1]. T a is formed once for the
     flat start, which every probe shares; every later weight residual reuses
-    the residual y - T a that the coding step carries. A probe leaves the batch when its
-    solve stops, and each one that stops at a cap logs one warning naming it.
+    the residual y - T a that the coding step carries. A probe leaves the
+    batch when its solve stops (AdmmState.take drops its column), and each
+    one that stops at a cap logs one warning naming it.
 
     A solve codes on working sets when SolverConfig.working_set holds and
     T's columns outgrow the gather cap (GATHER_MAX_BYTES); every other solve
@@ -765,12 +765,14 @@ def solve_batch(
     cap = _gather_cap(cache)
     working = config.working_set and cap < n
     a0 = np.full((n, 1), 1.0 / n)
+    start = AdmmState(
+        a=np.asfortranarray(np.repeat(a0, m, axis=1)), z=np.zeros((n, m), order="F"), e=None,
+        u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=None, res=Y - _product(T.columns, a0),
+    )
     cols = _Columns(
-        probe=np.arange(m), y=Y, a=np.asfortranarray(np.repeat(a0, m, axis=1)),
-        res=Y - _product(T.columns, a0),
-        u1=np.zeros((d, m), order="F"), u2=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"),
+        probe=np.arange(m), y=Y, state=start,
         inside=np.ones((n, m), bool, order="F"), entries=np.zeros((n, m), np.int8, order="F"),
-        score=None, violator=None, w=np.empty((d, m), order="F"), tol=[config.eps1] * m, change=[math.nan] * m,
+        score=None, violator=None, tol=[config.eps1] * m, change=[math.nan] * m,
     )
     outcomes = [None] * m
     inner = [[] for _ in ys]
@@ -781,7 +783,7 @@ def solve_batch(
     while cols.probe.size:
         W = np.empty_like(cols.y)
         failed = []
-        for k, r in enumerate(cols.res.T):
+        for k, r in enumerate(cols.state.res.T):
             try:
                 W[:, k] = weight_update(r, config.weights).values
             except NumericError as exc:
@@ -795,21 +797,19 @@ def solve_batch(
                 break
         t += 1
         if t > 1:
-            cols.change = [a / b for a, b in zip(_column_norms(W - cols.w), _column_norms(cols.w))]
+            cols.change = [a / b for a, b in zip(_column_norms(W - cols.state.w), _column_norms(cols.state.w))]
         try:
             if working:
-                step = _working_set_steps(cols, W, cache, config, cap, t == 1)
+                step = _working_set_steps(cols, W, cache, config, cap)
             else:
-                step = coding_step(cols.y, cache, W, config, a0=cols.a, r0=cols.res, duals=(cols.u1, cols.u2),
-                                   tol=cols.tol)
+                step = coding_step(cols.y, cache, W, config, a0=cols.state.a, r0=cols.state.res,
+                                   duals=(cols.state.u1, cols.state.u2), tol=cols.tol)
         except NumericError as exc:
             # Which column raised is not known: each probe is solved again alone.
             for j in cols.probe:
                 outcomes[j] = exc if cols.probe.size == 1 else solve_batch([ys[j]], T, config, cache)[0]
             break
-        cols.a, cols.res, cols.u1, cols.u2, cols.w = step.a, step.res, step.u1, step.u2, W
-        if step.z is not None:
-            cols.z = step.z
+        cols.state = step
         probes, converged = cols.probe.tolist(), step.converged.tolist()
         for j, its, ok, size in zip(probes, step.iterations.tolist(), converged, cols.inside.sum(axis=0).tolist()):
             inner[j].append(its)
@@ -843,7 +843,7 @@ def solve_batch(
                           f"{T.columns.dtype} dictionary")
                 log.warning("solve stopped at %s=%d %s", stop, config.s_max, detail)
             outcomes[j] = SolveResult(
-                a=cols.a[:, k].copy(), e=step.e[:, k].copy(), w=WeightVector(W[:, k].copy()),
+                a=step.a[:, k].copy(), e=step.e[:, k].copy(), w=WeightVector(W[:, k].copy()),
                 outer_iterations=t, inner_iterations=inner[j], inner_converged=inner_converged[j],
                 stop=stop, wall_seconds=seconds[j], working_set_sizes=sizes[j],
             )

@@ -35,9 +35,6 @@ class WeightVector:
             raise ConfigError("weights must be finite and strictly positive")
         object.__setattr__(self, "values", v)
 
-    def __len__(self):
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class WeightFunction:

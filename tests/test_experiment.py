@@ -134,10 +134,24 @@ def test_run_experiment_refuses_a_float_cap_before_any_solve():
         run_experiment(_small_config(solver_kwargs={"t_max": 2.5}))
 
 
-def test_run_experiment_report_shape():
+def _dictionary_sizes(monkeypatch):
+    """The atom count of the dictionary of each solve_batch call that
+    run_experiment makes, in call order."""
+    sizes, original = [], faceid.solver.solve_batch
+
+    def recorded(ys, T, *args, **kwargs):
+        sizes.append(T.n)
+        return original(ys, T, *args, **kwargs)
+
+    monkeypatch.setattr(faceid.solver, "solve_batch", recorded)
+    return sizes
+
+
+def test_run_experiment_report_shape(monkeypatch):
+    sizes = _dictionary_sizes(monkeypatch)
     report = run_experiment(_small_config())
     assert report.method == "F-LR-IRNNLS"
-    assert report.n_train == 6
+    assert sizes and set(sizes) == {6}
     assert len(report.rows) == 6  # 3 held-out tests per seed
     assert [r.image_id for r in report.rows] == [
         "s0-t0000", "s0-t0001", "s0-t0002", "s1-t0000", "s1-t0001", "s1-t0002",
@@ -299,11 +313,12 @@ def _manifest_from_synthetic(tmp_path):
     return mf
 
 
-def test_run_experiment_from_manifest(tmp_path):
+def test_run_experiment_from_manifest(tmp_path, monkeypatch):
     mf = _manifest_from_synthetic(tmp_path)
     config = ExperimentConfig(method="F-IRNNLS", manifest=mf, seeds=(0, 1), occlusion=0.3)
+    sizes = _dictionary_sizes(monkeypatch)
     report = run_experiment(config)
-    assert report.n_train == 6
+    assert sizes and set(sizes) == {6}
     assert len(report.rows) == 2 * 3  # same images re-corrupted per seed
     assert {r.true_label for r in report.rows} == {"p0", "p1", "p2"}
     assert all(r.predicted_label.startswith("p") for r in report.rows)

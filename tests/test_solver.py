@@ -325,6 +325,28 @@ def test_a_update_satisfies_normal_equations():
         assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 
+def test_admm_state_take_selects_the_columns_of_every_set_field():
+    """AdmmState.take(keep) selects the kept columns of every field that is
+    set, the (d, B) and (n, B) iterates and the per-column counts, flags and
+    residuals alike, as copies; a field that is None stays None."""
+    rng = np.random.default_rng(70)
+    d, n, m = 6, 4, 3
+    state = AdmmState(
+        a=rng.normal(size=(n, m)), z=None, e=rng.normal(size=(d, m)), u1=rng.normal(size=(d, m)),
+        u2=rng.normal(size=(n, m)), w=rng.uniform(size=(d, m)), res=rng.normal(size=(d, m)),
+        iterations=np.array([3, 5, 7]), converged=np.array([True, False, True]),
+        fit_residual=rng.uniform(size=m), split_residual=None,
+    )
+    for keep in (np.array([True, False, True]), np.array([2])):
+        taken = state.take(keep)
+        assert taken.z is None and taken.split_residual is None
+        for name, v in vars(state).items():
+            if v is not None:
+                got = getattr(taken, name)
+                assert np.array_equal(got, v[..., keep]) and got.shape[-1] == np.arange(m)[keep].size, name
+                assert not np.shares_memory(got, v), name
+
+
 def test_coding_step_rejects_mismatched_cache():
     rng = np.random.default_rng(8)
     T = random_dictionary(rng, 4, 5, 6, classes=2)

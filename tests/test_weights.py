@@ -122,7 +122,7 @@ def test_weight_vector_validation():
         WeightVector(np.ones((2, 2)))
     with pytest.raises(ConfigError):
         WeightVector(np.array([]))
-    assert len(WeightVector(np.ones(5))) == 5
+    assert WeightVector(np.ones(5)).values.size == 5
 
 
 def test_weight_function_validation():

@@ -3,6 +3,7 @@ and F-IRSC code each outer step on the atoms in use, and one full KKT product
 per step checks the rest. A 24x21 dictionary fits the cap and is coded on
 every atom, so the tests of working sets lower the cap (lower_gather_cap)."""
 
+import copy
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -84,22 +85,33 @@ def capped_solves(request, acceptance_6_galleries):
     """The same solves with GATHER_MAX_BYTES lowered to a cap of CAPS atoms:
     {"cap": the cap, name: ([(y, T, result, label)], [cache], [order of each
     system factored], [(supp z, next set) of each working-set update, the
-    first step's included, both (n, B)])}."""
-    out = {"cap": request.param}
+    first step's included, both (n, B)]), "outside": {name: [(entries of a,
+    z and u2 that are not 0 outside the new sets, atoms outside them) of the
+    state each working-set outer step returns]}}."""
+    out = {"cap": request.param, "outside": {}}
     with pytest.MonkeyPatch.context() as patch:
         lower_gather_cap(patch, acceptance_6_galleries[0][0], request.param)
         log = record_factorizations(patch)
-        update = solver._update_working_sets
+        update, steps = solver._update_working_sets, solver._working_set_steps
 
         def recorded_update(cols, *args):
-            support = cols.z != 0.0
+            support = cols.state.z != 0.0
             update(cols, *args)
             log["updates"].append((support, cols.inside.copy()))
 
+        def recorded_steps(cols, *args):
+            state = steps(cols, *args)
+            outside = ~cols.inside
+            nonzero = sum(np.count_nonzero(getattr(state, f)[outside]) for f in ("a", "z", "u2"))
+            log["outside"].append((nonzero, np.count_nonzero(outside)))
+            return state
+
         patch.setattr(solver, "_update_working_sets", recorded_update)
+        patch.setattr(solver, "_working_set_steps", recorded_steps)
         for name in SPARSE:
-            log["orders"], log["updates"] = [], []
+            log["orders"], log["updates"], log["outside"] = [], [], []
             out[name] = _solve_galleries(acceptance_6_galleries, name) + (log["orders"], log["updates"])
+            out["outside"][name] = log["outside"]
     return out
 
 
@@ -284,6 +296,20 @@ def test_capped_sets_pass_the_gather_cap_only_to_hold_their_support(capped_solve
 
 
 @pytest.mark.parametrize("name", SPARSE)
+def test_working_set_states_are_zero_outside_the_new_sets(capped_solves, name):
+    """Under each gather cap of CAPS, every state that a working-set outer
+    step returns holds a = z = u2 = 0 exactly at every atom outside each
+    probe's new set, at every outer step of every batch: one record per
+    outer step of each batch, as many as its longest solve's outer
+    iterations, and some atoms lie outside the sets."""
+    solves, records = capped_solves[name][0], capped_solves["outside"][name]
+    batches = [solves[i : i + 40] for i in range(0, len(solves), 40)]
+    assert len(records) == sum(max(r.outer_iterations for _, _, r, _ in batch) for batch in batches)
+    assert all(nonzero == 0 for nonzero, _ in records)
+    assert all(outside > 0 for _, outside in records)
+
+
+@pytest.mark.parametrize("name", SPARSE)
 def test_capped_working_sets_do_not_cycle_to_t_max(capped_solves, name):
     """Truncated sets keep their support and a reserve for violators, so
     under each gather cap of CAPS no more solves stop at t_max than before
@@ -358,7 +384,7 @@ def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violator
     violators with z = 0, with 2 violators outside. Probe 1 holds 9 atoms of
     supp z and has 11 violators outside: none of its support is dropped, so
     its set passes the cap by a reserve of GROW_MIN. Neither falls back to
-    every atom, and atoms that leave get a = u2 = z = 0."""
+    every atom."""
     n, d = 20, 4
     cache = SimpleNamespace(columns=np.zeros((d, n), np.float32))
     monkeypatch.setattr(solver, "GATHER_MAX_BYTES", 10 * d * 4)
@@ -369,7 +395,7 @@ def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violator
     z[:9, 1] = [0.1, -0.7, 0.3, 0.2, -0.05, 0.6, 0.01, 0.4, -0.2]
     cols = SimpleNamespace(
         probe=np.arange(2), inside=inside, entries=np.zeros((n, 2), np.int8, order="F"),
-        a=np.where(inside, 0.3, 0.0), u2=np.where(inside, 0.1, 0.0), z=z,
+        state=SimpleNamespace(a=np.where(inside, 0.3, 0.0), u2=np.where(inside, 0.1, 0.0), z=z),
     )
     cols.entries[6, 0] = solver.STICKY_ENTRIES
     cols.score = np.full((n, 2), -1.0)
@@ -380,22 +406,22 @@ def test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violator
     assert np.flatnonzero(cols.inside[:, 0]).tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 15, 17]
     assert np.flatnonzero(cols.inside[:, 1]).tolist() == list(range(9)) + list(range(12, 20))
     assert cols.entries[[15, 17], 0].tolist() == [1, 1] and cols.entries[12:, 1].tolist() == [1] * 8
-    for x in (cols.a, cols.u2, cols.z):
-        assert (x[[7, 9], 0] == 0.0).all()
-    assert cols.a[6, 0] == cols.a[8, 0] == 0.3 and cols.z[1, 1] == -0.7
+    assert cols.state.a[6, 0] == cols.state.a[8, 0] == 0.3 and cols.state.z[1, 1] == -0.7
 
 
 def test_atoms_that_entered_three_times_are_not_dropped():
     """The sticky rule: an atom of the set whose z is 0 and that does not
     violate leaves the set, unless it has entered it STICKY_ENTRIES times as
-    a violator; leaving zeroes its a, u2 and z."""
+    a violator."""
     n, d = 6, 4
     cache = SimpleNamespace(columns=np.zeros((d, n), np.float32))
     inside = np.ones((n, 2), bool, order="F")
     cols = SimpleNamespace(
         probe=np.arange(2), inside=inside, entries=np.zeros((n, 2), np.int8, order="F"),
-        a=np.full((n, 2), 0.5, order="F"), u2=np.full((n, 2), 0.1, order="F"),
-        z=np.asfortranarray(np.tile([[0.5], [0.5], [0.0], [0.0], [0.0], [0.0]], 2)),
+        state=SimpleNamespace(
+            a=np.full((n, 2), 0.5, order="F"), u2=np.full((n, 2), 0.1, order="F"),
+            z=np.asfortranarray(np.tile([[0.5], [0.5], [0.0], [0.0], [0.0], [0.0]], 2)),
+        ),
     )
     cols.entries[2, 1] = solver.STICKY_ENTRIES
     cols.score = np.full((n, 2), -1.0)
@@ -403,8 +429,50 @@ def test_atoms_that_entered_three_times_are_not_dropped():
     solver._update_working_sets(cols, solver._gather_cap(cache))
     assert cols.inside[:, 0].tolist() == [True, True, False, False, False, False]
     assert cols.inside[:, 1].tolist() == [True, True, True, False, False, False]
-    assert (cols.a[3:, :] == 0.0).all() and (cols.u2[3:, :] == 0.0).all()
-    assert cols.a[2, 1] == 0.5 and cols.a[2, 0] == 0.0
+    assert cols.state.a[2, 1] == 0.5
+
+
+def test_set_updates_write_only_the_sets_and_their_entry_counts(monkeypatch):
+    """_update_working_sets writes cols.inside and cols.entries alone: it
+    runs on columns whose state arrays, observations and check are
+    read-only, and leaves every other field as it was, while atoms leave
+    and enter the sets (the layout of
+    test_over_cap_sets_are_truncated_to_their_support_and_a_reserve_for_violators)."""
+    n, d = 20, 4
+    cache = SimpleNamespace(columns=np.zeros((d, n), np.float32))
+    monkeypatch.setattr(solver, "GATHER_MAX_BYTES", 10 * d * 4)
+    rng = np.random.default_rng(72)
+    inside = np.zeros((n, 2), bool, order="F")
+    inside[:10, 0] = inside[:9, 1] = True
+    z = np.zeros((n, 2), order="F")
+    z[:6, 0] = [0.5, 0.9, 0.2, 0.7, 0.05, 0.6]
+    z[:9, 1] = [0.1, -0.7, 0.3, 0.2, -0.05, 0.6, 0.01, 0.4, -0.2]
+    state = solver.AdmmState(
+        a=np.where(inside, 0.3, 0.0), z=z, e=rng.normal(size=(d, 2)), u1=rng.normal(size=(d, 2)),
+        u2=np.where(inside, 0.1, 0.0), w=rng.uniform(size=(d, 2)), res=rng.normal(size=(d, 2)),
+        iterations=np.array([4, 9]), converged=np.array([True, True]), fit_residual=rng.uniform(size=2),
+        split_residual=rng.uniform(size=2),
+    )
+    score = np.full((n, 2), -1.0)
+    score[[7, 8, 9, 15, 17], 0] = [0.5, 2.0, 1.0, 3.0, 2.5]
+    score[9:, 1] = np.arange(9, n)
+    cols = solver._Columns(
+        probe=np.arange(2), y=rng.normal(size=(d, 2)), state=state, inside=inside,
+        entries=np.zeros((n, 2), np.int8, order="F"), score=score, violator=score > 0.0,
+        tol=[0.01, 0.002], change=[0.5, 0.02],
+    )
+    cols.entries[6, 0] = solver.STICKY_ENTRIES
+    before = copy.deepcopy(cols)
+    for v in (*vars(state).values(), cols.probe, cols.y, cols.score, cols.violator):
+        v.flags.writeable = False
+    solver._update_working_sets(cols, solver._gather_cap(cache))
+    assert (before.inside & ~cols.inside).any() and (~before.inside & cols.inside).any()
+    assert not np.array_equal(cols.entries, before.entries)
+    assert cols.state is state
+    for name, v in vars(before.state).items():
+        assert np.array_equal(getattr(cols.state, name), v), name
+    for name in ("probe", "y", "score", "violator", "tol", "change"):
+        assert np.array_equal(getattr(cols, name), getattr(before, name)), name
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))
