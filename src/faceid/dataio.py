@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,8 +164,8 @@ def load_manifest(path) -> DatasetManifest:
 
     Blank lines and lines starting with '#' are skipped. The split must be
     train or test, paths resolve relative to the manifest's directory and
-    must exist and be unique, and every test label needs at least one train
-    record.
+    must name existing files, no file twice (under any spelling of its
+    path), and every test label needs at least one train record.
     """
     path = Path(path)
     base = path.parent
@@ -183,12 +184,20 @@ def load_manifest(path) -> DatasetManifest:
             raise ParseError(f"{path}:{lineno}: split must be train or test, got {split!r}")
         if not label or not rel:
             raise ParseError(f"{path}:{lineno}: empty label or path")
-        if rel in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate path {rel!r} (first at line {seen[rel]})")
-        seen[rel] = lineno
         full = base / rel
-        if not full.is_file():
+        try:
+            info = full.stat()
+        except OSError:
+            info = None
+        if info is None or not stat.S_ISREG(info.st_mode):
             missing.append(rel)
+        else:
+            # One file under two spellings (x.pgm and ./x.pgm, a link) is
+            # one file: its identity is what the one stat reads.
+            key = (info.st_dev, info.st_ino)
+            if key in seen:
+                raise ParseError(f"{path}:{lineno}: duplicate path {rel!r} (first at line {seen[key]})")
+            seen[key] = lineno
         records.append(ManifestRecord(split=split, label=label, path=full))
     if missing:
         shown = ", ".join(missing[:10])

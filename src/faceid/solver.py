@@ -293,17 +293,20 @@ class AdmmState:
     e_update; a state that only meets z_update and a_update may leave it
     None. n counts the cache's atoms (all, or a working set's).
 
-    coding_step returns its final state, with one entry per column in each
-    of: the iteration count, whether the column converged, and its last fit
-    ||res - e|| and split ||a - z|| residuals (split stays 0.0 on the l2
-    path). A state is the one record of a batch's iterates: solve_batch
-    carries the state each step returns into the next, and no function
-    writes into a state it did not allocate.
+    A state is also a coding step's start, of which coding_step reads a,
+    res, u1, u2 and w (the weights it codes under), never e or z, so a start
+    may leave both None. It returns its final state, with one entry per
+    column in each of: the iteration count, whether the column converged,
+    and its last fit ||res - e|| and split ||a - z|| residuals (split stays
+    0.0 on the l2 path). A state is the one record of a batch's iterates:
+    solve_batch puts each outer step's weights into the state the last step
+    returned and starts the step from it, and no function writes into a
+    state it did not allocate.
     """
 
     a: np.ndarray
     z: Optional[np.ndarray]
-    e: np.ndarray
+    e: Optional[np.ndarray]
     u1: np.ndarray
     u2: np.ndarray
     w: np.ndarray
@@ -379,18 +382,9 @@ def dual_update(state: AdmmState, y, cache: GramCache, rho1: float, rho2: float)
     return u1, u2, res
 
 
-def coding_step(
-    y,
-    cache: GramCache,
-    w,
-    config: SolverConfig,
-    a0,
-    r0,
-    duals=None,
-    tol=None,
-) -> AdmmState:
-    """Code the B columns of y against the cache's atoms under fixed weights
-    w by inner ADMM, in lockstep.
+def coding_step(y, cache: GramCache, config: SolverConfig, start: AdmmState, tol=None) -> AdmmState:
+    """Code the B columns of y against the cache's atoms by inner ADMM, in
+    lockstep, continuing the state start under its fixed weights start.w.
 
     The cache is a dictionary's (precompute_gram), or a working set's
     (GramCache.restrict): n is the number of its atoms, and a, z and u2 hold
@@ -417,13 +411,10 @@ def coding_step(
         y: (d, B) observations, one probe per column.
         cache: GramCache at config.gram_ratio; its columns and geometry are
             those the step codes on.
-        w: (d, B) pixel weights.
-        a0: (n, B) starting coefficients.
-        r0: (d, B) residual y - cache.columns @ a0; the caller forms it
-            (solve_batch carries it from the previous step on every atom, and
-            forms it over the gathered columns for a step on a working set).
-        duals: optional (u1, u2) warm start of shapes (d, B) and (n, B); both
-            default to zero.
+        start: the AdmmState the step continues (the state solve_batch
+            carries): a (n, B), u1 (d, B), u2 (n, B), the pixel weights w
+            (d, B) and res = y - cache.columns @ a (d, B). Its e and z are
+            not read, and may be None; start is not written.
         tol: one fit tolerance for every column, or (B,) of them, one per
             column; defaults to config.eps1.
 
@@ -431,7 +422,8 @@ def coding_step(
         The final AdmmState with every column in its place; column j has
         converged when ||res_j - e_j|| <= tol_j and, unless the l2 kind
         dropped the split, ||a_j - z_j|| <= eps2. Its res is
-        y - cache.columns @ a for the returned a, and its w is w (or a copy).
+        y - cache.columns @ a for the returned a, and its w is start.w (or a
+        copy).
 
     Raises:
         ConfigError: the cache was built at another ratio than
@@ -444,18 +436,16 @@ def coding_step(
     # Fortran order throughout: every column (probe) is contiguous, for svt,
     # the column norms and the compaction below.
     y = np.asfortranarray(y, dtype=float)
-    w = np.asfortranarray(w, dtype=float)
-    if y.ndim != 2 or y.shape[0] != d or w.shape != y.shape:
-        raise GeometryError(f"y and w must be (d={d}, B) arrays of one shape")
+    if y.ndim != 2 or y.shape[0] != d:
+        raise GeometryError(f"y must be a (d={d}, B) array")
     m = y.shape[1]
-    # Every iteration replaces a, u1 and u2 with new arrays, so the starting
-    # ones are read, never written, and need no copy.
-    a = np.asfortranarray(a0, dtype=float)
-    if a.shape != (n, m):
-        raise GeometryError(f"a0 must have shape (n={n}, B={m})")
-    res = np.asfortranarray(r0, dtype=float)
-    if res.shape != (d, m):
-        raise GeometryError(f"r0 must have shape (d={d}, B={m})")
+    # Every iteration replaces a, u1, u2 and res with new arrays and never
+    # writes w, so the starting ones are read, never written, and need no copy.
+    read = {}
+    for name, rows in (("a", n), ("res", d), ("u1", d), ("u2", n), ("w", d)):
+        read[name] = np.asfortranarray(getattr(start, name), dtype=float)
+        if read[name].shape != (rows, m):
+            raise GeometryError(f"start.{name} must have shape ({rows}, B={m})")
     # Per-column scalars are Python floats: the one-probe case is the hot
     # path, and a list is cheaper than an array there.
     tol = np.asarray(config.eps1 if tol is None else tol, dtype=float)
@@ -463,21 +453,7 @@ def coding_step(
         raise GeometryError(f"tol must be one value or B={m} values")
     tol = tol.ravel().tolist() * (m if tol.size == 1 else 1)
     drop_split = config.regularizer == "l2"
-    if duals is None:
-        u1, u2 = np.zeros((d, m), order="F"), np.zeros((n, m), order="F")
-    else:
-        u1, u2 = (np.asfortranarray(u, dtype=float) for u in duals)
-        if u1.shape != (d, m) or u2.shape != (n, m):
-            raise GeometryError(f"duals must have shapes (d={d}, B={m}) and (n={n}, B={m})")
-    state = AdmmState(
-        a=a,
-        z=None if drop_split else np.zeros((n, m), order="F"),
-        e=np.zeros((d, m), order="F"),
-        u1=u1,
-        u2=u2,
-        w=w,
-        res=res,
-    )
+    state = AdmmState(z=None, e=None, **read)
     live = np.arange(m)  # the column of y that each working column codes
     out = None  # the returned state, filled in as columns leave
     alpha = 1.0 if config.low_rank else RELAX
@@ -560,15 +536,15 @@ class _Columns:
     the index in ys of each column and y its (d, B) observations. state holds
     their iterates over every atom: the flat start (a = 1/n, res = y - T a,
     zero duals and z, no e or w), then the AdmmState each outer step
-    returned, with a, z and u2 0 outside a probe's working set and w its last
-    weights. inside marks each probe's working set and entries counts how
-    often each atom has entered it as a violator, and score and violator the
-    KKT check (_kkt_check) that it carries into its next set update (None
-    before the first and off working sets), all (n, B). tol holds each
-    probe's fit tolerance and change its last relative weight change. All
-    (d, B) and (n, B) arrays are Fortran-ordered, as coding_step keeps them;
-    tol and change are lists of floats, which cost less than arrays in the
-    one-probe case."""
+    returned, with a, z and u2 0 outside a probe's working set. Before each
+    step, solve_batch puts the step's weights into state.w, so the state is
+    the step's start. inside marks each probe's working set and entries
+    counts how often each atom has entered it as a violator, and score and
+    violator the KKT check (_kkt_check) that it carries into its next set
+    update (None before the first and off working sets), all (n, B). tol
+    holds each probe's fit tolerance. All (d, B) and (n, B) arrays are
+    Fortran-ordered, as coding_step keeps them; tol is a list of floats,
+    which costs less than an array in the one-probe case."""
 
     probe: np.ndarray
     y: np.ndarray
@@ -578,7 +554,6 @@ class _Columns:
     score: Optional[np.ndarray]
     violator: Optional[np.ndarray]
     tol: list
-    change: list
 
     def take(self, keep: np.ndarray) -> "_Columns":
         """The columns that the boolean mask keep selects, in every field."""
@@ -655,39 +630,42 @@ def _update_working_sets(cols: _Columns, cap: int):
         cols.inside[:, k] = new
 
 
-def _working_set_steps(cols: _Columns, W: np.ndarray, cache: GramCache, config: SolverConfig, cap: int):
-    """One working-set outer step of every probe in cols under its weights W:
-    update each set from the check its probe carries (_update_working_sets;
-    the first step, whose columns carry no check yet, checks the flat start
-    under W, every atom flagged), code each probe alone on its set from its
-    iterates at the set's rows, and check the new coefficients under W into
-    cols.score and cols.violator (_kkt_check). A set's columns are gathered
-    and its system formed (GramCache.restrict) just before its step, which
-    starts from y - T_S a_S, so one gathered copy is alive at a time. Returns
-    a new AdmmState of all of them, with a, z and u2 over every atom, built
-    with zeros outside each new set."""
+def _working_set_steps(cols: _Columns, cache: GramCache, config: SolverConfig, cap: int):
+    """One working-set outer step of every probe in cols under the weights
+    its state holds (cols.state.w): update each set from the check its probe
+    carries (_update_working_sets; the first step, whose columns carry no
+    check yet, checks the flat start, every atom flagged), code each probe
+    alone on its set, and check the new coefficients into cols.score and
+    cols.violator (_kkt_check). A set's columns are gathered and its system
+    formed (GramCache.restrict) just before its step, so one gathered copy
+    is alive at a time; the step starts from the probe's a and u2 at the
+    set's rows, its u1 and w, and res = y - T_S a_S. Returns a new AdmmState
+    of all of them, with a, z and u2 over every atom, built with zeros
+    outside each new set."""
+    state = cols.state
     if cols.score is None:
-        cols.score, cols.violator = _kkt_check(W, cols.state.res, cache, config)[0], np.ones_like(cols.inside)
+        cols.score, cols.violator = _kkt_check(state.w, state.res, cache, config)[0], np.ones_like(cols.inside)
     _update_working_sets(cols, cap)
     (d, n), m = cache.columns.shape, cols.probe.size
     out = AdmmState(
         a=np.zeros((n, m), order="F"), z=np.zeros((n, m), order="F"), e=np.empty((d, m), order="F"),
-        u1=np.empty((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=W, res=np.empty((d, m), order="F"),
+        u1=np.empty((d, m), order="F"), u2=np.zeros((n, m), order="F"), w=state.w, res=np.empty((d, m), order="F"),
         iterations=np.empty(m, int), converged=np.empty(m, bool), fit_residual=np.empty(m),
         split_residual=np.empty(m),
     )
     for k in range(m):
         ks, rows = slice(k, k + 1), np.flatnonzero(cols.inside[:, k])
-        sub, y, a0 = cache.restrict(rows), cols.y[:, ks], cols.state.a[rows, ks]
-        step = coding_step(y, sub, W[:, ks], config, a0=a0, r0=y - _product(sub.columns, a0),
-                           duals=(cols.state.u1[:, ks], cols.state.u2[rows, ks]), tol=cols.tol[k])
+        sub, y, a = cache.restrict(rows), cols.y[:, ks], state.a[rows, ks]
+        start = AdmmState(a=a, z=None, e=None, u1=state.u1[:, ks], u2=state.u2[rows, ks], w=state.w[:, ks],
+                          res=y - _product(sub.columns, a))
+        step = coding_step(y, sub, config, start, tol=cols.tol[k])
         for name in ("a", "z", "u2"):
             getattr(out, name)[rows, ks] = getattr(step, name)
         for name in ("e", "u1", "res"):
             getattr(out, name)[:, ks] = getattr(step, name)
         for name in ("iterations", "converged", "fit_residual", "split_residual"):
             getattr(out, name)[ks] = getattr(step, name)
-    cols.score, cols.violator = _kkt_check(W, out.res, cache, config)
+    cols.score, cols.violator = _kkt_check(state.w, out.res, cache, config)
     return out
 
 
@@ -706,8 +684,11 @@ def solve_batch(
     constant weights never change, so their solve stops after one coding step
     and has converged when that step has (it stops at s_max otherwise).
     The batch's iterates are one AdmmState: the flat start, then the state
-    each outer step returns, carried as it is into the next, whose
-    coefficients and scaled duals (u1, u2) warm-start each coding step.
+    each outer step returns. Each outer step measures the weight change
+    against the weights its state holds, puts the new weights into it
+    (state.w) and hands it to the coding step as its start, so the
+    coefficients, scaled duals (u1, u2) and residual of one step warm-start
+    the next.
     A probe's first two steps run to eps1, every later one to
     min(eps1, INNER_TOL_RATIO * the weight change that last failed eps3),
     which lies in [INNER_TOL_RATIO * eps3, eps1]. T a is formed once for the
@@ -738,7 +719,10 @@ def solve_batch(
     a probe's iterates can differ in the last bits with the batch it is in.
 
     Args:
-        ys: observations (FaceVector or length-d arrays), typically unit l2.
+        ys: observations, typically unit l2: FaceVectors of T.geometry (one
+            of another geometry raises GeometryError, even at the same d,
+            since the low-rank step reads each probe's grid), or length-d
+            arrays, which are read on T's grid.
         T: Dictionary of training faces.
         cache: optional GramCache of T from precompute_gram, built here when
             absent; one of other columns than T.columns (the same array) or
@@ -754,6 +738,10 @@ def solve_batch(
     m = len(ys)
     Y = np.empty((d, m), order="F")
     for j, y in enumerate(ys):
+        geometry = getattr(y, "geometry", T.geometry)
+        if geometry != T.geometry:
+            raise GeometryError(f"observation geometry {geometry.rows}x{geometry.cols} does not match "
+                                f"dictionary {T.geometry.rows}x{T.geometry.cols}")
         values = np.asarray(getattr(y, "values", y), dtype=float).ravel()
         if values.size != d:
             raise GeometryError(f"observation length {values.size} does not match dictionary d={d}")
@@ -772,7 +760,7 @@ def solve_batch(
     cols = _Columns(
         probe=np.arange(m), y=Y, state=start,
         inside=np.ones((n, m), bool, order="F"), entries=np.zeros((n, m), np.int8, order="F"),
-        score=None, violator=None, tol=[config.eps1] * m, change=[math.nan] * m,
+        score=None, violator=None, tol=[config.eps1] * m,
     )
     outcomes = [None] * m
     inner = [[] for _ in ys]
@@ -796,14 +784,14 @@ def solve_batch(
             if not cols.probe.size:
                 break
         t += 1
-        if t > 1:
-            cols.change = [a / b for a, b in zip(_column_norms(W - cols.state.w), _column_norms(cols.state.w))]
+        change = [math.nan] * cols.probe.size if t == 1 else [
+            a / b for a, b in zip(_column_norms(W - cols.state.w), _column_norms(cols.state.w))]
+        cols.state = replace(cols.state, w=W)
         try:
             if working:
-                step = _working_set_steps(cols, W, cache, config, cap)
+                step = _working_set_steps(cols, cache, config, cap)
             else:
-                step = coding_step(cols.y, cache, W, config, a0=cols.state.a, r0=cols.state.res,
-                                   duals=(cols.state.u1, cols.state.u2), tol=cols.tol)
+                step = coding_step(cols.y, cache, config, cols.state, tol=cols.tol)
         except NumericError as exc:
             # Which column raised is not known: each probe is solved again alone.
             for j in cols.probe:
@@ -822,9 +810,9 @@ def solve_batch(
             stops = ["t_max" if t == config.t_max else ""] * len(probes)
         else:
             stops = ["converged" if c < config.eps3 and not v else "t_max" if t == config.t_max else ""
-                     for c, v in zip(cols.change, violated)]
+                     for c, v in zip(change, violated)]
             cols.tol = [tol if c < config.eps3 else min(config.eps1, INNER_TOL_RATIO * c)
-                        for tol, c in zip(cols.tol, cols.change)]
+                        for tol, c in zip(cols.tol, change)]
         now = time.perf_counter()
         for j in probes:
             seconds[j] += (now - clock) / len(probes)
@@ -833,7 +821,7 @@ def solve_batch(
             if not stop:
                 continue
             if stop == "t_max":
-                detail = f"outer iterations; last relative weight change {cols.change[k]:.3g} (eps3 {config.eps3:g})"
+                detail = f"outer iterations; last relative weight change {change[k]:.3g} (eps3 {config.eps3:g})"
                 if violated[k]:
                     detail += "; an atom outside the working set still violates its KKT test"
                 log.warning("solve stopped at %s=%d %s", stop, config.t_max, detail)

@@ -142,10 +142,13 @@ def as_float32(T):
     return replace(T, columns=T.columns.astype(np.float32))
 
 
-def flat_start(T, y):
-    """(a0, r0) for a coding_step of the (d, B) probes y: the flat
-    coefficients 1/n that solve_batch starts from, (n, B), and their residual
-    y - T.columns @ a0, (d, B)."""
-    n, m = T.columns.shape[1], y.shape[1]
-    a0 = np.full((n, m), 1.0 / n)
-    return a0, y - T.columns @ a0
+def flat_start(T, y, w=None):
+    """The start of a coding_step of the (d, B) probes y under the (d, B)
+    weights w (None, as solve_batch has it before its first weight update,
+    for a start no step reads): the AdmmState of the flat coefficients
+    a = 1/n, (n, B), their residual res = y - T.columns @ a, zero duals and
+    z, and no e."""
+    (d, n), m = T.columns.shape, y.shape[1]
+    a = np.full((n, m), 1.0 / n)
+    return solver.AdmmState(a=a, z=np.zeros((n, m)), e=None, u1=np.zeros((d, m)), u2=np.zeros((n, m)), w=w,
+                            res=y - T.columns @ a)

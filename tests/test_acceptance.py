@@ -135,7 +135,7 @@ def test_acceptance_2_coding_step_matches_nnls_oracle(capsys):
             regularizer="nonneg", lambda_star=0.0, eps1=1e-9, eps2=1e-9, s_max=5000,
         )
         cache = precompute_gram(T, config.gram_ratio)
-        z = coding_step(y[:, None], cache, w.values[:, None], config, *flat_start(T, y[:, None])).z[:, 0]
+        z = coding_step(y[:, None], cache, config, flat_start(T, y[:, None], w.values[:, None])).z[:, 0]
         rep = oracle_weighted_nnls(y, T, w, tol=1e-8)
         worst_gap = max(worst_gap, float(np.abs(z - rep.solution).max()))
         worst_step_kkt = max(worst_step_kkt, nnls_kkt_residual(y, T, w, z))
@@ -144,7 +144,7 @@ def test_acceptance_2_coding_step_matches_nnls_oracle(capsys):
         T32 = as_float32(T)
         config32 = replace(config, eps1=1e-6, eps2=1e-6)
         cache32 = precompute_gram(T32, config32.gram_ratio)
-        z32 = coding_step(y[:, None], cache32, w.values[:, None], config32, *flat_start(T32, y[:, None])).z[:, 0]
+        z32 = coding_step(y[:, None], cache32, config32, flat_start(T32, y[:, None], w.values[:, None])).z[:, 0]
         kkt32 = nnls_kkt_residual(y, T32, w, z32)
         cap32 = _float32_kkt_cap(y, T32, z32, config32.rho1)
         worst_gap32 = max(worst_gap32, float(np.abs(z32 - rep.solution).max()))
@@ -205,12 +205,12 @@ def test_acceptance_4_frozen_weight_objective_monotone(capsys, spy, frozen_weigh
         rng = np.random.default_rng(4000 + seed)
         T = random_dictionary(rng, 5, 4, 8, classes=4)
         y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-        a0, r0 = flat_start(T, y.values[:, None])
-        mu, eta = logistic_params(r0[:, 0], 0.6)
+        start = flat_start(T, y.values[:, None])
+        mu, eta = logistic_params(start.res[:, 0], 0.6)
         frozen_weights(mu, eta)
         steps.clear()
         solve(y, T, config)
-        trace = [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + steps]
+        trace = [objective_value(a[:, 0], y, T, config, mu, eta) for a in [start.a] + steps]
         worst_rise = max(worst_rise, float(np.diff(trace).max()))
     ok = worst_rise <= 1e-9
     _verdict(

@@ -247,6 +247,20 @@ def test_manifest_duplicate_path_reports_both_lines(tmp_path):
         load_manifest(mf)
 
 
+def test_manifest_refuses_one_file_under_two_spellings(tmp_path):
+    """A path is a file, not a string: x.pgm, ./x.pgm, sub/../x.pgm and a
+    link to x.pgm all name one file, which a manifest lists once (else a
+    probe could be enrolled in its own gallery)."""
+    _seed_images(tmp_path, ["x.pgm", "y.pgm"])
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.pgm").symlink_to(tmp_path / "x.pgm")
+    mf = tmp_path / "data.csv"
+    for other in ("./x.pgm", "sub/../x.pgm", "link.pgm", str(tmp_path / "x.pgm")):
+        mf.write_text(f"train,a,y.pgm\ntrain,a,x.pgm\ntest,a,{other}\n")
+        with pytest.raises(ParseError, match=r"3: duplicate path .*first at line 2"):
+            load_manifest(mf)
+
+
 def test_manifest_malformed_line(tmp_path):
     mf = tmp_path / "data.csv"
     mf.write_text("train,x\n")

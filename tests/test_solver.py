@@ -15,7 +15,7 @@ from faceid.classify import identify
 from faceid.corruptions import corrupt, occlude_block, textured_patch
 from faceid.errors import ConfigError, GeometryError, NumericError
 from faceid.experiment import _image_seed, make_synthetic_benchmark
-from faceid.model import Dictionary, FaceVector, ImageGeometry, build_dictionary
+from faceid.model import Dictionary, FaceVector, ImageGeometry, build_dictionary, matricize
 from faceid.prox import shrink_weighted
 from faceid.solver import (
     INNER_TOL_RATIO,
@@ -355,7 +355,7 @@ def test_coding_step_rejects_mismatched_cache():
     small = random_dictionary(rng, 4, 5, 4, classes=2)
     other_ratio = precompute_gram(T, 5.0)
     with pytest.raises(ConfigError, match="gram cache ratio"):
-        coding_step(y[:, None], other_ratio, np.ones((20, 1)), config, *flat_start(T, y[:, None]))
+        coding_step(y[:, None], other_ratio, config, flat_start(T, y[:, None], np.ones((20, 1))))
     for foreign in (other_ratio, precompute_gram(small, config.gram_ratio)):
         with pytest.raises(ConfigError, match="gram cache"):
             solve(y, T, config, cache=foreign)
@@ -399,6 +399,22 @@ def test_solve_refuses_a_cache_of_other_columns_or_geometry_before_any_step(monk
     assert entered == []
     solve_batch([y, y], T, config, precompute_gram(T, config.gram_ratio))
     assert entered
+
+
+def test_solve_refuses_an_observation_of_another_geometry():
+    """A FaceVector on another grid of the same d is refused before any
+    step, since the low-rank step would code it on T's grid; a bare array is
+    read on T's grid and codes as its FaceVector on that grid does."""
+    rng = np.random.default_rng(41)
+    T = random_dictionary(rng, 4, 5, 6, classes=2)
+    config = method_config("F-LR-IRNNLS")
+    y = FaceVector(rng.uniform(0.0, 1.0, T.d), T.geometry).normalized()
+    turned = FaceVector(matricize(y).T.reshape(-1, order="F"), ImageGeometry(5, 4))
+    with pytest.raises(GeometryError, match="observation geometry 5x4 does not match dictionary 4x5"):
+        solve(turned, T, config)
+    with pytest.raises(GeometryError, match="observation geometry 5x4"):
+        solve_batch([y, turned], T, config)
+    assert np.array_equal(solve(y.values, T, config).a, solve(y, T, config).a)
 
 
 def test_dual_update_fixed_at_feasibility():
@@ -446,7 +462,7 @@ def test_coding_step_reaches_feasible_reconstruction():
         regularizer="nonneg", lambda_star=0.0, weights=WeightFunction.constant_one()
     )
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T, y[:, None]))
+    res = coding_step(y[:, None], cache, config, flat_start(T, y[:, None], np.ones((25, 1))))
     assert res.converged.tolist() == [True]
     assert res.fit_residual[0] <= config.eps1
     assert res.split_residual[0] <= config.eps2
@@ -458,29 +474,30 @@ def test_coding_step_dimension_checks():
     T = random_dictionary(rng, 4, 5, 6, classes=2)
     config = SolverConfig(lambda_star=0.0)
     cache = precompute_gram(T, config.gram_ratio)
-    y, w = np.zeros((20, 1)), np.ones((20, 1))
-    a0, r0 = flat_start(T, y)
+    y = np.zeros((20, 1))
+    start = flat_start(T, y, np.ones((20, 1)))
     with pytest.raises(GeometryError):
-        coding_step(np.zeros((7, 1)), cache, np.ones((7, 1)), config, a0, r0)
+        coding_step(np.zeros((7, 1)), cache, config, replace(start, w=np.ones((7, 1))))
     with pytest.raises(GeometryError):  # one probe is still a column
-        coding_step(np.zeros(20), cache, np.ones(20), config, a0, r0)
+        coding_step(np.zeros(20), cache, config, replace(start, w=np.ones(20)))
+    with pytest.raises(GeometryError, match=r"start\.w"):
+        coding_step(y, cache, config, replace(start, w=np.ones((20, 2))))
+    with pytest.raises(GeometryError, match=r"start\.a"):
+        coding_step(y, cache, config, replace(start, a=np.zeros((3, 1))))
     with pytest.raises(GeometryError):
-        coding_step(y, cache, np.ones((20, 2)), config, a0, r0)
-    with pytest.raises(GeometryError):
-        coding_step(y, cache, w, config, np.zeros((3, 1)), r0)
-    with pytest.raises(GeometryError):
-        coding_step(np.zeros((20, 2)), cache, np.ones((20, 2)), config, a0, r0)
-    for duals in [(0.0, 0.0), (np.zeros((3, 1)), np.zeros((6, 1))), (np.zeros((20, 1)), np.zeros((3, 1))),
-                  (np.zeros(20), np.zeros(6))]:
-        with pytest.raises(GeometryError, match="duals"):
-            coding_step(y, cache, w, config, a0, r0, duals=duals)
-    y2, w2, a2, r2 = (np.repeat(x, 2, axis=1) for x in (y, w, a0, r0))
+        coding_step(np.zeros((20, 2)), cache, config, replace(start, w=np.ones((20, 2))))
+    for u1, u2, name in [(0.0, 0.0, "u1"), (np.zeros((3, 1)), np.zeros((6, 1)), "u1"),
+                         (np.zeros((20, 1)), np.zeros((3, 1)), "u2"), (np.zeros(20), np.zeros(6), "u1")]:
+        with pytest.raises(GeometryError, match=rf"start\.{name}"):
+            coding_step(y, cache, config, replace(start, u1=u1, u2=u2))
+    y2 = np.zeros((20, 2))
+    start2 = flat_start(T, y2, np.ones((20, 2)))
     for tol in (np.full(3, 1e-2), np.full((2, 1), 1e-2)):
         with pytest.raises(GeometryError, match="tol"):
-            coding_step(y2, cache, w2, config, a2, r2, tol=tol)
+            coding_step(y2, cache, config, start2, tol=tol)
     # One tolerance serves every column, as a list of one per column does.
-    assert np.array_equal(coding_step(y2, cache, w2, config, a2, r2, tol=0.5).a,
-                          coding_step(y2, cache, w2, config, a2, r2, tol=[0.5, 0.5]).a)
+    assert np.array_equal(coding_step(y2, cache, config, start2, tol=0.5).a,
+                          coding_step(y2, cache, config, start2, tol=[0.5, 0.5]).a)
 
 
 def test_coding_step_warm_start_carries_its_residual():
@@ -490,13 +507,43 @@ def test_coding_step_warm_start_carries_its_residual():
     cache = precompute_gram(T, config.gram_ratio)
     y = rng.uniform(0.0, 1.0, (20, 1))
     a0 = rng.uniform(0.0, 0.5, (6, 1))
-    with pytest.raises(GeometryError, match="r0"):
-        coding_step(y, cache, np.ones((20, 1)), config, a0, np.zeros((7, 1)))
+    flat = flat_start(T, y, np.ones((20, 1)))
+    with pytest.raises(GeometryError, match=r"start\.res"):
+        coding_step(y, cache, config, replace(flat, a=a0, res=np.zeros((7, 1))))
     for step in (
-        coding_step(y, cache, np.ones((20, 1)), config, *flat_start(T, y)),
-        coding_step(y, cache, np.ones((20, 1)), config, a0, y - T.columns @ a0),
+        coding_step(y, cache, config, flat),
+        coding_step(y, cache, config, replace(flat, a=a0, res=y - T.columns @ a0)),
     ):
         assert np.array_equal(step.res, y - T.columns @ step.a)
+
+
+@pytest.mark.parametrize("name", ["F-IRNNLS", "F-LR-IRNNLS", "F-IRLS"])
+def test_coding_step_reads_only_the_five_fields_of_its_start(name):
+    """A coding step reads its start's a, res, u1, u2 and w and writes none
+    of them: with those read-only and e and z filled with NaN, a batch of two
+    probes returns the bits it returns from a start whose e and z are None,
+    and the NaN start is left as it was."""
+    y, T = _occluded_column_instance()
+    config = method_config(name, gamma=0.6)
+    cache = precompute_gram(T, config.gram_ratio)
+    rng = np.random.default_rng(40)
+    (d, n), m = T.columns.shape, 2
+    Y = np.asfortranarray(np.column_stack([y.values, T.columns[:, 3]]), dtype=float)
+    a = np.asfortranarray(rng.uniform(0.0, 0.1, (n, m)))
+    fields = dict(a=a, res=np.asfortranarray(Y - solver._product(T.columns, a)),
+                  u1=np.asfortranarray(rng.normal(scale=0.01, size=(d, m))),
+                  u2=np.asfortranarray(rng.normal(scale=0.01, size=(n, m))),
+                  w=np.asfortranarray(rng.uniform(0.1, 1.0, (d, m))))
+    for v in fields.values():
+        v.flags.writeable = False
+    clean = coding_step(Y, cache, config, AdmmState(e=None, z=None, **fields))
+    e, z = np.full((d, m), np.nan), np.full((n, m), np.nan)
+    dirty = coding_step(Y, cache, config, AdmmState(e=e, z=z, **fields))
+    assert clean.iterations.min() > 0
+    for k, v in vars(clean).items():
+        got = getattr(dirty, k)
+        assert (got is None) if v is None else np.array_equal(got, v), k
+    assert np.isnan(e).all() and np.isnan(z).all()
 
 
 def test_coding_step_reports_nonconvergence():
@@ -505,7 +552,7 @@ def test_coding_step_reports_nonconvergence():
     y = rng.uniform(0.0, 1.0, 25)
     config = SolverConfig(lambda_star=0.0, s_max=2, eps1=1e-12, eps2=1e-12)
     cache = precompute_gram(T, config.gram_ratio)
-    res = coding_step(y[:, None], cache, np.ones((25, 1)), config, *flat_start(T, y[:, None]))
+    res = coding_step(y[:, None], cache, config, flat_start(T, y[:, None], np.ones((25, 1))))
     assert res.converged.tolist() == [False]
     assert res.iterations.tolist() == [2]
 
@@ -569,8 +616,8 @@ def test_solve_frozen_trace_monotone(spy, frozen_weights):
     rng = np.random.default_rng(25)
     T = random_dictionary(rng, 5, 4, 8, classes=4)
     y = FaceVector(rng.uniform(0.0, 1.0, 20), T.geometry).normalized()
-    a0, r0 = flat_start(T, y.values[:, None])
-    mu, eta = logistic_params(r0[:, 0], 0.6)
+    start = flat_start(T, y.values[:, None])
+    mu, eta = logistic_params(start.res[:, 0], 0.6)
     frozen_weights(mu, eta)
     config = SolverConfig(
         regularizer="nonneg", lambda_star=0.0,
@@ -580,7 +627,7 @@ def test_solve_frozen_trace_monotone(spy, frozen_weights):
     res = solve(y, T, config)
     assert len(steps) == res.outer_iterations
     trace = np.array(
-        [objective_value(a[:, 0], y, T, config, mu, eta) for a in [a0] + steps]
+        [objective_value(a[:, 0], y, T, config, mu, eta) for a in [start.a] + steps]
     )
     assert np.isfinite(trace).all()
     assert float(np.diff(trace).max()) <= 1e-9
@@ -610,10 +657,11 @@ def test_solve_warm_started_duals_still_converge(monkeypatch, spy):
     assert np.isfinite(res.a).all()
     assert len(calls) == res.outer_iterations > 2
     assert min(res.working_set_sizes) < T.n
-    assert not any(u.any() for u in calls[0][1]["duals"])
+    first = calls[0][0][3]
+    assert not (first.u1.any() or first.u2.any())
     full_u2 = lambda args, step: coded_coefficients(T.n, args, SimpleNamespace(a=step.u2))
-    for (before_args, _, before), (args, kwargs, _) in zip(calls, calls[1:]):
-        u1, u2 = kwargs["duals"]
+    for (before_args, _, before), (args, _, _) in zip(calls, calls[1:]):
+        u1, u2 = args[3].u1, args[3].u2
         atoms = slice(None) if atoms_of(args[1]) is None else atoms_of(args[1])
         assert np.array_equal(u1, before.u1) and np.array_equal(u2, full_u2(before_args, before)[atoms])
 
@@ -626,7 +674,7 @@ def test_solve_inner_tolerance_follows_weight_change(spy):
     calls = spy("coding_step", with_args=True)
     solve(y, T, config)
     tols = [kwargs["tol"][0] for _, kwargs, _ in calls]
-    weights = [args[2][:, 0] for args, _, _ in calls]
+    weights = [args[3].w[:, 0] for args, _, _ in calls]
     assert tols[:2] == [config.eps1, config.eps1]
     for t in range(2, len(calls)):
         change = np.linalg.norm(weights[t - 1] - weights[t - 2]) / np.linalg.norm(weights[t - 2])
@@ -981,9 +1029,9 @@ def test_carried_residual_is_formed_once_per_inner_iteration(name, monkeypatch, 
     monkeypatch.setattr(np, "asfortranarray", lambda a, dtype=None: (
         a if isinstance(a, _CountsSubtractions) else fortran(a, dtype=dtype)))
     for cache in (full, full.restrict(np.arange(0, T.n, 2))):
-        a0, r0 = flat_start(cache, Y2)  # flat_start reads only .columns
+        start = flat_start(cache, Y2, np.ones_like(Y2))  # flat_start reads only .columns
         _CountsSubtractions.calls = 0
-        step = coding_step(Y2.view(_CountsSubtractions), cache, np.ones_like(Y2), config, a0, r0)
+        step = coding_step(Y2.view(_CountsSubtractions), cache, config, start)
         assert _CountsSubtractions.calls == 2 * step.iterations.max() > 0, cache.columns.shape
 
 

@@ -18,7 +18,15 @@ from faceid.corruptions import corrupt, textured_patch
 from faceid.experiment import _image_seed, make_synthetic_benchmark
 from faceid.model import build_dictionary
 from faceid.solver import KKT_TOL, METHODS, coding_step, method_config, precompute_gram, solve_batch
-from helpers import as_float32, atoms_of, lower_gather_cap, random_dictionary, record_factorizations, tag_restrictions
+from helpers import (
+    as_float32,
+    atoms_of,
+    flat_start,
+    lower_gather_cap,
+    random_dictionary,
+    record_factorizations,
+    tag_restrictions,
+)
 
 SPARSE = ("F-IRNNLS", "F-IRSC")
 
@@ -173,8 +181,7 @@ def test_restrict_codes_as_a_dictionary_of_the_gathered_columns(name):
     gathered = replace(T, columns=T.columns[:, atoms], labels=T.labels[atoms], variation_start=atoms.size)
     rng = np.random.default_rng(62)
     y, w = rng.uniform(0.0, 0.1, (T.d, 2)), rng.uniform(0.1, 1.0, (T.d, 2))
-    a0 = np.full((atoms.size, 2), 1.0 / atoms.size)
-    steps = [coding_step(y, cache, w, config, a0, y - cache.columns @ a0)
+    steps = [coding_step(y, cache, config, flat_start(cache, y, w))
              for cache in (sub, precompute_gram(gathered, config.gram_ratio))]
     assert steps[0].iterations.tolist() == steps[1].iterations.tolist()
     assert steps[0].converged.tolist() == steps[1].converged.tolist()
@@ -183,8 +190,8 @@ def test_restrict_codes_as_a_dictionary_of_the_gathered_columns(name):
 
 
 def test_working_set_steps_start_from_their_own_residual(monkeypatch, spy):
-    """Every coding step on a working set starts from r0 = y - T_S a0, formed
-    from the set's gathered columns, bit for bit: the first step,
+    """Every coding step on a working set starts from start.res = y - T_S a_S,
+    formed from the set's gathered columns and start.a, bit for bit: the first step,
     a step on a set that atoms left, and one on a set that only grew, whose
     product over fewer columns rounds differently. float64 columns, on which
     the rounding of a product moves with its columns, under a gather cap of
@@ -199,7 +206,7 @@ def test_working_set_steps_start_from_their_own_residual(monkeypatch, spy):
     steps = spy("coding_step", record=lambda args, kwargs, out: (
         atoms_of(args[1]),
         atoms_of(args[1]) is not None
-        and np.array_equal(kwargs["r0"], args[0] - solver._product(args[1].columns, kwargs["a0"])),
+        and np.array_equal(args[3].res, args[0] - solver._product(args[1].columns, args[3].a)),
     ))
     left = grew = 0
     for y in ys:
@@ -336,7 +343,7 @@ def test_screened_first_step_codes_the_top_kkt_atoms(monkeypatch, spy):
         atoms = atoms_of(args[1])
         assert atoms is not None and atoms.size == cap
         assert np.array_equal(atoms, np.sort(np.argsort(-score[:, k], kind="stable")[:cap]))
-        assert np.array_equal(kwargs["a0"], np.full((cap, 1), 1.0 / n))
+        assert np.array_equal(args[3].a, np.full((cap, 1), 1.0 / n))
         h = 2.0 * A.T @ (W[:, k] * (ys[k].values - A @ np.full(n, 1.0 / n)))
         outside = np.setdiff1d(np.arange(n), atoms)
         assert h[outside].max() <= h[atoms].min() + 1e-5 * np.abs(h).max()
@@ -459,7 +466,7 @@ def test_set_updates_write_only_the_sets_and_their_entry_counts(monkeypatch):
     cols = solver._Columns(
         probe=np.arange(2), y=rng.normal(size=(d, 2)), state=state, inside=inside,
         entries=np.zeros((n, 2), np.int8, order="F"), score=score, violator=score > 0.0,
-        tol=[0.01, 0.002], change=[0.5, 0.02],
+        tol=[0.01, 0.002],
     )
     cols.entries[6, 0] = solver.STICKY_ENTRIES
     before = copy.deepcopy(cols)
@@ -471,7 +478,7 @@ def test_set_updates_write_only_the_sets_and_their_entry_counts(monkeypatch):
     assert cols.state is state
     for name, v in vars(before.state).items():
         assert np.array_equal(getattr(cols.state, name), v), name
-    for name in ("probe", "y", "score", "violator", "tol", "change"):
+    for name in ("probe", "y", "score", "violator", "tol"):
         assert np.array_equal(getattr(cols, name), getattr(before, name)), name
 
 
